@@ -22,7 +22,7 @@ out = Path(args.out)
 out.mkdir(parents=True, exist_ok=True)
 for name in args.scenarios:
     dp = gc.DiscreteProblem.from_spec(gc.scenario(name, n=args.n))
-    sol, diag = gc.continuation_solve(dp, verbose=False)
+    sol, diag = gc.continuation_solve(dp)
     path = out / f"{name}_n{args.n}.vtk"
     export_vtk(dp.mesh, sol.u, sol.p, path, alpha_c=dp.alpha_c, tau=sol.tau_final)
     print(f"{name:14s} gap={diag.duality_gap:10.3e} "

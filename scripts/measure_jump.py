@@ -11,7 +11,6 @@ import argparse
 import numpy as np
 
 import gradcon as gc
-from gradcon.problems import alpha_values
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--meshes", type=int, nargs="+", default=[64, 128])
@@ -22,8 +21,7 @@ for n in args.meshes:
     dp = gc.DiscreteProblem.from_spec(gc.scenario("ex4_measure", n=n))
     sol, _ = gc.continuation_solve(dp)
     ws = dp.workspace
-    aq = alpha_values(dp.spec.alpha, dp.mesh, ws.qpoints[..., 0], ws.qpoints[..., 1])
-    mass = float(np.einsum("q,tq,t->", ws.rule.weights, aq - 1.0, ws.areas))
+    mass = float(np.einsum("q,tq,t->", ws.rule.weights, dp.alpha_q - 1.0, ws.areas))
     i = np.arange(n)
     above = sol.u[2 * ((n // 2) * n + i)]
     below = sol.u[2 * ((n // 2 - 1) * n + i) + 1]

@@ -7,11 +7,10 @@ through a continuation schedule in the smoothing radius.
 """
 
 from .mesh import (ALL_DIRICHLET, ALL_NEUMANN, BoundaryPartition, Mesh, Rect,
-                   UNIT_SQUARE, build_rect_mesh, classify_boundary,
-                   element_geometry)
+                   UNIT_SQUARE, build_rect_mesh, classify_boundary)
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
-                       PresetSource, ProblemSpec, StudyResult, alpha_at,
+                       PresetSource, ProblemSpec, StudyResult,
                        convergence_study, exact_solution_ex1, scenario)
 from .solver import (Diagnostics, DiscreteProblem, DiscreteSolution,
                      LineSearchConfig, LineSearchStalled,
@@ -25,10 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_DIRICHLET", "ALL_NEUMANN", "BoundaryPartition", "Mesh", "Rect",
-    "UNIT_SQUARE", "build_rect_mesh", "classify_boundary", "element_geometry",
+    "UNIT_SQUARE", "build_rect_mesh", "classify_boundary",
     "SCENARIOS", "ConstantAlpha", "ConstantSource", "HalfPlane",
     "HalfPlaneSource", "MeasureLineAlpha", "PiecewiseAlpha", "PresetSource",
-    "ProblemSpec", "StudyResult", "alpha_at", "convergence_study",
+    "ProblemSpec", "StudyResult", "convergence_study",
     "exact_solution_ex1", "scenario",
     "Diagnostics", "DiscreteProblem", "DiscreteSolution", "LineSearchConfig",
     "LineSearchStalled", "MaxIterationsExceeded", "SolverConfig",

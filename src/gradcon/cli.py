@@ -28,8 +28,7 @@ Config schema (all keys optional unless a mode needs them)::
       "mesh_sizes": [8, 16, 32, 64],           # study mode
       "evolution": {"t_final": 0.5, "dt": 0.1,
                     "u0": {"type": "zero"} | {"type": "constant", "value": 0.1},
-                    "rate": <source spec>,
-                    "legacy_k_weight": false},
+                    "rate": <source spec>},
       "out_dir": "out",
       "formats": ["vtk", "json", "csv"]
     }
@@ -46,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -79,7 +79,7 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     scenario_name: str | None = None
     mesh_sizes: list | None = None
-    evolution: dict | None = None
+    evolution: EvolutionSpec | None = None
     out_dir: str = "out"
     formats: tuple = ("vtk", "csv", "json")
 
@@ -193,29 +193,59 @@ def _parse_problem(raw, where: str) -> ProblemSpec:
 def _parse_solver(raw, where: str) -> SolverConfig:
     _require_keys(raw, {"tau_start", "tau_factor", "tau_min", "newton_tol",
                         "newton_max_iter", "linesearch", "linear_tol"}, where)
-    kwargs = {k: raw[k] for k in
-              ("tau_start", "tau_factor", "tau_min", "newton_tol", "linear_tol")
-              if k in raw}
-    kwargs = {k: float(v) for k, v in kwargs.items()}
-    if "newton_max_iter" in raw:
-        kwargs["newton_max_iter"] = int(raw["newton_max_iter"])
     if "linesearch" in raw:
-        ls = raw["linesearch"]
-        _require_keys(ls, {"shrink", "sufficient_decrease", "max_backtracks"},
+        _require_keys(raw["linesearch"], {"shrink", "sufficient_decrease", "max_backtracks"},
                       f"{where}.linesearch")
-        kwargs["linesearch"] = LineSearchConfig(
-            shrink=float(ls.get("shrink", 0.5)),
-            sufficient_decrease=float(ls.get("sufficient_decrease", 1e-4)),
-            max_backtracks=int(ls.get("max_backtracks", 30)))
     try:
+        kwargs = {k: float(raw[k]) for k in
+                  ("tau_start", "tau_factor", "tau_min", "newton_tol", "linear_tol")
+                  if k in raw}
+        if "newton_max_iter" in raw:
+            kwargs["newton_max_iter"] = int(raw["newton_max_iter"])
+        if "linesearch" in raw:
+            ls = raw["linesearch"]
+            kwargs["linesearch"] = LineSearchConfig(
+                shrink=float(ls.get("shrink", 0.5)),
+                sufficient_decrease=float(ls.get("sufficient_decrease", 1e-4)),
+                max_backtracks=int(ls.get("max_backtracks", 30)))
         return SolverConfig(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _parse_u0(raw, where: str):
+    if raw is None:
+        return None
+    _require_keys(raw, {"type", "value"}, where)
+    if raw.get("type") == "zero":
+        return None
+    if raw.get("type") != "constant":
+        raise ConfigError(f"{where}: unknown type {raw.get('type')!r}")
+    try:
+        value = float(raw["value"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite, got {value}")
+    return lambda x, y: np.full(np.broadcast(x, y).shape, value)
+
+
+def _parse_evolution(raw, problem: ProblemSpec, solver: SolverConfig,
+                     where: str) -> EvolutionSpec:
+    _require_keys(raw, {"t_final", "dt", "u0", "rate"}, where)
+    if "t_final" not in raw or "dt" not in raw:
+        raise ConfigError(f"{where}: t_final and dt are required")
+    rate = _parse_source(raw.get("rate", {"type": "constant", "value": 0.0}), f"{where}.rate")
+    u0 = _parse_u0(raw.get("u0"), f"{where}.u0")
+    try:
+        return EvolutionSpec(problem=problem, rate=rate, t_final=float(raw["t_final"]),
+                             dt=float(raw["dt"]), u0=u0, config=solver)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 _TOP_KEYS = {"mode", "scenario", "problem", "solver", "mesh_sizes",
              "evolution", "out_dir", "formats", "n"}
-_EVOLUTION_KEYS = {"t_final", "dt", "u0", "rate", "legacy_k_weight"}
 
 
 def parse_config(path: str | None = None, data: dict | None = None,
@@ -272,13 +302,11 @@ def parse_config(path: str | None = None, data: dict | None = None,
             raise ConfigError("config.scenario: study mode needs a named scenario "
                               "with a closed-form solution")
 
-    evolution = raw.get("evolution")
+    evolution = None
     if mode == "evolve":
-        if not evolution:
+        if not raw.get("evolution"):
             raise ConfigError("config.evolution: required in evolve mode")
-        _require_keys(evolution, _EVOLUTION_KEYS, "config.evolution")
-        if "t_final" not in evolution or "dt" not in evolution:
-            raise ConfigError("config.evolution: t_final and dt are required")
+        evolution = _parse_evolution(raw["evolution"], problem, solver, "config.evolution")
 
     formats = tuple(raw.get("formats", ("vtk", "csv", "json")))
     unknown_fmt = set(formats) - {"vtk", "csv", "json"}
@@ -403,32 +431,13 @@ def _run_study(cfg: RunConfig, out) -> RunSummary:
                "rate_u": study.rate_u, "rate_p": study.rate_p})
 
 
-def _parse_u0(raw):
-    if raw is None:
-        return None
-    _require_keys(raw, {"type", "value"}, "config.evolution.u0")
-    if raw.get("type") == "zero":
-        return None
-    if raw.get("type") == "constant":
-        value = float(raw["value"])
-        return lambda x, y: np.full(np.broadcast(x, y).shape, value)
-    raise ConfigError(f"config.evolution.u0: unknown type {raw.get('type')!r}")
-
-
 def _run_evolve(cfg: RunConfig, out) -> RunSummary:
     start = time.perf_counter()
-    ev = cfg.evolution
-    rate = _parse_source(ev.get("rate", {"type": "constant", "value": 0.0}),
-                         "config.evolution.rate")
-    spec = EvolutionSpec(problem=cfg.problem, rate=rate,
-                         t_final=float(ev["t_final"]), dt=float(ev["dt"]),
-                         u0=_parse_u0(ev.get("u0")), config=cfg.solver,
-                         legacy_k_weight=bool(ev.get("legacy_k_weight", False)))
-    traj = run_evolution(spec)
+    traj = run_evolution(cfg.evolution)
     balances = conservation_report(traj) if not cfg.problem.boundary.gamma_d_sides else None
     wall = time.perf_counter() - start
     if "vtk" in cfg.formats:
-        dp = DiscreteProblem.from_spec(cfg.problem)
+        dp = traj.problem
         for i, (u, p) in enumerate(zip(traj.u, traj.p)):
             export_vtk(dp.mesh, u, p, out / f"step_{i:03d}.vtk",
                        alpha_c=dp.alpha_c,
@@ -442,7 +451,7 @@ def _run_evolve(cfg: RunConfig, out) -> RunSummary:
         primal_value=None, dual_value=None, duality_gap=None,
         wall_time_s=wall,
         extra={"times": list(traj.times),
-               "masses": [float(np.sum(traj.cell_areas * u)) for u in traj.u],
+               "masses": [float(np.sum(traj.problem.areas * u)) for u in traj.u],
                "mass_balances": balances,
                "steps": len(traj.steps)})
 

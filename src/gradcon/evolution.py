@@ -3,10 +3,8 @@
 Each step solves one stationary problem whose load is built from the
 previous state: testing the backward-difference inequality against the
 feasible set gives a projection of ``u_prev + integral of the rate over the
-step``, so the previous state enters with weight one.  (A variant that
-weights the previous state by the step size is kept behind
-``legacy_k_weight`` for comparison runs.)  The step integral of the rate
-uses the midpoint rule.
+step``, so the previous state enters with weight one.  The step integral of
+the rate uses the midpoint rule.
 
 With every boundary side flux-pinned, summing the balance equation over all
 cells shows that the total held mass changes exactly by the poured mass,
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .problems import ProblemSpec, source_values
+from .problems import ProblemSpec
 from .solver import (DiscreteProblem, SolverConfig, SolverError,
                      continuation_solve, recovered_gradient)
 
@@ -36,9 +34,10 @@ class EvolutionSpec:
     dt: float
     u0: object = None               # None (zero), cell array, or callback
     config: SolverConfig = field(default_factory=SolverConfig)
-    legacy_k_weight: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_final) and math.isfinite(self.dt)):
+            raise ValueError("final time and time step must be finite")
         if not self.dt > 0.0:
             raise ValueError("time step must be positive")
         if self.t_final < self.dt:
@@ -64,7 +63,7 @@ class Trajectory:
     u: list
     p: list
     steps: list                    # StepDiagnostics, one per step
-    cell_areas: np.ndarray
+    problem: DiscreteProblem
 
 
 def _rate_at(rate, t: float):
@@ -86,24 +85,24 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
          t0: float, t1: float):
     """Advance one implicit-Euler step over [t0, t1].
 
-    Returns (u_next, p_next, DiscreteSolution) for the stationary solve with
-    the effective load of this step.
+    Returns (DiscreteSolution, rate_q): the stationary solve with the
+    effective load of this step, and the midpoint rate poured over the step
+    at the quadrature points.
     """
     k = t1 - t0
     ws = dp.workspace
     src = _rate_at(spec.rate, 0.5 * (t0 + t1))
     rate_q = np.broadcast_to(
-        np.asarray(source_values(src, ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float),
+        np.asarray(src.evaluate(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float),
         ws.qpoints.shape[:2])
-    prev_weight = k if spec.legacy_k_weight else 1.0
-    f_eff_q = prev_weight * u_prev[:, None] + k * rate_q
+    f_eff_q = u_prev[:, None] + k * rate_q
     load = ws.areas * (f_eff_q @ ws.rule.weights)
     step_dp = dp.with_load(load, f_eff_q)
     try:
         sol, _ = continuation_solve(step_dp, spec.config)
     except SolverError as exc:
         raise RuntimeError(f"time step over [{t0:g}, {t1:g}] failed") from exc
-    return sol.u, sol.p, sol
+    return sol, rate_q
 
 
 def run(spec: EvolutionSpec) -> Trajectory:
@@ -113,21 +112,17 @@ def run(spec: EvolutionSpec) -> Trajectory:
     u = _initial_state(spec, dp)
     n_steps = math.ceil(spec.t_final / spec.dt - 1e-12)
     traj = Trajectory(spec=spec, times=[0.0], u=[u], p=[np.zeros(dp.mesh.num_edges)],
-                      steps=[], cell_areas=ws.areas.copy())
+                      steps=[], problem=dp)
     for n in range(1, n_steps + 1):
         t0, t1 = (n - 1) * spec.dt, n * spec.dt
         try:
-            u_next, p_next, sol = step(u, dp, spec, t0, t1)
+            sol, rate_q = step(u, dp, spec, t0, t1)
         except RuntimeError as exc:
             raise RuntimeError(f"evolution failed at step {n}") from exc
-        src = _rate_at(spec.rate, 0.5 * (t0 + t1))
-        rate_q = np.broadcast_to(
-            np.asarray(source_values(src, ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float),
-            ws.qpoints.shape[:2])
         poured = spec.dt * float(np.einsum("q,tq,t->", ws.rule.weights, rate_q, ws.areas))
-        mass = float(np.sum(ws.areas * u_next))
+        mass = float(np.sum(ws.areas * sol.u))
         prev_mass = float(np.sum(ws.areas * u))
-        gnorm = np.linalg.norm(recovered_gradient(dp, p_next, sol.tau_final), axis=-1)
+        gnorm = np.linalg.norm(recovered_gradient(dp, sol.p, sol.tau_final), axis=-1)
         traj.steps.append(StepDiagnostics(
             t=t1, poured=poured, mass=mass,
             mass_balance=mass - prev_mass - poured,
@@ -137,9 +132,9 @@ def run(spec: EvolutionSpec) -> Trajectory:
             max_gradient_ratio=float(np.max(gnorm / dp.alpha_c)),
         ))
         traj.times.append(t1)
-        traj.u.append(u_next)
-        traj.p.append(p_next)
-        u = u_next
+        traj.u.append(sol.u)
+        traj.p.append(sol.p)
+        u = sol.u
     return traj
 
 

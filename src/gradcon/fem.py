@@ -116,11 +116,6 @@ def assemble_div(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(nt, mesh.num_edges)).tocsr()
 
 
-def assemble_mass_p0(mesh: Mesh, ws: Workspace | None = None) -> np.ndarray:
-    """Diagonal of the P0 mass matrix: the triangle areas."""
-    return _workspace(mesh, ws).areas.copy()
-
-
 def assemble_load(mesh: Mesh, f, ws: Workspace | None = None) -> np.ndarray:
     """Cell integrals of a scalar source, entry_T = integral of f over T."""
     ws = _workspace(mesh, ws)
@@ -163,27 +158,8 @@ def rt0_at_centroids(ws: Workspace, p: np.ndarray) -> np.ndarray:
     return np.einsum("tk,tkd->td", coeffs, ws.psi_centroid)
 
 
-def rt0_eval(mesh: Mesh, p: np.ndarray, tri_id: int, point) -> np.ndarray:
-    """Value of an RT0 field at a point inside triangle ``tri_id``."""
-    coords = mesh.vertices[mesh.triangles[tri_id]]
-    point = np.asarray(point, dtype=float)
-    T = np.column_stack([coords[1] - coords[0], coords[2] - coords[0]])
-    lam12 = np.linalg.solve(T, point - coords[0])
-    lam = np.array([1.0 - lam12.sum(), *lam12])
-    if np.any(lam < -1e-12):
-        raise ValueError(f"point {point} lies outside triangle {tri_id}")
-    area = 0.5 * abs(np.linalg.det(T))
-    value = np.zeros(2)
-    for k in range(3):
-        opp = coords[(k + 2) % 3]
-        sign = mesh.tri_edge_signs[tri_id, k]
-        value += p[mesh.tri_edges[tri_id, k]] * sign * (point - opp) / (2.0 * area)
-    return value
-
-
 def assemble_huber_residual(mesh: Mesh, p: np.ndarray, alpha, tau: float,
-                            ws: Workspace | None = None,
-                            neumann_edges: np.ndarray | None = None) -> np.ndarray:
+                            ws: Workspace | None = None) -> np.ndarray:
     """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh."""
     ws = _workspace(mesh, ws)
     aq = _scalar_at_quadrature(mesh, alpha, ws)
@@ -192,8 +168,6 @@ def assemble_huber_residual(mesh: Mesh, p: np.ndarray, alpha, tau: float,
                      optimize=True) * ws.areas[:, None]
     out = np.zeros(mesh.num_edges)
     np.add.at(out, mesh.tri_edges, elem)
-    if neumann_edges is not None and len(neumann_edges):
-        out[neumann_edges] = 0.0
     return out
 
 

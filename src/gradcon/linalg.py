@@ -33,14 +33,6 @@ class LinearSolveReport:
     regularized: bool
 
 
-def spmv(A, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    return A @ x
-
-
 def _try_factor(A: sp.csc_matrix):
     try:
         return spla.splu(A)

@@ -261,26 +261,3 @@ def classify_boundary(mesh: Mesh, bp: BoundaryPartition):
         (neumann if side in bp.gamma_n_sides else dirichlet).append(ids)
     cat = lambda parts: np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=int)
     return cat(dirichlet), cat(neumann)
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    area: float
-    centroid: np.ndarray
-    edge_lengths: np.ndarray       # per local edge slot
-    outward_normals: np.ndarray    # (3, 2), unit
-
-
-def element_geometry(mesh: Mesh, tri_id: int) -> ElementGeometry:
-    """Area, centroid, edge lengths and outward unit normals of a triangle."""
-    coords = mesh.vertices[mesh.triangles[tri_id]]
-    e = np.roll(coords, -1, axis=0) - coords  # slot k joins vertices k, k+1
-    area = 0.5 * float(e[0, 0] * (-e[2, 1]) - e[0, 1] * (-e[2, 0]))
-    lengths = np.linalg.norm(e, axis=1)
-    normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
-    return ElementGeometry(
-        area=area,
-        centroid=coords.mean(axis=0),
-        edge_lengths=lengths,
-        outward_normals=normals,
-    )

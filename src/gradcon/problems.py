@@ -39,8 +39,8 @@ class ConstantAlpha:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError(f"constraint bound must be positive, got {self.value}")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError(f"constraint bound must be positive and finite, got {self.value}")
 
     def evaluate(self, mesh, x, y):
         return np.full(np.broadcast(x, y).shape, self.value)
@@ -56,8 +56,9 @@ class PiecewiseAlpha:
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
         values = [v for _, v in self.regions] + [self.default]
-        if any(not v > 0.0 for v in values):
-            raise ValueError(f"constraint bound must be positive, got {min(values)}")
+        bad = [v for v in values if not 0.0 < v < math.inf]
+        if bad:
+            raise ValueError(f"constraint bound must be positive and finite, got {bad[0]}")
 
     def evaluate(self, mesh, x, y):
         out = np.full(np.broadcast(x, y).shape, self.default)
@@ -84,8 +85,10 @@ class MeasureLineAlpha:
     base: float = 1.0
 
     def __post_init__(self):
-        if not self.base > 0.0 or not self.weight > 0.0:
-            raise ValueError("line-measure bound needs positive base and weight")
+        if not (0.0 < self.base < math.inf and 0.0 < self.weight < math.inf
+                and math.isfinite(self.line_y)):
+            raise ValueError("line-measure bound needs positive finite base and weight "
+                             "and a finite line_y")
 
     def strip_bounds(self, mesh: Mesh):
         lo = max(self.line_y - LINE_STRIP_CELLS * mesh.h, mesh.rect.y0)
@@ -101,23 +104,15 @@ class MeasureLineAlpha:
         return np.where(inside, self.base + density, self.base) * np.ones_like(np.asarray(x), dtype=float)
 
 
-def alpha_values(spec, mesh, x, y) -> np.ndarray:
-    return spec.evaluate(mesh, x, y)
-
-
-def alpha_at(spec, mesh, point) -> float:
-    """Pointwise constraint bound; raises if the configured value is not positive."""
-    value = float(np.asarray(spec.evaluate(mesh, point[0], point[1])))
-    if not value > 0.0:
-        raise ValueError(f"constraint bound must be positive, got {value} at {point}")
-    return value
-
-
 # --- sources ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConstantSource:
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"source value must be finite, got {self.value}")
 
     def evaluate(self, x, y):
         return np.full(np.broadcast(x, y).shape, float(self.value))
@@ -129,6 +124,10 @@ class HalfPlaneSource:
     inside: float
     outside: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.inside) and math.isfinite(self.outside)):
+            raise ValueError(f"source values must be finite, got {self.inside}, {self.outside}")
+
     def evaluate(self, x, y):
         return np.where(self.region.contains(x, y), self.inside, self.outside).astype(float)
 
@@ -138,8 +137,7 @@ def _cone_valley_profile(x, y):
     # above the anti-diagonal
     base = np.minimum(0.2, 0.5 * (x**2 + y**2))
     cone = 1.0 - 5.0 * np.sqrt((x - 0.7) ** 2 + (y - 0.7) ** 2)
-    upper = np.maximum(cone, base)
-    return np.where(y <= 1.0 - x, base, np.where(1.0 - x < y, upper, 0.0))
+    return np.where(y <= 1.0 - x, base, np.maximum(cone, base))
 
 
 _PRESET_SOURCES = {
@@ -159,10 +157,6 @@ class PresetSource:
     def evaluate(self, x, y):
         return np.asarray(_PRESET_SOURCES[self.name](np.asarray(x, dtype=float),
                                                      np.asarray(y, dtype=float)))
-
-
-def source_values(spec, x, y) -> np.ndarray:
-    return spec.evaluate(x, y)
 
 
 # --- problem bundle ---------------------------------------------------------

@@ -20,6 +20,7 @@ first stage starts from zero.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 
 from . import fem, huber, linalg
 from .mesh import classify_boundary
-from .problems import ProblemSpec, alpha_values, source_values
+from .problems import ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class LineSearchConfig:
             raise ValueError("line-search shrink factor must be in (0, 1)")
         if not 0.0 < self.sufficient_decrease < 1.0:
             raise ValueError("sufficient decrease must be in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
+        if not 0 <= self.max_backtracks < math.inf:
+            raise ValueError("max_backtracks must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,16 @@ class SolverConfig:
     linear_tol: float = 1e-10         # relative residual of each linear solve
 
     def __post_init__(self):
-        if not self.tau_factor > 1.0:
-            raise ValueError("continuation factor must exceed 1")
+        if not 1.0 < self.tau_factor < math.inf:
+            raise ValueError("continuation factor must exceed 1 and be finite")
+        # an infinite tau_start would make tau_schedule grow without end
         for name in ("tau_start", "tau_min", "newton_tol", "linear_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.tau_start < self.tau_min:
             raise ValueError("tau_start must be at least tau_min")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+        if not 1 <= self.newton_max_iter < math.inf:
+            raise ValueError("newton_max_iter must be at least 1 and finite")
 
 
 def tau_schedule(config: SolverConfig) -> np.ndarray:
@@ -108,7 +110,6 @@ class DiscreteProblem:
     source_q: np.ndarray           # source at quadrature points (nt, nq)
     alpha_q: np.ndarray            # bound at quadrature points (nt, nq)
     alpha_c: np.ndarray            # bound at centroids (nt,)
-    neumann_edges: np.ndarray
     free: np.ndarray | None        # bool mask over edges, None when all free
 
     @classmethod
@@ -121,14 +122,14 @@ class DiscreteProblem:
         areas = ws.areas
         Bt = B.T.tocsr()
         schur0 = (Bt @ sp.diags(1.0 / areas) @ B).tocsr()
-        source_q = source_values(spec.source, ws.qpoints[..., 0], ws.qpoints[..., 1])
+        source_q = spec.source.evaluate(ws.qpoints[..., 0], ws.qpoints[..., 1])
         source_q = np.broadcast_to(np.asarray(source_q, dtype=float),
                                    ws.qpoints.shape[:2]).copy()
         load = areas * (source_q @ ws.rule.weights)
-        alpha_q = np.asarray(alpha_values(spec.alpha, mesh,
-                                          ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float)
-        alpha_c = np.asarray(alpha_values(spec.alpha, mesh,
-                                          ws.centroids[:, 0], ws.centroids[:, 1]), dtype=float)
+        alpha_q = np.asarray(spec.alpha.evaluate(mesh, ws.qpoints[..., 0], ws.qpoints[..., 1]),
+                             dtype=float)
+        alpha_c = np.asarray(spec.alpha.evaluate(mesh, ws.centroids[:, 0], ws.centroids[:, 1]),
+                             dtype=float)
         if np.any(alpha_q <= 0.0) or np.any(alpha_c <= 0.0):
             raise ValueError("constraint bound must be positive throughout the domain")
         _, neumann = classify_boundary(mesh, spec.boundary)
@@ -139,8 +140,7 @@ class DiscreteProblem:
             free = None
         return cls(spec=spec, mesh=mesh, workspace=ws, B=B, Bt=Bt, areas=areas,
                    schur0=schur0, load=load, source_q=source_q,
-                   alpha_q=alpha_q, alpha_c=alpha_c,
-                   neumann_edges=neumann, free=free)
+                   alpha_q=alpha_q, alpha_c=alpha_c, free=free)
 
     def with_load(self, load: np.ndarray, source_q: np.ndarray) -> "DiscreteProblem":
         """Same operators with a different right-hand side (time stepping)."""
@@ -153,30 +153,24 @@ def recover_u(dp: DiscreteProblem, p: np.ndarray) -> np.ndarray:
     return (dp.load - dp.B @ p) / dp.areas
 
 
-def residual(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float):
-    """The pair (r1, r2); flux rows on pinned edges are zeroed."""
-    r1 = -(dp.Bt @ u) + fem.assemble_huber_residual(
-        dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace)
-    if dp.free is not None:
-        r1[~dp.free] = 0.0
-    r2 = dp.areas * u + dp.B @ p - dp.load
-    return r1, r2
-
-
-def residual_norms(dp: DiscreteProblem, r1: np.ndarray, r2: np.ndarray):
-    """Euclidean norm of the flux residual, mass-weighted norm of the balance."""
-    r1n = float(np.linalg.norm(r1 if dp.free is None else r1[dp.free]))
-    r2n = float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
-    return r1n, r2n
-
-
-def _reduced_residual(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
-    u = recover_u(dp, p)
-    r = -(dp.Bt @ u) + fem.assemble_huber_residual(
+def residual(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
+    """Reduced flux residual R(p) = -B^T u(p) + H_tau(p); pinned rows are zeroed."""
+    r = -(dp.Bt @ recover_u(dp, p)) + fem.assemble_huber_residual(
         dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace)
     if dp.free is not None:
         r[~dp.free] = 0.0
     return r
+
+
+def residual_norms(dp: DiscreteProblem, p: np.ndarray, r) -> tuple[float, float]:
+    """The pair (|r1|, |r2|) at flux p.
+
+    |r1| is the Euclidean norm of ``r``, the reduced flux residual at p (or
+    that norm itself); |r2| is the mass-weighted norm of the balance
+    residual M u(p) + B p - F, which is zero up to rounding.
+    """
+    r2 = dp.areas * recover_u(dp, p) + dp.B @ p - dp.load
+    return float(np.linalg.norm(r)), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
@@ -192,12 +186,13 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     if dp.free is not None:
         p[~dp.free] = 0.0
 
-    r = _reduced_residual(dp, p, tau)
+    r = residual(dp, p, tau)
     rnorm = float(np.linalg.norm(r))
     iterations = 0
-    while rnorm > config.newton_tol:
+    while not rnorm <= config.newton_tol:      # a NaN residual is not converged
         if iterations >= config.newton_max_iter:
-            raise MaxIterationsExceeded("Newton did not converge", tau, rnorm, 0.0)
+            raise MaxIterationsExceeded("Newton did not converge", tau,
+                                        *residual_norms(dp, p, r))
         G = fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace)
         S = (G + dp.schur0).tocsr()
         if dp.free is None:
@@ -213,14 +208,15 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
         accepted = False
         for _ in range(ls.max_backtracks + 1):
             trial = p + s * step
-            r_trial = _reduced_residual(dp, trial, tau)
+            r_trial = residual(dp, trial, tau)
             m_trial = float(r_trial @ r_trial)
             if m_trial <= (1.0 - 2.0 * ls.sufficient_decrease * s) * merit0:
                 accepted = True
                 break
             s *= ls.shrink
         if not accepted:
-            raise LineSearchStalled("line search made no progress", tau, rnorm, 0.0)
+            raise LineSearchStalled("line search made no progress", tau,
+                                    *residual_norms(dp, p, r))
         p, r, rnorm = trial, r_trial, float(np.sqrt(m_trial))
         iterations += 1
     return p, iterations, rnorm
@@ -275,14 +271,13 @@ def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -
                        feasibility_violation=violation)
 
 
-def continuation_solve(problem, config: SolverConfig | None = None,
-                       verbose: bool = False):
+def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None):
     """Run the full continuation schedule; returns (DiscreteSolution, Diagnostics).
 
     Each stage is warm-started from the previous one; the first stage starts
-    from zero.  Newton failures propagate annotated with the failing stage.
+    from zero.  The diagnostics returned are those of the last stage.  Newton
+    failures propagate annotated with the failing stage.
     """
-    dp = problem if isinstance(problem, DiscreteProblem) else DiscreteProblem.from_spec(problem)
     config = config or SolverConfig()
     taus = tau_schedule(config)
 
@@ -291,15 +286,12 @@ def continuation_solve(problem, config: SolverConfig | None = None,
     for tau in taus:
         p, iters, r1n = newton_solve(dp, tau, p, config)
         u = recover_u(dp, p)
-        r2 = dp.areas * u + dp.B @ p - dp.load
-        r2n = float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
+        diag = diagnostics(dp, p, u, tau)
         iteration_counts.append(iters)
-        norms.append((r1n, r2n))
-        gaps.append(diagnostics(dp, p, u, tau).duality_gap)
-        if verbose:
-            print(f"tau={tau:10.4e}  newton={iters:2d}  |r1|={r1n:9.3e}  |r2|={r2n:9.3e}")
+        norms.append(residual_norms(dp, p, r1n))
+        gaps.append(diag.duality_gap)
 
     sol = DiscreteSolution(p=p, u=u, tau_final=float(taus[-1]), tau_values=taus,
                            newton_iterations=iteration_counts,
                            residual_norms=norms, gap_history=gaps)
-    return sol, diagnostics(dp, p, u, sol.tau_final)
+    return sol, diag

@@ -1,0 +1,34 @@
+import dataclasses
+import importlib
+import inspect
+
+import gradcon
+from gradcon import evolution, fem, solver
+
+# names deleted from the package; a stale import or export of one should fail here
+REMOVED = {
+    "gradcon": ("element_geometry", "alpha_at"),
+    "gradcon.linalg": ("spmv",),
+    "gradcon.fem": ("rt0_eval", "assemble_mass_p0"),
+    "gradcon.mesh": ("element_geometry", "ElementGeometry"),
+    "gradcon.problems": ("alpha_at", "alpha_values", "source_values"),
+}
+
+
+def test_every_export_resolves():
+    assert len(set(gradcon.__all__)) == len(gradcon.__all__)
+    assert [name for name in gradcon.__all__ if not hasattr(gradcon, name)] == []
+
+
+def test_removed_names_are_gone():
+    present = [f"{module}.{name}" for module, names in REMOVED.items()
+               for name in names if hasattr(importlib.import_module(module), name)]
+    assert present == []
+    assert not set(gradcon.__all__) & {n for names in REMOVED.values() for n in names}
+
+
+def test_removed_options_are_gone():
+    assert "legacy_k_weight" not in {f.name for f in dataclasses.fields(evolution.EvolutionSpec)}
+    assert "neumann_edges" not in {f.name for f in dataclasses.fields(solver.DiscreteProblem)}
+    assert "verbose" not in inspect.signature(solver.continuation_solve).parameters
+    assert "neumann_edges" not in inspect.signature(fem.assemble_huber_residual).parameters

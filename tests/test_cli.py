@@ -204,10 +204,36 @@ def test_main_evolve_end_to_end(tmp_path):
     assert all(abs(b) <= 1e-8 for b in summary["extra"]["mass_balances"])
 
 
+def evolve_config(**evolution):
+    return {"mode": "evolve",
+            "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+                        "f": {"type": "constant", "value": 0.0}},
+            "evolution": {"t_final": 0.2, "dt": 0.1, **evolution}}
+
+
+CONFIG_ERRORS = {
+    "unknown-scenario": {"mode": "solve", "scenario": "bogus"},
+    "missing-file": None,
+    "negative-dt": evolve_config(dt=-1),
+    "nan-t-final": evolve_config(t_final=float("nan")),
+    "u0-not-a-number": evolve_config(u0={"type": "constant", "value": "x"}),
+    "max-iter-not-a-number": {"mode": "solve", "scenario": "ex1_f1_a1",
+                              "solver": {"newton_max_iter": "abc"}},
+    "infinite-linear-tol": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+                            "solver": {"linear_tol": float("inf")}},
+    "nan-source": {"mode": "solve",
+                   "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+                               "f": {"type": "constant", "value": float("nan")}}},
+}
+
+
 def test_main_config_error_exit_code(tmp_path):
-    cfg = write_config(tmp_path, {"mode": "solve", "scenario": "bogus"})
-    assert main(["solve", "--config", cfg]) == cli.EXIT_CONFIG
-    assert main(["solve", "--config", str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG
+    for name, payload in CONFIG_ERRORS.items():
+        cfg = (str(tmp_path / "missing.json") if payload is None
+               else write_config(tmp_path, payload, name=f"{name}.json"))
+        mode = (payload or {}).get("mode", "solve")
+        code = main([mode, "--config", cfg, "--out", str(tmp_path / name)])
+        assert code == cli.EXIT_CONFIG, name
 
 
 def test_main_solver_failure_exit_code(tmp_path):

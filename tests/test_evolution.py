@@ -22,6 +22,9 @@ def test_spec_validation():
         make_spec(dt=0.0)
     with pytest.raises(ValueError):
         make_spec(t_final=0.05, dt=0.1)
+    for t_final, dt in ((float("nan"), 0.1), (float("inf"), 0.1), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(t_final=t_final, dt=dt)
 
 
 def test_zero_rate_zero_state_stays_zero():
@@ -125,21 +128,6 @@ def test_step_against_independent_minimizer():
     l2 = np.sqrt(np.sum(dp.areas * (u_newton - u_oracle) ** 2))
     assert l2 <= 1e-5
     assert objective(p_newton[free]) <= result.fun + 1e-12
-
-
-def test_legacy_weighting_scales_previous_state():
-    # with the step-size weighting on u_prev and no rate, one step returns
-    # k * u_prev (projection of a feasible scaled profile)
-    u0 = lambda x, y: 0.1 * (x * (1 - x) + y * (1 - y))
-    base = make_spec(boundary=gc.ALL_DIRICHLET, rate=0.0, t_final=0.1, dt=0.1, u0=u0)
-    legacy = make_spec(boundary=gc.ALL_DIRICHLET, rate=0.0, t_final=0.1, dt=0.1,
-                       u0=u0, legacy_k_weight=True)
-    t1 = ev.run(base)
-    t2 = ev.run(legacy)
-    dp = DiscreteProblem.from_spec(base.problem)
-    scaled = 0.1 * t1.u[0]
-    l2 = np.sqrt(np.sum(dp.areas * (t2.u[1] - scaled) ** 2))
-    assert l2 <= 1e-6
 
 
 def test_time_dependent_rate_callable():

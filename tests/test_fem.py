@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import gradcon as gc
 from gradcon import fem
 from gradcon.mesh import Rect, UNIT_SQUARE, build_rect_mesh
+from gradcon.solver import DiscreteProblem, recover_u, residual
 
 
 def reference_monomial_integral(a, b):
@@ -39,15 +41,17 @@ def test_rt0_reproduces_constants():
     mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
     p = fem.interpolate_rt0(mesh, lambda x, y: np.stack(
         [np.ones_like(x), np.zeros_like(y)], axis=-1))
-    for t, point in ((0, (0.6, 0.2)), (1, (0.2, 0.6))):
-        assert np.allclose(fem.rt0_eval(mesh, p, t, point), [1.0, 0.0], atol=1e-13)
+    ws = fem.build_workspace(mesh)
+    assert np.allclose(fem.rt0_at_quadrature(ws, p), [1.0, 0.0], atol=1e-13)
+    assert np.allclose(fem.rt0_at_centroids(ws, p), [1.0, 0.0], atol=1e-13)
 
 
 def test_rt0_zero_field():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
     p = np.zeros(mesh.num_edges)
-    tid = int(mesh.locate_triangle(0.3, 0.4))
-    assert np.allclose(fem.rt0_eval(mesh, p, tid, (0.3, 0.4)), [0.0, 0.0])
+    ws = fem.build_workspace(mesh)
+    assert np.array_equal(fem.rt0_at_quadrature(ws, p), np.zeros(ws.qpoints.shape))
+    assert np.array_equal(fem.rt0_at_centroids(ws, p), np.zeros(ws.centroids.shape))
 
 
 def test_rt0_identity_field_at_centroids():
@@ -57,15 +61,7 @@ def test_rt0_identity_field_at_centroids():
     ws = fem.build_workspace(mesh)
     values = fem.rt0_at_centroids(ws, p)
     assert np.allclose(values, ws.centroids, atol=1e-13)
-    tid = 4
-    assert np.allclose(fem.rt0_eval(mesh, p, tid, ws.centroids[tid]),
-                       ws.centroids[tid], atol=1e-13)
-
-
-def test_rt0_eval_rejects_outside_point():
-    mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
-    with pytest.raises(ValueError):
-        fem.rt0_eval(mesh, np.zeros(mesh.num_edges), 0, (0.1, 0.95))
+    assert np.allclose(fem.rt0_at_quadrature(ws, p), ws.qpoints, atol=1e-13)
 
 
 def test_interpolate_constant_field_dofs():
@@ -86,7 +82,7 @@ def test_divergence_of_identity_interpolant():
     mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 4, 3)
     p = fem.interpolate_rt0(mesh, lambda x, y: np.stack([x, y], axis=-1))
     B = fem.assemble_div(mesh)
-    areas = fem.assemble_mass_p0(mesh)
+    areas = fem.build_workspace(mesh).areas
     assert np.allclose(B @ p, 2.0 * areas, atol=1e-13)
 
 
@@ -109,7 +105,7 @@ def test_div_matrix_structure():
 
 def test_p0_mass_diagonal():
     mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
-    areas = fem.assemble_mass_p0(mesh)
+    areas = fem.build_workspace(mesh).areas
     assert np.allclose(areas, [0.5, 0.5])
     assert np.all(areas > 0)
 
@@ -117,7 +113,7 @@ def test_p0_mass_diagonal():
 def test_load_constant_one():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 3)
     F = fem.assemble_load(mesh, lambda x, y: np.ones_like(x))
-    assert np.allclose(F, fem.assemble_mass_p0(mesh), atol=1e-15)
+    assert np.allclose(F, fem.build_workspace(mesh).areas, atol=1e-15)
 
 
 def test_load_zero():
@@ -156,13 +152,20 @@ def test_huber_residual_linear_in_alpha():
 
 
 def test_huber_residual_neumann_rows_zeroed():
-    mesh = build_rect_mesh(UNIT_SQUARE, 3, 3)
+    # the solver's flux residual zeroes the rows of flux-pinned edges only
+    dp = DiscreteProblem.from_spec(gc.ProblemSpec(
+        rect=UNIT_SQUARE, nx=3, ny=3, boundary=gc.BoundaryPartition(frozenset({"left", "top"})),
+        alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(0.5)))
     rng = np.random.default_rng(2)
-    p = rng.normal(size=mesh.num_edges)
-    pinned = mesh.boundary_edge_ids()
-    out = fem.assemble_huber_residual(mesh, p, lambda x, y: np.ones_like(x), 0.3,
-                                      neumann_edges=pinned)
-    assert np.allclose(out[pinned], 0.0)
+    p = rng.normal(size=dp.mesh.num_edges)
+    out = residual(dp, p, 0.3)
+    pinned = np.concatenate([dp.mesh.boundary_edges[s] for s in ("left", "top")])
+    assert np.array_equal(np.flatnonzero(~dp.free), np.sort(pinned))
+    assert np.all(out[pinned] == 0.0)
+    full = -(dp.Bt @ recover_u(dp, p)) + fem.assemble_huber_residual(
+        dp.mesh, p, dp.alpha_q, 0.3, ws=dp.workspace)
+    assert np.array_equal(out[dp.free], full[dp.free])
+    assert np.all(full[pinned] != 0.0)
 
 
 def rt0_mass_oracle(mesh):

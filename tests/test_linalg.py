@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcon.linalg import LinearSolveError, solve_spd, spmv
+from gradcon.linalg import LinearSolveError, solve_spd
 
 
 def random_spd(rng, n, density=0.3):
@@ -13,25 +13,6 @@ def random_spd(rng, n, density=0.3):
                   format="csr")
     A = (L @ L.T + sp.identity(n) * 0.1).tocsr()
     return A
-
-
-def test_spmv_identity_and_zero():
-    I = sp.identity(4, format="csr")
-    x = np.array([1.0, -2.0, 3.0, 0.5])
-    assert np.array_equal(spmv(I, x), x)
-    Z = sp.csr_matrix((3, 3))
-    assert np.array_equal(spmv(Z, np.ones(3)), np.zeros(3))
-
-
-def test_spmv_diagonal_example():
-    A = sp.csr_matrix(np.diag([2.0, 3.0]))
-    assert np.allclose(spmv(A, np.array([1.0, 1.0])), [2.0, 3.0])
-
-
-def test_spmv_dimension_mismatch():
-    A = sp.identity(3, format="csr")
-    with pytest.raises(ValueError):
-        spmv(A, np.ones(4))
 
 
 def test_solve_identity():

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcon.fem import build_workspace
 from gradcon.mesh import (ALL_DIRICHLET, ALL_NEUMANN, BOUNDARY_SIDES,
                           BoundaryPartition, Rect, UNIT_SQUARE,
-                          build_rect_mesh, classify_boundary,
-                          element_geometry)
+                          build_rect_mesh, classify_boundary)
 
 
 def edge_count(nx, ny):
@@ -127,22 +127,16 @@ def test_boundary_partition_rejects_unknown_side():
 
 
 def test_element_geometry_unit_square():
+    # the per-element areas and centroids the assembly workspace holds
     mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
-    for t in range(2):
-        geom = element_geometry(mesh, t)
-        assert geom.area == pytest.approx(0.5, abs=1e-15)
-        assert np.allclose(np.linalg.norm(geom.outward_normals, axis=1), 1.0)
-        # outward: normals point away from the centroid
-        coords = mesh.vertices[mesh.triangles[t]]
-        mids = 0.5 * (coords + np.roll(coords, -1, axis=0))
-        assert np.all(np.einsum("kd,kd->k", mids - geom.centroid,
-                                geom.outward_normals) > 0)
+    ws = build_workspace(mesh)
+    assert np.allclose(ws.areas, 0.5, atol=1e-15)
+    assert np.allclose(ws.centroids, mesh.vertices[mesh.triangles].mean(axis=1))
 
 
 def test_element_geometry_quarter_cells():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    areas = [element_geometry(mesh, t).area for t in range(mesh.num_triangles)]
-    assert np.allclose(areas, 0.125)
+    assert np.allclose(build_workspace(mesh).areas, 0.125)
 
 
 def test_deterministic_construction():

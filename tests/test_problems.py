@@ -6,14 +6,13 @@ from gradcon import fem
 from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
 from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane,
                               HalfPlaneSource, MeasureLineAlpha,
-                              PiecewiseAlpha, PresetSource, alpha_at,
-                              alpha_values, exact_solution_ex1, scenario,
-                              source_values)
+                              PiecewiseAlpha, PresetSource,
+                              exact_solution_ex1, scenario)
 
 
 def test_constant_alpha():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    assert alpha_at(ConstantAlpha(2.5), mesh, (0.3, 0.9)) == 2.5
+    assert float(ConstantAlpha(2.5).evaluate(mesh, 0.3, 0.9)) == 2.5
 
 
 def test_constant_alpha_rejects_nonpositive():
@@ -26,8 +25,8 @@ def test_constant_alpha_rejects_nonpositive():
 def test_piecewise_alpha_jump_along_antidiagonal():
     spec = PiecewiseAlpha(regions=((HalfPlane(1.0, 1.0, 1.0), 0.75),), default=1.0)
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    assert alpha_at(spec, mesh, (0.1, 0.1)) == 0.75
-    assert alpha_at(spec, mesh, (0.9, 0.9)) == 1.0
+    assert float(spec.evaluate(mesh, 0.1, 0.1)) == 0.75
+    assert float(spec.evaluate(mesh, 0.9, 0.9)) == 1.0
 
 
 def test_piecewise_alpha_first_match_wins():
@@ -36,9 +35,9 @@ def test_piecewise_alpha_first_match_wins():
         (HalfPlane(0.0, 1.0, 0.5), 3.0),   # y <= 0.5
     ), default=4.0)
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    assert alpha_at(spec, mesh, (0.2, 0.2)) == 2.0
-    assert alpha_at(spec, mesh, (0.8, 0.2)) == 3.0
-    assert alpha_at(spec, mesh, (0.8, 0.8)) == 4.0
+    assert float(spec.evaluate(mesh, 0.2, 0.2)) == 2.0
+    assert float(spec.evaluate(mesh, 0.8, 0.2)) == 3.0
+    assert float(spec.evaluate(mesh, 0.8, 0.8)) == 4.0
 
 
 def test_piecewise_alpha_rejects_nonpositive():
@@ -49,8 +48,8 @@ def test_piecewise_alpha_rejects_nonpositive():
 def test_measure_line_density():
     spec = MeasureLineAlpha(line_y=0.5, weight=100.0, base=1.0)
     mesh = build_rect_mesh(UNIT_SQUARE, 100, 100)  # h = 1e-2, strip clipped to [0, 0.5]
-    assert alpha_at(spec, mesh, (0.3, 0.499)) == pytest.approx(101.0, rel=1e-14)
-    assert alpha_at(spec, mesh, (0.3, 0.501)) == pytest.approx(1.0)
+    assert float(spec.evaluate(mesh, 0.3, 0.499)) == pytest.approx(101.0, rel=1e-14)
+    assert float(spec.evaluate(mesh, 0.3, 0.501)) == pytest.approx(1.0)
 
 
 def test_measure_line_mass():
@@ -58,7 +57,7 @@ def test_measure_line_mass():
     spec = MeasureLineAlpha(line_y=0.5, weight=100.0, base=1.0)
     mesh = build_rect_mesh(UNIT_SQUARE, 256, 256)
     ws = fem.build_workspace(mesh)
-    aq = alpha_values(spec, mesh, ws.qpoints[..., 0], ws.qpoints[..., 1])
+    aq = spec.evaluate(mesh, ws.qpoints[..., 0], ws.qpoints[..., 1])
     mass = float(np.einsum("q,tq,t->", ws.rule.weights, aq - 1.0, ws.areas))
     assert mass == pytest.approx(100.0, rel=0.05)
 
@@ -68,22 +67,22 @@ def test_measure_line_strip_clipped_to_domain():
     mesh = build_rect_mesh(UNIT_SQUARE, 8, 8)  # strip would extend far below the domain
     lo, hi = spec.strip_bounds(mesh)
     assert lo == 0.0 and hi == 0.5
-    assert alpha_at(spec, mesh, (0.5, 0.01)) == pytest.approx(1.0 + 8.0)
+    assert float(spec.evaluate(mesh, 0.5, 0.01)) == pytest.approx(1.0 + 8.0)
 
 
 def test_sources():
-    assert float(source_values(ConstantSource(0.25), 0.3, 0.3)) == 0.25
+    assert float(ConstantSource(0.25).evaluate(0.3, 0.3)) == 0.25
     src = HalfPlaneSource(HalfPlane(0.0, -1.0, -0.5), inside=0.25, outside=0.0)
-    assert float(source_values(src, 0.3, 0.7)) == 0.25
-    assert float(source_values(src, 0.3, 0.3)) == 0.0
-    assert float(source_values(src, 0.3, 0.5)) == 0.25  # closed half-plane
+    assert float(src.evaluate(0.3, 0.7)) == 0.25
+    assert float(src.evaluate(0.3, 0.3)) == 0.0
+    assert float(src.evaluate(0.3, 0.5)) == 0.25  # closed half-plane
 
 
 def test_preset_source_cone_valley():
     src = PresetSource("cone_valley")
     x = np.array([0.1, 0.7, 0.95])
     y = np.array([0.1, 0.7, 0.95])
-    vals = source_values(src, x, y)
+    vals = src.evaluate(x, y)
     assert vals[0] == pytest.approx(1e-3 + 0.5 * 0.02)      # paraboloid region
     assert vals[1] == pytest.approx(1e-3 + 1.0)             # cone apex
     base = min(0.2, 0.5 * (0.95**2 + 0.95**2))
@@ -91,6 +90,20 @@ def test_preset_source_cone_valley():
     assert vals[2] == pytest.approx(1e-3 + max(base, cone))
     with pytest.raises(ValueError):
         PresetSource("no_such_preset")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstantAlpha(float("inf")),
+    lambda: PiecewiseAlpha(regions=((HalfPlane(1.0, 0.0, 0.5), float("inf")),), default=1.0),
+    lambda: MeasureLineAlpha(weight=float("inf")),
+    lambda: MeasureLineAlpha(line_y=float("nan")),
+    lambda: ConstantSource(float("nan")),
+    lambda: HalfPlaneSource(HalfPlane(1.0, 1.0, 0.5), inside=float("inf")),
+    lambda: HalfPlaneSource(HalfPlane(1.0, 1.0, 0.5), inside=1.0, outside=float("nan")),
+])
+def test_non_finite_data_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_exact_solution_values():

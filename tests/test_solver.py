@@ -3,11 +3,13 @@ import pytest
 
 import gradcon as gc
 from gradcon import fem
+from gradcon.linalg import LinearSolveError
 from gradcon.solver import (DiscreteProblem, LineSearchConfig,
                             LineSearchStalled, MaxIterationsExceeded,
-                            SolverConfig, continuation_solve, diagnostics,
-                            newton_solve, recover_u, recovered_gradient,
-                            residual, residual_norms, tau_schedule)
+                            SolverConfig, SolverError, continuation_solve,
+                            diagnostics, newton_solve, recover_u,
+                            recovered_gradient, residual, residual_norms,
+                            tau_schedule)
 
 
 def enumerate_schedule(start, factor, floor):
@@ -37,6 +39,15 @@ def test_config_validation():
         SolverConfig(tau_start=1e-8, tau_min=1e-6)
     with pytest.raises(ValueError):
         LineSearchConfig(shrink=1.5)
+    # non-finite numbers, e.g. NaN/Infinity read from JSON; an infinite
+    # tau_start would make tau_schedule grow without end, so only construct
+    for bad in ({"tau_start": float("inf")}, {"tau_factor": float("inf")},
+                {"tau_min": float("nan")}, {"newton_tol": float("inf")},
+                {"linear_tol": float("nan")}, {"newton_max_iter": float("inf")}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    with pytest.raises(ValueError):
+        LineSearchConfig(max_backtracks=float("nan"))
 
 
 def test_residual_zero_state_zero_source():
@@ -44,20 +55,25 @@ def test_residual_zero_state_zero_source():
         rect=gc.UNIT_SQUARE, nx=2, ny=2, boundary=gc.ALL_DIRICHLET,
         alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(0.0)))
     p = np.zeros(dp.mesh.num_edges)
-    u = np.zeros(dp.mesh.num_triangles)
-    r1, r2 = residual(dp, p, u, tau=1.0)
-    assert np.allclose(r1, 0.0) and np.allclose(r2, 0.0)
+    r = residual(dp, p, tau=1.0)
+    assert np.array_equal(r, np.zeros(dp.mesh.num_edges))
+    assert residual_norms(dp, p, r) == (0.0, 0.0)
 
 
 def test_residual_zero_state_unit_source():
     dp = DiscreteProblem.from_spec(gc.ProblemSpec(
         rect=gc.UNIT_SQUARE, nx=2, ny=2, boundary=gc.ALL_DIRICHLET,
         alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(1.0)))
+    # zero flux: u(p) is the cell mean of the source, and the flux residual
+    # is -B^T u, nonzero only on the boundary edges
     p = np.zeros(dp.mesh.num_edges)
-    u = np.zeros(dp.mesh.num_triangles)
-    r1, r2 = residual(dp, p, u, tau=1.0)
-    assert np.allclose(r1, 0.0)
-    assert np.allclose(r2, -dp.areas)
+    r = residual(dp, p, tau=1.0)
+    assert np.allclose(r, -(dp.Bt @ np.ones(dp.mesh.num_triangles)), atol=1e-15)
+    boundary = dp.mesh.boundary_edge_ids()
+    assert np.allclose(np.abs(r[boundary]), 1.0)
+    r1n, r2n = residual_norms(dp, p, r)
+    assert r1n == pytest.approx(np.sqrt(len(boundary)))
+    assert r2n <= 1e-15
 
 
 def test_newton_zero_source_converges_immediately():
@@ -75,9 +91,7 @@ def test_newton_first_stage_converges():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     p, iters, rnorm = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
     assert rnorm <= 1e-8
-    u = recover_u(dp, p)
-    r1, r2 = residual(dp, p, u, 10.0)
-    r1n, r2n = residual_norms(dp, r1, r2)
+    r1n, r2n = residual_norms(dp, p, residual(dp, p, 10.0))
     assert r1n <= 1e-8 and r2n <= 1e-12
 
 
@@ -86,8 +100,7 @@ def test_newton_quadratic_branch_contraction():
     # system is then linear and one step lands at rounding level
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     p0 = np.zeros(dp.mesh.num_edges)
-    from gradcon.solver import _reduced_residual
-    r0 = float(np.linalg.norm(_reduced_residual(dp, p0, 10.0)))
+    r0 = float(np.linalg.norm(residual(dp, p0, 10.0)))
     p, iters, r1 = newton_solve(dp, 10.0, p0)
     assert iters == 1
     assert r1 / r0**2 <= 1.0
@@ -103,12 +116,27 @@ def test_newton_max_iterations_error():
 
 
 def test_line_search_stall_error():
-    # an unattainable decrease requirement stalls the very first step
+    # an unattainable decrease requirement stalls the very first step, so the
+    # failing iterate is p0; the error reports its residual norms
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
     cfg = SolverConfig(linesearch=LineSearchConfig(
         shrink=0.5, sufficient_decrease=0.999, max_backtracks=0))
-    with pytest.raises(LineSearchStalled):
-        newton_solve(dp, 1e-4, np.zeros(dp.mesh.num_edges), cfg)
+    p0 = np.random.default_rng(0).normal(size=dp.mesh.num_edges)
+    with pytest.raises(LineSearchStalled) as err:
+        newton_solve(dp, 1e-4, p0, cfg)
+    u = (dp.load - dp.B @ p0) / dp.areas
+    r2 = dp.areas * u + dp.B @ p0 - dp.load
+    r2_norm = float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
+    assert r2_norm > 0.0
+    assert err.value.r2_norm == pytest.approx(r2_norm, rel=1e-12, abs=0.0)
+    assert err.value.r1_norm == pytest.approx(np.linalg.norm(residual(dp, p0, 1e-4)))
+
+
+def test_nan_residual_is_not_converged():
+    # a NaN residual must not pass the convergence test as zero iterations
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
+    with pytest.raises((SolverError, LinearSolveError)):
+        newton_solve(dp, 1.0, np.full(dp.mesh.num_edges, np.nan))
 
 
 def test_recover_u_mean_of_source():
