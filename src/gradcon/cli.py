@@ -297,7 +297,10 @@ def parse_config(path: str | None = None, data: dict | None = None,
     if mode == "study":
         if not mesh_sizes:
             raise ConfigError("config.mesh_sizes: required in study mode")
-        mesh_sizes = [int(v) for v in mesh_sizes]
+        try:
+            mesh_sizes = [int(v) for v in mesh_sizes]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config.mesh_sizes: {exc}") from exc
         if name is None:
             raise ConfigError("config.scenario: study mode needs a named scenario "
                               "with a closed-form solution")

@@ -18,7 +18,10 @@ interpolation) use 3-point Gauss.
 
 Assembly is pure given an immutable mesh.  The per-mesh basis tables live
 in a :class:`Workspace`; ops accept one optionally and build their own when
-omitted.
+omitted.  The quadrature sums are batched matrix products over triangles,
+with the basis table viewed as one (3, nq*2) matrix per triangle.  The Huber
+Jacobian is returned as its per-triangle element blocks; the solver adds
+them into a sparsity pattern it fixes once per mesh.
 """
 
 from __future__ import annotations
@@ -77,13 +80,20 @@ def build_workspace(mesh: Mesh, rule: QuadratureRule = TRI_QUADRATURE) -> Worksp
     e01 = coords[:, 1] - coords[:, 0]
     e02 = coords[:, 2] - coords[:, 0]
     areas = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
-    centroids = coords.mean(axis=1)
-    qpoints = np.einsum("qk,tkd->tqd", rule.points, coords)
+    centroids = (coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3.0
+    # summed vertex by vertex: a matmul is faster still but rounds otherwise,
+    # which moves quadrature points lying on a jump line such as x + y = 1
+    # across it
+    qpoints = np.stack([sum(coords[:, k, d, None] * rule.points[:, k] for k in range(3))
+                        for d in range(2)], axis=-1)
+    nt, nq = qpoints.shape[:2]
     # local edge slot k joins vertices k, k+1; opposite vertex is k+2
     opp = coords[:, [2, 0, 1], :]                   # (nt, 3, 2)
-    scale = (mesh.tri_edge_signs / (2.0 * areas)[:, None])[:, :, None, None]
-    psi = scale * (qpoints[:, None, :, :] - opp[:, :, None, :])
-    psi_c = scale[:, :, 0, :] * (centroids[:, None, :] - opp)
+    scale = (mesh.tri_edge_signs / (2.0 * areas)[:, None])[:, :, None]
+    # with (q, d) flattened the broadcast runs over rows of nq*2 values
+    psi = scale * (qpoints.reshape(nt, 1, 2 * nq) - np.tile(opp, nq))
+    psi = psi.reshape(nt, 3, nq, 2)
+    psi_c = scale * (centroids[:, None, :] - opp)
     return Workspace(mesh=mesh, rule=rule, areas=areas, centroids=centroids,
                      qpoints=qpoints, psi=psi, psi_centroid=psi_c)
 
@@ -147,10 +157,20 @@ def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
     return dofs * mesh.edge_lengths
 
 
+def _psi_flat(ws: Workspace) -> np.ndarray:
+    """The basis table as one (3, nq*2) matrix per triangle (a view)."""
+    nt, _, nq, _ = ws.psi.shape
+    return ws.psi.reshape(nt, 3, 2 * nq)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
 def rt0_at_quadrature(ws: Workspace, p: np.ndarray) -> np.ndarray:
     """RT0 field values at all quadrature points, shape (nt, nq, 2)."""
-    coeffs = p[ws.mesh.tri_edges]  # (nt, 3)
-    return np.einsum("tk,tkqd->tqd", coeffs, ws.psi)
+    coeffs = p[ws.mesh.tri_edges][:, None, :]  # (nt, 1, 3)
+    return (coeffs @ _psi_flat(ws)).reshape(ws.qpoints.shape)
 
 
 def rt0_at_centroids(ws: Workspace, p: np.ndarray) -> np.ndarray:
@@ -164,16 +184,19 @@ def assemble_huber_residual(mesh: Mesh, p: np.ndarray, alpha, tau: float,
     ws = _workspace(mesh, ws)
     aq = _scalar_at_quadrature(mesh, alpha, ws)
     g = huber.dphi(rt0_at_quadrature(ws, p), tau)
-    elem = np.einsum("q,tq,tqd,tkqd->tk", ws.rule.weights, aq, g, ws.psi,
-                     optimize=True) * ws.areas[:, None]
-    out = np.zeros(mesh.num_edges)
-    np.add.at(out, mesh.tri_edges, elem)
-    return out
+    g *= (ws.areas[:, None] * ws.rule.weights * aq)[..., None]
+    elem = _psi_flat(ws) @ g.reshape(len(g), -1, 1)      # (nt, 3, 1)
+    return np.bincount(mesh.tri_edges.ravel(), elem.ravel(), minlength=mesh.num_edges)
 
 
 def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, alpha, tau: float,
-                            ws: Workspace | None = None) -> sp.csr_matrix:
-    """Sparse symmetric PSD matrix of integrals alpha * psi_e^T d2phi(p_h) psi_f."""
+                            ws: Workspace | None = None) -> np.ndarray:
+    """Element blocks of the matrix of integrals alpha * psi_e^T d2phi(p_h) psi_f.
+
+    Returns shape (nt, 3, 3): block t couples the edges ``mesh.tri_edges[t]``
+    and is symmetric PSD; the global Jacobian is the sum of the blocks
+    placed at those edges.
+    """
     ws = _workspace(mesh, ws)
     aq = _scalar_at_quadrature(mesh, alpha, ws)
     pq = rt0_at_quadrature(ws, p)
@@ -183,18 +206,15 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, alpha, tau: float,
     iso = np.where(quad, 1.0 / tau, 1.0 / safe_r)
     rank1 = np.where(quad, 0.0, 1.0 / safe_r**3)
 
-    w = ws.rule.weights
-    blocks = np.einsum("q,tq,tq,tkqd,tlqd->tkl", w, aq, iso, ws.psi, ws.psi,
-                       optimize=True)
-    pk = np.einsum("tkqd,tqd->tkq", ws.psi, pq, optimize=True)
-    blocks -= np.einsum("q,tq,tq,tkq,tlq->tkl", w, aq, rank1, pk, pk,
-                        optimize=True)
-    blocks *= ws.areas[:, None, None]
-
-    rows = np.broadcast_to(mesh.tri_edges[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(mesh.tri_edges[:, None, :], blocks.shape).ravel()
-    ne = mesh.num_edges
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+    # blocks = sum over q of w_q a_q (iso_q psi_k.psi_l - rank1_q (psi_k.p)(psi_l.p)),
+    # as two batched (3, m) @ (m, 3) products; with a transposed view as the
+    # right operand matmul runs ~3x slower than with a contiguous copy
+    wa = ws.areas[:, None] * ws.rule.weights * aq           # (nt, nq)
+    psi = _psi_flat(ws)                                     # (nt, 3, nq*2)
+    pk = ws.psi[..., 0] * pq[:, None, :, 0] + ws.psi[..., 1] * pq[:, None, :, 1]  # psi_k.p
+    blocks = (psi * np.repeat(wa * iso, 2, axis=1)[:, None, :]) @ _transposed(psi)
+    blocks -= (pk * (wa * rank1)[:, None, :]) @ _transposed(pk)
+    return blocks
 
 
 def l2_error_p0(mesh: Mesh, u: np.ndarray, exact, ws: Workspace | None = None) -> float:

@@ -13,6 +13,7 @@ Meshes are immutable after construction; all queries are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ class Rect:
     y1: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x0, self.y0, self.x1, self.y1)):
+            raise ValueError(f"rectangle corners must be finite: {self}")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate rectangle: {self}")
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fem, huber, linalg
 from .mesh import classify_boundary
@@ -97,7 +98,20 @@ class LineSearchStalled(SolverError):
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Assembled, immutable view of a problem on one mesh."""
+    """Assembled, immutable view of a problem on one mesh.
+
+    Every Newton step factors the Schur matrix S = G_tau + B^T M^{-1} B over
+    the free edges.  Its sparsity never changes: edges e and f are coupled
+    exactly when they share a triangle.  ``from_spec`` fixes it once:
+
+    * ``schur_indptr``, ``schur_indices``: the CSR pattern of S;
+    * ``schur_scatter``: for each entry (t, k, l) of the Jacobian's element
+      blocks, flattened, its slot in the data array, or ``nnz`` (dropped)
+      when edge k or l of triangle t is pinned;
+    * ``schur_base``: the values of B^T M^{-1} B in the pattern.
+
+    :meth:`schur` then builds S from the element blocks with one scatter-add.
+    """
 
     spec: ProblemSpec
     mesh: object
@@ -105,12 +119,15 @@ class DiscreteProblem:
     B: sp.csr_matrix
     Bt: sp.csr_matrix
     areas: np.ndarray
-    schur0: sp.csr_matrix          # B^T M^{-1} B
     load: np.ndarray               # F
     source_q: np.ndarray           # source at quadrature points (nt, nq)
     alpha_q: np.ndarray            # bound at quadrature points (nt, nq)
     alpha_c: np.ndarray            # bound at centroids (nt,)
     free: np.ndarray | None        # bool mask over edges, None when all free
+    schur_indptr: np.ndarray       # CSR pattern of S over the free edges
+    schur_indices: np.ndarray
+    schur_scatter: np.ndarray      # (nt*9,) slot of each element-block entry
+    schur_base: np.ndarray         # B^T M^{-1} B in the pattern
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec) -> "DiscreteProblem":
@@ -120,12 +137,9 @@ class DiscreteProblem:
         ws = fem.build_workspace(mesh)
         B = fem.assemble_div(mesh)
         areas = ws.areas
-        Bt = B.T.tocsr()
-        schur0 = (Bt @ sp.diags(1.0 / areas) @ B).tocsr()
         source_q = spec.source.evaluate(ws.qpoints[..., 0], ws.qpoints[..., 1])
         source_q = np.broadcast_to(np.asarray(source_q, dtype=float),
                                    ws.qpoints.shape[:2]).copy()
-        load = areas * (source_q @ ws.rule.weights)
         alpha_q = np.asarray(spec.alpha.evaluate(mesh, ws.qpoints[..., 0], ws.qpoints[..., 1]),
                              dtype=float)
         alpha_c = np.asarray(spec.alpha.evaluate(mesh, ws.centroids[:, 0], ws.centroids[:, 1]),
@@ -138,14 +152,51 @@ class DiscreteProblem:
             free[neumann] = False
         else:
             free = None
-        return cls(spec=spec, mesh=mesh, workspace=ws, B=B, Bt=Bt, areas=areas,
-                   schur0=schur0, load=load, source_q=source_q,
-                   alpha_q=alpha_q, alpha_c=alpha_c, free=free)
+
+        indptr, indices, scatter, base = _schur_pattern(mesh, areas, free)
+        return cls(spec=spec, mesh=mesh, workspace=ws, B=B, Bt=B.T.tocsr(), areas=areas,
+                   load=fem.assemble_load(mesh, source_q, ws), source_q=source_q,
+                   alpha_q=alpha_q, alpha_c=alpha_c, free=free,
+                   schur_indptr=indptr, schur_indices=indices,
+                   schur_scatter=scatter, schur_base=base)
 
     def with_load(self, load: np.ndarray, source_q: np.ndarray) -> "DiscreteProblem":
         """Same operators with a different right-hand side (time stepping)."""
         return dataclasses.replace(self, load=np.asarray(load, dtype=float),
                                    source_q=np.asarray(source_q, dtype=float))
+
+    def schur(self, blocks: np.ndarray) -> sp.csc_matrix:
+        """S = G + B^T M^{-1} B over the free edges, G given by its element blocks.
+
+        S is symmetric, so its CSR arrays are also its CSC arrays.
+        """
+        nnz = len(self.schur_base)
+        data = np.bincount(self.schur_scatter, blocks.ravel(), minlength=nnz + 1)[:nnz]
+        data += self.schur_base
+        n = len(self.schur_indptr) - 1
+        return sp.csc_matrix((data, self.schur_indices, self.schur_indptr), shape=(n, n))
+
+
+def _schur_pattern(mesh, areas: np.ndarray, free: np.ndarray | None):
+    """(indptr, indices, scatter, base) of S over the free edges; see DiscreteProblem."""
+    keep = np.ones(mesh.num_edges, dtype=bool) if free is None else free
+    index = np.where(keep, np.cumsum(keep) - 1, -1)     # free edges numbered, pinned -1
+    nf = int(keep.sum())
+    te = index[mesh.tri_edges]
+    rows = np.repeat(te, 3, axis=1).ravel()             # (t, k, l) flattened
+    cols = np.tile(te, 3).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, slots = np.unique(rows[kept] * nf + cols[kept], return_inverse=True)
+    nnz = len(keys)
+    scatter = np.full(rows.size, nnz)
+    scatter[kept] = slots
+    indptr = np.zeros(nf + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // nf, minlength=nf), out=indptr[1:])
+    # B^T M^{-1} B is the sum over triangles of s s^T / |T|, s the incidence signs
+    signs = mesh.tri_edge_signs.astype(float)
+    base = signs[:, :, None] * signs[:, None, :] / areas[:, None, None]
+    base = np.bincount(scatter, base.ravel(), minlength=nnz + 1)[:nnz]
+    return indptr, (keys % nf).astype(np.int32), scatter, base
 
 
 def recover_u(dp: DiscreteProblem, p: np.ndarray) -> np.ndarray:
@@ -173,6 +224,28 @@ def residual_norms(dp: DiscreteProblem, p: np.ndarray, r) -> tuple[float, float]
     return float(np.linalg.norm(r)), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
 
 
+def _newton_direction(S: sp.csc_matrix, b: np.ndarray, tol: float) -> np.ndarray:
+    """Solve S x = b, accepting x when it is backward stable to ``tol``.
+
+    ``solve_spd`` demands ||S x - b|| <= tol ||b||, which rounding alone
+    can violate when ||S|| ||x|| >> ||b||.  A solution it rejects is still
+    taken when its normwise backward error ||S x - b|| / (||S|| ||x|| + ||b||)
+    (infinity norms) is within ``tol``, i.e. x solves a nearby system
+    exactly; the line search then judges the step.
+    """
+    try:
+        return linalg.solve_spd(S, b, tol=tol)[0]
+    except linalg.LinearSolveError as exc:
+        x = exc.x
+        if x is None:
+            raise
+        res = np.linalg.norm(S @ x - b, np.inf)
+        scale = spla.norm(S, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+        if not res <= tol * scale:        # NaN is not backward stable
+            raise
+        return x
+
+
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
                  config: SolverConfig | None = None):
     """Damped Newton on the reduced residual; returns (p, iterations, |r|).
@@ -193,15 +266,13 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
         if iterations >= config.newton_max_iter:
             raise MaxIterationsExceeded("Newton did not converge", tau,
                                         *residual_norms(dp, p, r))
-        G = fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace)
-        S = (G + dp.schur0).tocsr()
+        S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau,
+                                                 ws=dp.workspace))
         if dp.free is None:
-            step, _ = linalg.solve_spd(S, -r, tol=config.linear_tol)
+            step = _newton_direction(S, -r, config.linear_tol)
         else:
-            Sff = S[dp.free][:, dp.free]
-            step_f, _ = linalg.solve_spd(Sff, -r[dp.free], tol=config.linear_tol)
             step = np.zeros_like(p)
-            step[dp.free] = step_f
+            step[dp.free] = _newton_direction(S, -r[dp.free], config.linear_tol)
 
         merit0 = rnorm * rnorm
         s = 1.0

@@ -224,6 +224,12 @@ CONFIG_ERRORS = {
     "nan-source": {"mode": "solve",
                    "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
                                "f": {"type": "constant", "value": float("nan")}}},
+    "mesh-size-not-a-number": {"mode": "study", "scenario": "ex1_f1_a1",
+                               "mesh_sizes": ["abc"]},
+    "infinite-rect": {"mode": "solve",
+                      "problem": {"rect": [0, 0, float("inf"), 1], "nx": 2, "ny": 2,
+                                  "alpha": {"type": "constant", "value": 1.0},
+                                  "f": {"type": "constant", "value": 1.0}}},
 }
 
 

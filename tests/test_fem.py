@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gradcon as gc
-from gradcon import fem
+from gradcon import fem, huber
 from gradcon.mesh import Rect, UNIT_SQUARE, build_rect_mesh
 from gradcon.solver import DiscreteProblem, recover_u, residual
 
@@ -188,11 +189,67 @@ def rt0_mass_oracle(mesh):
     return M
 
 
+def global_jacobian(mesh, blocks):
+    """Sum the element blocks of assemble_huber_jacobian into an edge matrix."""
+    rows = np.broadcast_to(mesh.tri_edges[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(mesh.tri_edges[:, None, :], blocks.shape).ravel()
+    ne = mesh.num_edges
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+
+
+def einsum_residual(ws, p, aq, tau):
+    """Huber residual as a plain einsum contraction, the reference formula."""
+    pq = np.einsum("tk,tkqd->tqd", p[ws.mesh.tri_edges], ws.psi)
+    g = huber.dphi(pq, tau)
+    elem = np.einsum("q,tq,tqd,tkqd->tk", ws.rule.weights, aq, g, ws.psi,
+                     optimize=True) * ws.areas[:, None]
+    out = np.zeros(ws.mesh.num_edges)
+    np.add.at(out, ws.mesh.tri_edges, elem)
+    return out
+
+
+def einsum_jacobian_blocks(ws, p, aq, tau):
+    """Huber Jacobian element blocks as plain einsum contractions, the reference."""
+    pq = np.einsum("tk,tkqd->tqd", p[ws.mesh.tri_edges], ws.psi)
+    r = np.linalg.norm(pq, axis=-1)
+    quad = r <= tau
+    safe_r = np.where(quad, 1.0, r)
+    iso = np.where(quad, 1.0 / tau, 1.0 / safe_r)
+    rank1 = np.where(quad, 0.0, 1.0 / safe_r**3)
+    w = ws.rule.weights
+    blocks = np.einsum("q,tq,tq,tkqd,tlqd->tkl", w, aq, iso, ws.psi, ws.psi, optimize=True)
+    pk = np.einsum("tkqd,tqd->tkq", ws.psi, pq, optimize=True)
+    blocks -= np.einsum("q,tq,tq,tkq,tlq->tkl", w, aq, rank1, pk, pk, optimize=True)
+    return blocks * ws.areas[:, None, None]
+
+
+def test_matmul_assembly_matches_einsum_reference():
+    # both smoothing branches, a nonconstant bound and a non-square rectangle
+    mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 6, 4)
+    ws = fem.build_workspace(mesh)
+    aq = 1.0 + ws.qpoints[..., 0] * ws.qpoints[..., 1]
+    rng = np.random.default_rng(7)
+    p = rng.normal(scale=0.3, size=mesh.num_edges)
+    tau = 0.2
+    r = np.linalg.norm(fem.rt0_at_quadrature(ws, p), axis=-1)
+    assert np.any(r <= tau) and np.any(r > tau)
+    assert np.allclose(fem.rt0_at_quadrature(ws, p),
+                       np.einsum("tk,tkqd->tqd", p[mesh.tri_edges], ws.psi),
+                       rtol=0.0, atol=1e-15)
+    res = fem.assemble_huber_residual(mesh, p, aq, tau, ws=ws)
+    ref = einsum_residual(ws, p, aq, tau)
+    assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
+    blocks = fem.assemble_huber_jacobian(mesh, p, aq, tau, ws=ws)
+    ref = einsum_jacobian_blocks(ws, p, aq, tau)
+    assert blocks.shape == (mesh.num_triangles, 3, 3)
+    assert np.max(np.abs(blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_huber_jacobian_is_scaled_rt0_mass_at_zero():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
     tau = 1.0
-    G = fem.assemble_huber_jacobian(mesh, np.zeros(mesh.num_edges),
-                                    lambda x, y: np.ones_like(x), tau)
+    G = global_jacobian(mesh, fem.assemble_huber_jacobian(
+        mesh, np.zeros(mesh.num_edges), lambda x, y: np.ones_like(x), tau))
     oracle = rt0_mass_oracle(mesh) / tau
     assert np.allclose(G.toarray(), oracle, atol=1e-13)
 
@@ -201,7 +258,8 @@ def test_huber_jacobian_symmetric():
     mesh = build_rect_mesh(UNIT_SQUARE, 4, 4)
     rng = np.random.default_rng(3)
     p = rng.normal(scale=0.5, size=mesh.num_edges)
-    G = fem.assemble_huber_jacobian(mesh, p, lambda x, y: np.ones_like(x), 0.2)
+    G = global_jacobian(mesh, fem.assemble_huber_jacobian(
+        mesh, p, lambda x, y: np.ones_like(x), 0.2))
     assert abs(G - G.T).max() <= 1e-13
 
 
@@ -209,7 +267,8 @@ def test_huber_jacobian_psd():
     mesh = build_rect_mesh(UNIT_SQUARE, 4, 4)
     rng = np.random.default_rng(4)
     p = rng.normal(scale=0.5, size=mesh.num_edges)
-    G = fem.assemble_huber_jacobian(mesh, p, lambda x, y: np.ones_like(x), 0.2)
+    G = global_jacobian(mesh, fem.assemble_huber_jacobian(
+        mesh, p, lambda x, y: np.ones_like(x), 0.2))
     for _ in range(50):
         x = rng.normal(size=mesh.num_edges)
         assert x @ (G @ x) >= -1e-12 * (x @ x)
@@ -229,7 +288,7 @@ def test_huber_jacobian_matches_residual_derivative():
             break
     d = rng.normal(size=mesh.num_edges)
     d /= np.linalg.norm(d)
-    G = fem.assemble_huber_jacobian(mesh, p, alpha, tau, ws=ws)
+    G = global_jacobian(mesh, fem.assemble_huber_jacobian(mesh, p, alpha, tau, ws=ws))
     base = fem.assemble_huber_residual(mesh, p, alpha, tau, ws=ws)
     errs = []
     for eps in (1e-4, 5e-5):
@@ -305,4 +364,4 @@ def test_assembly_order_independent():
     assert np.array_equal(a1, a2)
     G1 = fem.assemble_huber_jacobian(mesh, p, lambda x, y: np.ones_like(x), 0.2)
     G2 = fem.assemble_huber_jacobian(mesh, p, lambda x, y: np.ones_like(x), 0.2)
-    assert abs(G1 - G2).max() == 0.0
+    assert np.array_equal(G1, G2)

@@ -55,6 +55,9 @@ def test_rect_invariants():
         Rect(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rect(0.0, 2.0, 1.0, 1.0)
+    for bad in ((0.0, 0.0, float("inf"), 1.0), (float("-inf"), 0.0, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            Rect(*bad)
 
 
 def test_areas_positive_equal_and_sum_exact():

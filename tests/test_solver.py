@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gradcon as gc
 from gradcon import fem
-from gradcon.linalg import LinearSolveError
+from gradcon.linalg import LinearSolveError, solve_spd
 from gradcon.solver import (DiscreteProblem, LineSearchConfig,
                             LineSearchStalled, MaxIterationsExceeded,
                             SolverConfig, SolverError, continuation_solve,
                             diagnostics, newton_solve, recover_u,
                             recovered_gradient, residual, residual_norms,
                             tau_schedule)
+from test_fem import global_jacobian
 
 
 def enumerate_schedule(start, factor, floor):
@@ -137,6 +139,44 @@ def test_nan_residual_is_not_converged():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
     with pytest.raises((SolverError, LinearSolveError)):
         newton_solve(dp, 1.0, np.full(dp.mesh.num_edges, np.nan))
+
+
+@pytest.mark.parametrize("neumann", [frozenset(), frozenset({"left", "top"})])
+def test_schur_scatter_matches_sparse_assembly(neumann):
+    dp = DiscreteProblem.from_spec(gc.ProblemSpec(
+        rect=gc.Rect(0.0, 0.0, 1.5, 1.0), nx=5, ny=4, boundary=gc.BoundaryPartition(neumann),
+        alpha=gc.PiecewiseAlpha(regions=((gc.HalfPlane(1.0, 1.0, 1.0), 0.75),), default=1.0),
+        source=gc.ConstantSource(1.0)))
+    assert (dp.free is None) == (not neumann)
+    p = np.random.default_rng(8).normal(scale=0.3, size=dp.mesh.num_edges)
+    blocks = fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, 0.2, ws=dp.workspace)
+    reference = global_jacobian(dp.mesh, blocks) + dp.Bt @ sp.diags(1.0 / dp.areas) @ dp.B
+    free = np.ones(dp.mesh.num_edges, dtype=bool) if dp.free is None else dp.free
+    reference = reference.tocsr()[free][:, free].toarray()
+    S = dp.schur(blocks)
+    assert S.format == "csc" and S.shape == reference.shape
+    assert np.max(np.abs(S.toarray() - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_factor_fill_of_schur_matrix():
+    # symmetric-mode minimum-degree ordering: ~74k entries; COLAMD gives ~132k
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=32))
+    p = np.zeros(dp.mesh.num_edges)
+    S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, 10.0, ws=dp.workspace))
+    _, report = solve_spd(S, -residual(dp, p, 10.0))
+    assert report.factor_nnz < 100_000
+
+
+def test_continuation_accepts_backward_stable_steps():
+    # with tau_factor=3 some Newton systems have ||S|| ||x|| >> ||b|| (~1e4 * 1e2
+    # against 0.08): the relative residual misses linear_tol by rounding alone,
+    # while the backward error is ~1e-16; such steps must be taken, not abort
+    dp = DiscreteProblem.from_spec(gc.scenario("ex2_a15", n=32))
+    sol, diag = continuation_solve(dp, SolverConfig(tau_factor=3.0))
+    assert sol.tau_final <= 1e-6
+    assert max(max(norms) for norms in sol.residual_norms) <= 1e-8
+    assert -1e-7 <= diag.duality_gap <= 1e-3
+    assert diag.max_gradient_ratio <= 1.0 + 1e-12
 
 
 def test_recover_u_mean_of_source():
