@@ -72,6 +72,10 @@ class ConfigError(ValueError):
     pass
 
 
+# what converting and validating a config value can raise
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -146,11 +150,8 @@ def _parse_alpha(raw, where: str):
             return MeasureLineAlpha(line_y=float(raw.get("line_y", 0.5)),
                                     weight=float(raw.get("weight", 100.0)),
                                     base=float(raw.get("base", 1.0)))
-    except (KeyError, TypeError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown alpha type {kind!r}")
 
 
 def _parse_source(raw, where: str):
@@ -168,11 +169,8 @@ def _parse_source(raw, where: str):
                                    outside=float(raw.get("outside", 0.0)))
         if kind == "preset":
             return PresetSource(str(raw["name"]))
-    except (KeyError, TypeError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown source type {kind!r}")
 
 
 def _parse_problem(raw, where: str) -> ProblemSpec:
@@ -186,7 +184,7 @@ def _parse_problem(raw, where: str) -> ProblemSpec:
             source=_parse_source(raw["f"], f"{where}.f"))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -209,7 +207,7 @@ def _parse_solver(raw, where: str) -> SolverConfig:
                 sufficient_decrease=float(ls.get("sufficient_decrease", 1e-4)),
                 max_backtracks=int(ls.get("max_backtracks", 30)))
         return SolverConfig(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -223,7 +221,7 @@ def _parse_u0(raw, where: str):
         raise ConfigError(f"{where}: unknown type {raw.get('type')!r}")
     try:
         value = float(raw["value"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{where}: value must be finite, got {value}")
@@ -240,7 +238,7 @@ def _parse_evolution(raw, problem: ProblemSpec, solver: SolverConfig,
     try:
         return EvolutionSpec(problem=problem, rate=rate, t_final=float(raw["t_final"]),
                              dt=float(raw["dt"]), u0=u0, config=solver)
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -270,20 +268,20 @@ def parse_config(path: str | None = None, data: dict | None = None,
         raise ConfigError(f"config.mode: expected solve/study/evolve, got {mode!r}")
 
     name = overrides.get("scenario") or raw.get("scenario")
-    n = overrides.get("n") or raw.get("n")
+    n = overrides["n"] if overrides.get("n") is not None else raw.get("n")
     if name is not None:
         if name not in SCENARIOS:
             raise ConfigError(f"config.scenario: unknown scenario {name!r}")
-        try:
-            problem = scenario(name, n=int(n)) if n else scenario(name)
-        except ValueError as exc:
-            raise ConfigError(f"config.scenario: {exc}") from exc
+        problem = scenario(name)
     elif "problem" in raw:
         problem = _parse_problem(raw["problem"], "config.problem")
-        if n:
-            problem = dataclasses.replace(problem, nx=int(n), ny=int(n))
     else:
         raise ConfigError("config: either 'scenario' or 'problem' is required")
+    if n is not None:
+        try:
+            problem = dataclasses.replace(problem, nx=int(n), ny=int(n))
+        except _BAD_VALUE as exc:
+            raise ConfigError(f"config.n: {exc}") from exc
 
     solver = _parse_solver(raw.get("solver", {}), "config.solver")
     for key in ("tau_min", "newton_tol"):
@@ -299,8 +297,10 @@ def parse_config(path: str | None = None, data: dict | None = None,
             raise ConfigError("config.mesh_sizes: required in study mode")
         try:
             mesh_sizes = [int(v) for v in mesh_sizes]
-        except (TypeError, ValueError, OverflowError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigError(f"config.mesh_sizes: {exc}") from exc
+        if min(mesh_sizes) < 1:
+            raise ConfigError(f"config.mesh_sizes: sizes must be at least 1, got {mesh_sizes}")
         if name is None:
             raise ConfigError("config.scenario: study mode needs a named scenario "
                               "with a closed-form solution")
@@ -311,10 +311,13 @@ def parse_config(path: str | None = None, data: dict | None = None,
             raise ConfigError("config.evolution: required in evolve mode")
         evolution = _parse_evolution(raw["evolution"], problem, solver, "config.evolution")
 
-    formats = tuple(raw.get("formats", ("vtk", "csv", "json")))
-    unknown_fmt = set(formats) - {"vtk", "csv", "json"}
+    try:
+        formats = tuple(raw.get("formats", ("vtk", "csv", "json")))
+        unknown_fmt = sorted(set(formats) - {"vtk", "csv", "json"})
+    except _BAD_VALUE as exc:
+        raise ConfigError(f"config.formats: {exc}") from exc
     if unknown_fmt:
-        raise ConfigError(f"config.formats: unknown format {sorted(unknown_fmt)[0]!r}")
+        raise ConfigError(f"config.formats: unknown format {unknown_fmt[0]!r}")
 
     return RunConfig(mode=mode, problem=problem, solver=solver,
                      scenario_name=name, mesh_sizes=mesh_sizes,

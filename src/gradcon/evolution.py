@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
+from .linalg import LinearSolveError
 from .problems import ProblemSpec
 from .solver import (DiscreteProblem, SolverConfig, SolverError,
                      continuation_solve, recovered_gradient)
@@ -97,11 +98,7 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
         ws.qpoints.shape[:2])
     f_eff_q = u_prev[:, None] + k * rate_q
     load = ws.areas * (f_eff_q @ ws.rule.weights)
-    step_dp = dp.with_load(load, f_eff_q)
-    try:
-        sol, _ = continuation_solve(step_dp, spec.config)
-    except SolverError as exc:
-        raise RuntimeError(f"time step over [{t0:g}, {t1:g}] failed") from exc
+    sol, _ = continuation_solve(dp.with_load(load, f_eff_q), spec.config)
     return sol, rate_q
 
 
@@ -117,8 +114,8 @@ def run(spec: EvolutionSpec) -> Trajectory:
         t0, t1 = (n - 1) * spec.dt, n * spec.dt
         try:
             sol, rate_q = step(u, dp, spec, t0, t1)
-        except RuntimeError as exc:
-            raise RuntimeError(f"evolution failed at step {n}") from exc
+        except (SolverError, LinearSolveError) as exc:
+            raise RuntimeError(f"evolution failed at step {n} over [{t0:g}, {t1:g}]") from exc
         poured = spec.dt * float(np.einsum("q,tq,t->", ws.rule.weights, rate_q, ws.areas))
         mass = float(np.sum(ws.areas * sol.u))
         prev_mass = float(np.sum(ws.areas * u))

@@ -28,6 +28,11 @@ class HalfPlane:
     b: float
     c: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise ValueError(f"half-plane coefficients must be finite, got "
+                             f"{self.a}, {self.b}, {self.c}")
+
     def contains(self, x, y):
         return self.a * np.asarray(x) + self.b * np.asarray(y) <= self.c
 

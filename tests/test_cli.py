@@ -230,6 +230,25 @@ CONFIG_ERRORS = {
                       "problem": {"rect": [0, 0, float("inf"), 1], "nx": 2, "ny": 2,
                                   "alpha": {"type": "constant", "value": 1.0},
                                   "f": {"type": "constant", "value": 1.0}}},
+    # JSON reads 1e400 as inf
+    "n-list": {"mode": "solve", "scenario": "ex1_f1_a1", "n": [4]},
+    "n-overflow": {"mode": "solve", "scenario": "ex1_f1_a1", "n": float("inf")},
+    "n-zero": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 0},
+    "n-not-a-number-inline": {"mode": "solve", "n": "abc",
+                              "problem": {"nx": 2, "ny": 2,
+                                          "alpha": {"type": "constant", "value": 1.0},
+                                          "f": {"type": "constant", "value": 1.0}}},
+    "nx-overflow": {"mode": "solve",
+                    "problem": {"nx": float("inf"), "ny": 2,
+                                "alpha": {"type": "constant", "value": 1.0},
+                                "f": {"type": "constant", "value": 1.0}}},
+    "formats-not-a-list": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "formats": 5},
+    "mesh-size-zero": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [0, 4]},
+    "nan-halfplane": {"mode": "solve",
+                      "problem": {"nx": 2, "ny": 2,
+                                  "alpha": {"type": "constant", "value": 1.0},
+                                  "f": {"type": "halfplane", "halfplane": [float("nan"), 0, 0],
+                                        "inside": 1.0}}},
 }
 
 
@@ -240,13 +259,25 @@ def test_main_config_error_exit_code(tmp_path):
         mode = (payload or {}).get("mode", "solve")
         code = main([mode, "--config", cfg, "--out", str(tmp_path / name)])
         assert code == cli.EXIT_CONFIG, name
+    # a zero mesh override on the command line is not "unset"
+    code = main(["solve", "--scenario", "ex1_f1_a1", "--n", "0",
+                 "--out", str(tmp_path / "n-zero-flag")])
+    assert code == cli.EXIT_CONFIG
 
 
 def test_main_solver_failure_exit_code(tmp_path):
-    cfg = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1",
-                                  "solver": {"newton_max_iter": 1}})
-    out = tmp_path / "fail"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER
+    failing = {
+        "solve": {"mode": "solve", "scenario": "ex1_f1_a1",
+                  "solver": {"newton_max_iter": 1}},
+        "evolve": {"mode": "evolve", "scenario": "ex1_f1_a1", "n": 4,
+                   "solver": {"newton_max_iter": 1},
+                   "evolution": {"t_final": 0.1, "dt": 0.1,
+                                 "rate": {"type": "constant", "value": 5.0}}},
+    }
+    for name, payload in failing.items():
+        cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        out = tmp_path / name
+        assert main([name, "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER, name
 
 
 def test_main_io_failure_exit_code(tmp_path):

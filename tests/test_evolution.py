@@ -105,7 +105,8 @@ def test_step_against_independent_minimizer():
 
     p_newton, _, _ = newton_solve(sdp, tau, np.zeros(dp.mesh.num_edges))
 
-    free = np.flatnonzero(sdp.free) if sdp.free is not None else np.arange(dp.mesh.num_edges)
+    assert sdp.free.all() == (not spec.problem.boundary.gamma_n_sides)
+    free = np.flatnonzero(sdp.free)
     ws = dp.workspace
     w = ws.rule.weights
 

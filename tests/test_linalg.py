@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcon import linalg
 from gradcon.linalg import LinearSolveError, solve_spd
 
 
@@ -72,6 +73,27 @@ def test_regularized_retry_handles_rank_deficiency():
     x, report = solve_spd(A, np.array([1.0, 1.0]), tol=1e-8)
     assert report.regularized
     assert np.linalg.norm(A @ x - np.array([1.0, 1.0])) <= 1e-8 * np.sqrt(2.0)
+
+
+def test_backward_stable_solution_taken_without_retry(monkeypatch):
+    # condition 1e12: rounding alone leaves a relative residual ~1e-6, far
+    # above tol, while the normwise backward error is ~1e-17; x is taken from
+    # the one plain factorization, not from a shifted retry
+    rng = np.random.default_rng(14)
+    Q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    A = Q @ np.diag(np.logspace(0, -12, 40)) @ Q.T
+    A = sp.csr_matrix(0.5 * (A + A.T))
+    b = rng.normal(size=40)
+    factorizations = []
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    x, report = solve_spd(A, b, tol=1e-10)
+    r = A @ x - b
+    assert np.linalg.norm(r) > 1e-10 * np.linalg.norm(b)
+    scale = np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(r).max() <= 1e-10 * scale
+    assert not report.regularized and len(factorizations) == 1
 
 
 def test_solve_deterministic():

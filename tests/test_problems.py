@@ -100,6 +100,9 @@ def test_preset_source_cone_valley():
     lambda: ConstantSource(float("nan")),
     lambda: HalfPlaneSource(HalfPlane(1.0, 1.0, 0.5), inside=float("inf")),
     lambda: HalfPlaneSource(HalfPlane(1.0, 1.0, 0.5), inside=1.0, outside=float("nan")),
+    lambda: HalfPlane(float("nan"), 0.0, 0.0),
+    lambda: HalfPlane(1.0, float("inf"), 0.0),
+    lambda: HalfPlane(1.0, 1.0, float("-inf")),
 ])
 def test_non_finite_data_rejected(make):
     with pytest.raises(ValueError, match="finite"):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import gradcon as gc
-from gradcon import fem
+from gradcon import fem, linalg
 from gradcon.linalg import LinearSolveError, solve_spd
 from gradcon.solver import (DiscreteProblem, LineSearchConfig,
                             LineSearchStalled, MaxIterationsExceeded,
@@ -147,12 +147,11 @@ def test_schur_scatter_matches_sparse_assembly(neumann):
         rect=gc.Rect(0.0, 0.0, 1.5, 1.0), nx=5, ny=4, boundary=gc.BoundaryPartition(neumann),
         alpha=gc.PiecewiseAlpha(regions=((gc.HalfPlane(1.0, 1.0, 1.0), 0.75),), default=1.0),
         source=gc.ConstantSource(1.0)))
-    assert (dp.free is None) == (not neumann)
+    assert dp.free.dtype == bool and dp.free.all() == (not neumann)
     p = np.random.default_rng(8).normal(scale=0.3, size=dp.mesh.num_edges)
     blocks = fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, 0.2, ws=dp.workspace)
     reference = global_jacobian(dp.mesh, blocks) + dp.Bt @ sp.diags(1.0 / dp.areas) @ dp.B
-    free = np.ones(dp.mesh.num_edges, dtype=bool) if dp.free is None else dp.free
-    reference = reference.tocsr()[free][:, free].toarray()
+    reference = reference.tocsr()[dp.free][:, dp.free].toarray()
     S = dp.schur(blocks)
     assert S.format == "csc" and S.shape == reference.shape
     assert np.max(np.abs(S.toarray() - reference)) <= 1e-13 * np.max(np.abs(reference))
@@ -177,6 +176,19 @@ def test_continuation_accepts_backward_stable_steps():
     assert max(max(norms) for norms in sol.residual_norms) <= 1e-8
     assert -1e-7 <= diag.duality_gap <= 1e-3
     assert diag.max_gradient_ratio <= 1.0 + 1e-12
+
+
+def test_one_factorization_per_newton_step(monkeypatch):
+    # the steps that miss the relative residual test only by rounding (see
+    # test_continuation_accepts_backward_stable_steps) must not pay for a
+    # second, shifted factorization
+    factorizations = []
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    dp = DiscreteProblem.from_spec(gc.scenario("ex2_a15", n=32))
+    sol, _ = continuation_solve(dp, SolverConfig(tau_factor=3.0))
+    assert len(factorizations) == sum(sol.newton_iterations)
 
 
 def test_recover_u_mean_of_source():
