@@ -22,7 +22,7 @@ Config schema (all keys optional unless a mode needs them)::
              | {"type": "preset", "name": "cone_valley"}
       },
       "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6,
-                 "newton_tol": 1e-8, "newton_max_iter": 50,
+                 "newton_tol": 1e-8, "newton_max_iter": 50, "linear_tol": 1e-10,
                  "linesearch": {"shrink": 0.5, "sufficient_decrease": 1e-4,
                                 "max_backtracks": 30}},
       "mesh_sizes": [8, 16, 32, 64],           # study mode
@@ -33,8 +33,13 @@ Config schema (all keys optional unless a mode needs them)::
       "formats": ["vtk", "json", "csv"]
     }
 
-Unknown keys are rejected with their location.  Exit codes: 0 success,
-2 configuration error, 3 solver failure, 4 I/O failure.
+Every value present is checked, used by the mode or not: booleans are not
+numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
+``2.7`` is an error), lists are arrays (``rect`` of 4, ``halfplane`` of 3)
+and unknown keys are rejected at every depth.  Flags replace the file's
+values (``--out`` is ``out_dir``) and pass the same checks.  Errors name the
+key path.  Exit codes: 0 success, 2 configuration error, 3 solver failure,
+4 I/O failure.
 
 The written VTK and CSV files are byte-stable for a fixed config; the JSON
 summary is stable except for its wall-time field.
@@ -46,16 +51,18 @@ import argparse
 import dataclasses
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import fem, huber
 from .evolution import EvolutionSpec, conservation_report, run as run_evolution
 from .linalg import LinearSolveError
-from .mesh import BoundaryPartition, Mesh, Rect
+from .mesh import BOUNDARY_SIDES, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
                        PresetSource, ProblemSpec, convergence_study, scenario)
@@ -70,10 +77,6 @@ EXIT_IO = 4
 
 class ConfigError(ValueError):
     pass
-
-
-# what converting and validating a config value can raise
-_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
 @dataclass
@@ -108,19 +111,91 @@ class RunSummary:
 
 # --- config parsing ----------------------------------------------------------
 
+_REQUIRED = object()
+_FORMATS = ("vtk", "csv", "json")
 
-def _require_keys(obj: dict, allowed: set, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
+
+def _value(raw, kind, where: str):
+    """The one conversion of raw config data into a value of ``kind``.
+
+    ``kind`` is ``int``, ``float``, ``str``, a frozenset (a string from it), a
+    pair ``(kind, length)`` (an array; any length when ``length`` is None), or
+    a section parser ``parse(raw, where)``.
+    """
+    if kind is int or kind is float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"{where}: expected a number, got {reprlib.repr(raw)}")
+        if kind is int and isinstance(raw, int):
+            return raw
+        try:
+            value = float(raw)
+        except OverflowError:           # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {reprlib.repr(raw)}")
+        if kind is int and not value.is_integer():
+            raise ConfigError(f"{where}: expected an integer, got {reprlib.repr(raw)}")
+        return int(value) if kind is int else value
+    if kind is str or isinstance(kind, frozenset):
+        if not isinstance(raw, str) or (kind is not str and raw not in kind):
+            expected = "a string" if kind is str else f"one of {sorted(kind)}"
+            raise ConfigError(f"{where}: expected {expected}, got {reprlib.repr(raw)}")
+        return raw
+    if isinstance(kind, tuple):
+        item, length = kind
+        if not isinstance(raw, list) or length not in (None, len(raw)):
+            size = "an array" if length is None else f"an array of {length}"
+            raise ConfigError(f"{where}: expected {size}, got {reprlib.repr(raw)}")
+        return tuple(_value(v, item, f"{where}[{i}]") for i, v in enumerate(raw))
+    return kind(raw, where)
+
+
+def _get(raw: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``raw[key]`` read as ``kind``, or ``default`` when absent."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}.{key}: required")
+        return default
+    return _value(raw[key], kind, f"{where}.{key}")
+
+
+def _object(raw, where: str, keys) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {reprlib.repr(raw)}")
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    return raw
 
 
-def _parse_halfplane(raw, where: str) -> HalfPlane:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
-        raise ConfigError(f"{where}: halfplane needs [a, b, c]")
-    return HalfPlane(*map(float, raw))
+def _tagged(raw, where: str, keys_by_type: dict) -> str:
+    """The ``type`` of a tagged object, its keys checked against that type's."""
+    _object(raw, where, set().union(*keys_by_type.values()))
+    kind = _get(raw, "type", frozenset(keys_by_type), where)
+    _object(raw, where, keys_by_type[kind])
+    return kind
+
+
+def _build(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ValueError turned into a located ConfigError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _fields(raw: dict, kinds: dict, where: str) -> dict:
+    """The keys of ``kinds`` present in ``raw``, each read as its kind."""
+    return {k: _get(raw, k, kind, where) for k, kind in kinds.items() if k in raw}
+
+
+def _halfplane(raw: dict, where: str) -> HalfPlane:
+    return _build(HalfPlane, f"{where}.halfplane", *_get(raw, "halfplane", (float, 3), where))
+
+
+def _parse_region(raw, where: str):
+    _object(raw, where, {"halfplane", "value"})
+    return _halfplane(raw, where), _get(raw, "value", float, where)
 
 
 _ALPHA_KEYS = {"constant": {"type", "value"},
@@ -132,198 +207,127 @@ _SOURCE_KEYS = {"constant": {"type", "value"},
 
 
 def _parse_alpha(raw, where: str):
-    if not isinstance(raw, dict) or raw.get("type") not in _ALPHA_KEYS:
-        raise ConfigError(f"{where}: unknown alpha type "
-                          f"{raw.get('type') if isinstance(raw, dict) else raw!r}")
-    kind = raw.get("type")
-    _require_keys(raw, _ALPHA_KEYS[kind], where)
-    try:
-        if kind == "constant":
-            return ConstantAlpha(float(raw["value"]))
-        if kind == "piecewise":
-            regions = tuple(
-                (_parse_halfplane(r["halfplane"], f"{where}.regions[{i}]"),
-                 float(r["value"]))
-                for i, r in enumerate(raw.get("regions", ())))
-            return PiecewiseAlpha(regions=regions, default=float(raw["default"]))
-        if kind == "measure_line":
-            return MeasureLineAlpha(line_y=float(raw.get("line_y", 0.5)),
-                                    weight=float(raw.get("weight", 100.0)),
-                                    base=float(raw.get("base", 1.0)))
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    kind = _tagged(raw, where, _ALPHA_KEYS)
+    if kind == "constant":
+        return _build(ConstantAlpha, where, _get(raw, "value", float, where))
+    if kind == "piecewise":
+        return _build(PiecewiseAlpha, where,
+                      regions=_get(raw, "regions", (_parse_region, None), where, ()),
+                      default=_get(raw, "default", float, where))
+    return _build(MeasureLineAlpha, where,
+                  **_fields(raw, dict.fromkeys(("line_y", "weight", "base"), float), where))
 
 
 def _parse_source(raw, where: str):
-    if not isinstance(raw, dict) or raw.get("type") not in _SOURCE_KEYS:
-        raise ConfigError(f"{where}: unknown source type "
-                          f"{raw.get('type') if isinstance(raw, dict) else raw!r}")
-    kind = raw.get("type")
-    _require_keys(raw, _SOURCE_KEYS[kind], where)
-    try:
-        if kind == "constant":
-            return ConstantSource(float(raw["value"]))
-        if kind == "halfplane":
-            return HalfPlaneSource(_parse_halfplane(raw["halfplane"], where),
-                                   inside=float(raw["inside"]),
-                                   outside=float(raw.get("outside", 0.0)))
-        if kind == "preset":
-            return PresetSource(str(raw["name"]))
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    kind = _tagged(raw, where, _SOURCE_KEYS)
+    if kind == "constant":
+        return _build(ConstantSource, where, _get(raw, "value", float, where))
+    if kind == "halfplane":
+        return _build(HalfPlaneSource, where, _halfplane(raw, where),
+                      inside=_get(raw, "inside", float, where),
+                      outside=_get(raw, "outside", float, where, 0.0))
+    return _build(PresetSource, where, _get(raw, "name", str, where))
 
 
 def _parse_problem(raw, where: str) -> ProblemSpec:
-    _require_keys(raw, {"rect", "nx", "ny", "neumann_sides", "alpha", "f"}, where)
-    try:
-        rect = Rect(*map(float, raw.get("rect", (0.0, 0.0, 1.0, 1.0))))
-        boundary = BoundaryPartition(frozenset(raw.get("neumann_sides", ())))
-        return ProblemSpec(
-            rect=rect, nx=int(raw["nx"]), ny=int(raw["ny"]), boundary=boundary,
-            alpha=_parse_alpha(raw["alpha"], f"{where}.alpha"),
-            source=_parse_source(raw["f"], f"{where}.f"))
-    except ConfigError:
-        raise
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    _object(raw, where, {"rect", "nx", "ny", "neumann_sides", "alpha", "f"})
+    rect = _get(raw, "rect", (float, 4), where, (0.0, 0.0, 1.0, 1.0))
+    sides = _get(raw, "neumann_sides", (frozenset(BOUNDARY_SIDES), None), where, ())
+    return _build(ProblemSpec, where,
+                  rect=_build(Rect, f"{where}.rect", *rect),
+                  nx=_get(raw, "nx", int, where), ny=_get(raw, "ny", int, where),
+                  boundary=BoundaryPartition(frozenset(sides)),
+                  alpha=_get(raw, "alpha", _parse_alpha, where),
+                  source=_get(raw, "f", _parse_source, where))
+
+
+def _parse_linesearch(raw, where: str) -> LineSearchConfig:
+    kinds = {"shrink": float, "sufficient_decrease": float, "max_backtracks": int}
+    return _build(LineSearchConfig, where, **_fields(_object(raw, where, kinds), kinds, where))
+
+
+_SOLVER_KINDS = {"tau_start": float, "tau_factor": float, "tau_min": float,
+                 "newton_tol": float, "newton_max_iter": int, "linear_tol": float,
+                 "linesearch": _parse_linesearch}
 
 
 def _parse_solver(raw, where: str) -> SolverConfig:
-    _require_keys(raw, {"tau_start", "tau_factor", "tau_min", "newton_tol",
-                        "newton_max_iter", "linesearch", "linear_tol"}, where)
-    if "linesearch" in raw:
-        _require_keys(raw["linesearch"], {"shrink", "sufficient_decrease", "max_backtracks"},
-                      f"{where}.linesearch")
-    try:
-        kwargs = {k: float(raw[k]) for k in
-                  ("tau_start", "tau_factor", "tau_min", "newton_tol", "linear_tol")
-                  if k in raw}
-        if "newton_max_iter" in raw:
-            kwargs["newton_max_iter"] = int(raw["newton_max_iter"])
-        if "linesearch" in raw:
-            ls = raw["linesearch"]
-            kwargs["linesearch"] = LineSearchConfig(
-                shrink=float(ls.get("shrink", 0.5)),
-                sufficient_decrease=float(ls.get("sufficient_decrease", 1e-4)),
-                max_backtracks=int(ls.get("max_backtracks", 30)))
-        return SolverConfig(**kwargs)
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _build(SolverConfig, where,
+                  **_fields(_object(raw, where, _SOLVER_KINDS), _SOLVER_KINDS, where))
 
 
 def _parse_u0(raw, where: str):
-    if raw is None:
-        return None
-    _require_keys(raw, {"type", "value"}, where)
-    if raw.get("type") == "zero":
-        return None
-    if raw.get("type") != "constant":
-        raise ConfigError(f"{where}: unknown type {raw.get('type')!r}")
-    try:
-        value = float(raw["value"])
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value must be finite, got {value}")
-    return lambda x, y: np.full(np.broadcast(x, y).shape, value)
+    """None for a zero start, else the constant source's evaluator."""
+    kind = _tagged(raw, where, {"zero": {"type"}, "constant": {"type", "value"}})
+    return None if kind == "zero" else _parse_source(raw, where).evaluate
 
 
-def _parse_evolution(raw, problem: ProblemSpec, solver: SolverConfig,
-                     where: str) -> EvolutionSpec:
-    _require_keys(raw, {"t_final", "dt", "u0", "rate"}, where)
-    if "t_final" not in raw or "dt" not in raw:
-        raise ConfigError(f"{where}: t_final and dt are required")
-    rate = _parse_source(raw.get("rate", {"type": "constant", "value": 0.0}), f"{where}.rate")
-    u0 = _parse_u0(raw.get("u0"), f"{where}.u0")
+def _parse_evolution(raw, where: str, problem: ProblemSpec,
+                     solver: SolverConfig) -> EvolutionSpec:
+    _object(raw, where, {"t_final", "dt", "u0", "rate"})
+    return _build(EvolutionSpec, where, problem=problem,
+                  rate=_get(raw, "rate", _parse_source, where, ConstantSource(0.0)),
+                  t_final=_get(raw, "t_final", float, where),
+                  dt=_get(raw, "dt", float, where),
+                  u0=_get(raw, "u0", _parse_u0, where, None), config=solver)
+
+
+def _load(path: str) -> dict:
     try:
-        return EvolutionSpec(problem=problem, rate=rate, t_final=float(raw["t_final"]),
-                             dt=float(raw["dt"]), u0=u0, config=solver)
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:        # unreadable, not text, or not JSON
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 _TOP_KEYS = {"mode", "scenario", "problem", "solver", "mesh_sizes",
              "evolution", "out_dir", "formats", "n"}
 
 
-def parse_config(path: str | None = None, data: dict | None = None,
-                 overrides: dict | None = None) -> RunConfig:
-    """Build a validated RunConfig from a JSON file and/or override flags."""
-    raw = {}
-    if path is not None:
-        try:
-            with open(path) as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if data is not None:
-        raw = {**raw, **data}
-    overrides = overrides or {}
+def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
+    """Build a validated RunConfig from a JSON file and/or override flags.
 
-    _require_keys(raw, _TOP_KEYS, "config")
-    mode = overrides.get("mode") or raw.get("mode")
-    if mode not in ("solve", "study", "evolve"):
-        raise ConfigError(f"config.mode: expected solve/study/evolve, got {mode!r}")
+    The set flags (mode, scenario, n, out, tau_min, newton_tol) replace the
+    file's values before anything is read, so both pass the same checks.
+    """
+    raw = _object(_load(path) if path is not None else {}, "config", _TOP_KEYS)
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    solver_flags = {k: flags.pop(k) for k in ("tau_min", "newton_tol") if k in flags}
+    if "out" in flags:
+        flags["out_dir"] = flags.pop("out")
+    raw = {**raw, **flags}
+    if solver_flags and isinstance(raw.get("solver", {}), dict):
+        raw["solver"] = {**raw.get("solver", {}), **solver_flags}
 
-    name = overrides.get("scenario") or raw.get("scenario")
-    n = overrides["n"] if overrides.get("n") is not None else raw.get("n")
+    where = "config"
+    mode = _get(raw, "mode", frozenset(("solve", "study", "evolve")), where)
+    name = _get(raw, "scenario", frozenset(SCENARIOS), where, None)
+    n = _get(raw, "n", int, where, None)
+    problem = _get(raw, "problem", _parse_problem, where, None)
     if name is not None:
-        if name not in SCENARIOS:
-            raise ConfigError(f"config.scenario: unknown scenario {name!r}")
         problem = scenario(name)
-    elif "problem" in raw:
-        problem = _parse_problem(raw["problem"], "config.problem")
-    else:
+    elif problem is None:
         raise ConfigError("config: either 'scenario' or 'problem' is required")
     if n is not None:
-        try:
-            problem = dataclasses.replace(problem, nx=int(n), ny=int(n))
-        except _BAD_VALUE as exc:
-            raise ConfigError(f"config.n: {exc}") from exc
+        problem = _build(dataclasses.replace, "config.n", problem, nx=n, ny=n)
 
-    solver = _parse_solver(raw.get("solver", {}), "config.solver")
-    for key in ("tau_min", "newton_tol"):
-        if overrides.get(key) is not None:
-            try:
-                solver = dataclasses.replace(solver, **{key: float(overrides[key])})
-            except ValueError as exc:
-                raise ConfigError(f"config.solver.{key}: {exc}") from exc
-
-    mesh_sizes = raw.get("mesh_sizes")
+    solver = _get(raw, "solver", _parse_solver, where, SolverConfig())
+    mesh_sizes = list(_get(raw, "mesh_sizes", (int, None), where, ()))
+    if any(size < 1 for size in mesh_sizes):
+        raise ConfigError(f"config.mesh_sizes: sizes must be at least 1, got {mesh_sizes}")
     if mode == "study":
         if not mesh_sizes:
             raise ConfigError("config.mesh_sizes: required in study mode")
-        try:
-            mesh_sizes = [int(v) for v in mesh_sizes]
-        except _BAD_VALUE as exc:
-            raise ConfigError(f"config.mesh_sizes: {exc}") from exc
-        if min(mesh_sizes) < 1:
-            raise ConfigError(f"config.mesh_sizes: sizes must be at least 1, got {mesh_sizes}")
         if name is None:
             raise ConfigError("config.scenario: study mode needs a named scenario "
                               "with a closed-form solution")
 
-    evolution = None
-    if mode == "evolve":
-        if not raw.get("evolution"):
-            raise ConfigError("config.evolution: required in evolve mode")
-        evolution = _parse_evolution(raw["evolution"], problem, solver, "config.evolution")
-
-    try:
-        formats = tuple(raw.get("formats", ("vtk", "csv", "json")))
-        unknown_fmt = sorted(set(formats) - {"vtk", "csv", "json"})
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"config.formats: {exc}") from exc
-    if unknown_fmt:
-        raise ConfigError(f"config.formats: unknown format {unknown_fmt[0]!r}")
-
-    return RunConfig(mode=mode, problem=problem, solver=solver,
-                     scenario_name=name, mesh_sizes=mesh_sizes,
-                     evolution=evolution,
-                     out_dir=overrides.get("out") or raw.get("out_dir", "out"),
-                     formats=formats)
+    evolution = _get(raw, "evolution", lambda v, w: _parse_evolution(v, w, problem, solver),
+                     where, _REQUIRED if mode == "evolve" else None)
+    return RunConfig(mode=mode, problem=problem, solver=solver, scenario_name=name,
+                     mesh_sizes=mesh_sizes or None, evolution=evolution,
+                     out_dir=_get(raw, "out_dir", str, where, "out"),
+                     formats=_get(raw, "formats", (frozenset(_FORMATS), None), where, _FORMATS))
 
 
 # --- exporters ---------------------------------------------------------------
@@ -484,17 +488,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    flags = vars(build_arg_parser().parse_args(argv))
     try:
-        cfg = parse_config(args.config, overrides={
-            "mode": args.mode, "scenario": args.scenario, "n": args.n,
-            "out": args.out, "tau_min": args.tau_min,
-            "newton_tol": args.newton_tol})
+        cfg = parse_config(flags.pop("config"), overrides=flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    from pathlib import Path
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -158,10 +158,11 @@ class DiscreteProblem:
                    schur_indptr=indptr, schur_indices=indices,
                    schur_scatter=scatter, schur_base=base)
 
-    def with_load(self, load: np.ndarray, source_q: np.ndarray) -> "DiscreteProblem":
-        """Same operators with a different right-hand side (time stepping)."""
-        return dataclasses.replace(self, load=np.asarray(load, dtype=float),
-                                   source_q=np.asarray(source_q, dtype=float))
+    def with_load(self, source_q: np.ndarray) -> "DiscreteProblem":
+        """Same operators with the source given at the quadrature points (time stepping)."""
+        source_q = np.asarray(source_q, dtype=float)
+        return dataclasses.replace(self, source_q=source_q,
+                                   load=fem.assemble_load(self.mesh, source_q, self.workspace))
 
     def schur(self, blocks: np.ndarray) -> sp.csc_matrix:
         """S = G + B^T M^{-1} B over the free edges, G given by its element blocks.

@@ -140,6 +140,23 @@ def test_criterion_7_conservation():
             f"worst balance {worst:.2e}")
 
 
+def test_pour_reaching_the_bound():
+    # criterion 7 pours evenly and never moves flux; this pour piles material
+    # against the gradient bound, so the balance runs through the flux path
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=16, ny=16,
+                             boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(1.0),
+                             source=gc.ConstantSource(0.0))
+    rate = gc.HalfPlaneSource(gc.HalfPlane(1.0, 1.0, 0.5), inside=2.0)
+    spec = gc.EvolutionSpec(problem=problem, rate=rate, t_final=0.2, dt=0.1)
+    traj = gc.run_evolution(spec)
+    assert len(traj.steps) == 2
+    for st in traj.steps:
+        assert sum(st.newton_iterations) > 0
+        assert abs(st.mass_balance) <= 1e-12
+        assert 1.0 - 1e-9 <= st.max_gradient_ratio <= 1.0 + 1e-12
+
+
 def test_criterion_8_unit_property_suites():
     import test_fem
     import test_huber

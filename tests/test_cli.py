@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcon import cli
 from gradcon.cli import (ConfigError, export_study_csv, export_summary_json,
@@ -249,20 +252,104 @@ CONFIG_ERRORS = {
                                   "alpha": {"type": "constant", "value": 1.0},
                                   "f": {"type": "halfplane", "halfplane": [float("nan"), 0, 0],
                                         "inside": 1.0}}},
+    # each of these ran on a silently converted value before the strict reader
+    "n-not-integral": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2.7},
+    "n-boolean": {"mode": "solve", "scenario": "ex1_f1_a1", "n": True},
+    "mesh-sizes-string": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": "24"},
+    "max-backtracks-not-integral": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+                                    "solver": {"linesearch": {"max_backtracks": 2.5}}},
+    "alpha-boolean": {"mode": "solve",
+                      "problem": {"nx": 2, "ny": 2,
+                                  "alpha": {"type": "constant", "value": True},
+                                  "f": {"type": "constant", "value": 1.0}}},
+    "region-misspelled-key": {"mode": "solve",
+                              "problem": {"nx": 2, "ny": 2,
+                                          "alpha": {"type": "piecewise", "default": 1.0,
+                                                    "regions": [{"halfplane": [1, 1, 1],
+                                                                 "vlaue": 0.75}]},
+                                          "f": {"type": "constant", "value": 1.0}}},
+    # run without --out, so the config's own out_dir is used
+    "out-dir-not-a-string": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "out_dir": 5},
+}
+
+# where the message of each strict-reader case must point
+CONFIG_ERROR_KEYS = {
+    "n-not-integral": "config.n:",
+    "n-boolean": "config.n:",
+    "mesh-sizes-string": "config.mesh_sizes:",
+    "max-backtracks-not-integral": "config.solver.linesearch.max_backtracks:",
+    "alpha-boolean": "config.problem.alpha.value:",
+    "region-misspelled-key": "config.problem.alpha.regions[0]: unknown key 'vlaue'",
+    "out-dir-not-a-string": "config.out_dir:",
 }
 
 
-def test_main_config_error_exit_code(tmp_path):
+def test_main_config_error_exit_code(tmp_path, capsys):
     for name, payload in CONFIG_ERRORS.items():
         cfg = (str(tmp_path / "missing.json") if payload is None
                else write_config(tmp_path, payload, name=f"{name}.json"))
         mode = (payload or {}).get("mode", "solve")
-        code = main([mode, "--config", cfg, "--out", str(tmp_path / name)])
+        out = [] if "out_dir" in (payload or {}) else ["--out", str(tmp_path / name)]
+        code = main([mode, "--config", cfg, *out])
         assert code == cli.EXIT_CONFIG, name
-    # a zero mesh override on the command line is not "unset"
-    code = main(["solve", "--scenario", "ex1_f1_a1", "--n", "0",
-                 "--out", str(tmp_path / "n-zero-flag")])
-    assert code == cli.EXIT_CONFIG
+        assert CONFIG_ERROR_KEYS.get(name, "") in capsys.readouterr().err, name
+    # flags pass the same checks; a zero mesh override is not "unset"
+    for flag, value in (("--n", "0"), ("--tau-min", "nan"), ("--newton-tol", "-1")):
+        code = main(["solve", "--scenario", "ex1_f1_a1", flag, value,
+                     "--out", str(tmp_path / "flags")])
+        assert code == cli.EXIT_CONFIG, flag
+
+
+VALID_CONFIG = {
+    "mode": "evolve", "scenario": "ex1_f1_a1", "n": 4, "out_dir": "out",
+    "formats": ["vtk", "json"], "mesh_sizes": [4, 8],
+    "problem": {"rect": [0, 0, 1, 1], "nx": 2, "ny": 2, "neumann_sides": ["left"],
+                "alpha": {"type": "piecewise", "default": 1.0,
+                          "regions": [{"halfplane": [1, 1, 1], "value": 0.75}]},
+                "f": {"type": "halfplane", "halfplane": [0, -1, -0.5],
+                      "inside": 0.25, "outside": 0.0}},
+    "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8,
+               "newton_max_iter": 50, "linear_tol": 1e-10,
+               "linesearch": {"shrink": 0.5, "sufficient_decrease": 1e-4,
+                              "max_backtracks": 30}},
+    "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "constant", "value": 0.1},
+                  "rate": {"type": "preset", "name": "cone_valley"}},
+}
+
+
+def scalar_paths(node, path=()):
+    """Key paths to every scalar of a JSON value."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in scalar_paths(v, (*path, k))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in scalar_paths(v, (*path, i))]
+    return [path]
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from(["solve", "evolve", "vtk", "left", "constant", "ex1_f1_a1"])
+                | st.text(max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(scalar_paths(VALID_CONFIG)),
+       JSON_SCALARS | st.lists(JSON_SCALARS, max_size=5))
+def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, path, value):
+    payload = copy.deepcopy(VALID_CONFIG)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path_factory.getbasetemp() / "property.json"
+    config.write_text(json.dumps(payload))
+    try:
+        cfg = parse_config(str(config))
+    except ConfigError:
+        return
+    if path == ("n",):
+        assert not isinstance(value, bool)
+        assert cfg.problem.nx == cfg.problem.ny == value
+        assert type(cfg.problem.nx) is int
 
 
 def test_main_solver_failure_exit_code(tmp_path):

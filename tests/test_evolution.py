@@ -100,8 +100,7 @@ def test_step_against_independent_minimizer():
 
     k = spec.dt
     f_eff_q = u_prev[:, None] + k * 2.0 * np.ones_like(dp.source_q)
-    load = dp.areas * (f_eff_q @ dp.workspace.rule.weights)
-    sdp = dp.with_load(load, f_eff_q)
+    sdp = dp.with_load(f_eff_q)
 
     p_newton, _, _ = newton_solve(sdp, tau, np.zeros(dp.mesh.num_edges))
 
