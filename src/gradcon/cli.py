@@ -35,8 +35,9 @@ Config schema (all keys optional unless a mode needs them)::
 
 Every value present is checked, used by the mode or not: booleans are not
 numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
-``2.7`` is an error), lists are arrays (``rect`` of 4, ``halfplane`` of 3)
-and unknown keys are rejected at every depth.  Flags replace the file's
+``2.7`` is an error), a grid has at most ``problems.MAX_CELLS`` cells
+(n = 2048), lists are arrays (``rect`` of 4, ``halfplane`` of 3) and
+unknown keys are rejected at every depth.  Flags replace the file's
 values (``--out`` is ``out_dir``) and pass the same checks.  Errors name the
 key path.  Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 I/O failure.
@@ -313,8 +314,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     solver = _get(raw, "solver", _parse_solver, where, SolverConfig())
     mesh_sizes = list(_get(raw, "mesh_sizes", (int, None), where, ()))
-    if any(size < 1 for size in mesh_sizes):
-        raise ConfigError(f"config.mesh_sizes: sizes must be at least 1, got {mesh_sizes}")
+    for size in mesh_sizes:
+        _build(dataclasses.replace, "config.mesh_sizes", problem, nx=size, ny=size)
     if mode == "study":
         if not mesh_sizes:
             raise ConfigError("config.mesh_sizes: required in study mode")

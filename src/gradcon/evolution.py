@@ -6,6 +6,12 @@ feasible set gives a projection of ``u_prev + integral of the rate over the
 step``, so the previous state enters with weight one.  The step integral of
 the rate uses the midpoint rule.
 
+From the second step on, a step first runs only the last ``WARM_STAGES``
+stages of the continuation schedule, starting from the previous step's
+flux, which is close to the answer.  If that tail fails, the step reruns
+the full schedule from zero; ``StepDiagnostics.start`` records which path
+gave the step's solution.
+
 With every boundary side flux-pinned, summing the balance equation over all
 cells shows that the total held mass changes exactly by the poured mass,
 up to the Newton tolerance; :func:`conservation_report` tabulates that
@@ -23,7 +29,10 @@ import numpy as np
 from . import fem
 from .linalg import LinearSolveError
 from .problems import ProblemSpec
-from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
+from .solver import (DiscreteProblem, SolverConfig, SolverError, continuation_solve,
+                     tau_schedule)
+
+WARM_STAGES = 12                   # schedule tail run from the previous step's flux
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,7 @@ class StepDiagnostics:
     residual_norms: list
     tau_final: float
     max_gradient_ratio: float
+    start: str                     # "cold", "warm", or "fallback" (warm tail failed)
 
 
 @dataclass
@@ -82,12 +92,16 @@ def _initial_state(spec: EvolutionSpec, dp: DiscreteProblem) -> np.ndarray:
 
 
 def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
-         t0: float, t1: float):
+         t0: float, t1: float, p_prev: np.ndarray | None = None):
     """Advance one implicit-Euler step over [t0, t1].
 
-    Returns (DiscreteSolution, Diagnostics, rate_q): the stationary solve
-    with the effective load of this step, its last-stage diagnostics, and
-    the midpoint rate poured over the step at the quadrature points.
+    Returns (DiscreteSolution, Diagnostics, rate_q, start): the stationary
+    solve with the effective load of this step, its last-stage diagnostics,
+    the midpoint rate poured over the step at the quadrature points, and
+    the path that solved it.  Without ``p_prev`` the full schedule runs from
+    zero ("cold").  With it, the last ``WARM_STAGES`` stages run from
+    ``p_prev`` ("warm"), and a failure there reruns the full schedule
+    ("fallback").
     """
     k = t1 - t0
     ws = dp.workspace
@@ -95,8 +109,16 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
     rate_q = np.broadcast_to(
         np.asarray(src.evaluate(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float),
         ws.qpoints.shape[:2])
-    sol, diag = continuation_solve(dp.with_load(u_prev[:, None] + k * rate_q), spec.config)
-    return sol, diag, rate_q
+    dp_step = dp.with_load(u_prev[:, None] + k * rate_q)
+    if p_prev is not None:
+        try:
+            sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev,
+                                           taus=tau_schedule(spec.config)[-WARM_STAGES:])
+            return sol, diag, rate_q, "warm"
+        except (SolverError, LinearSolveError):
+            pass
+    sol, diag = continuation_solve(dp_step, spec.config)
+    return sol, diag, rate_q, "cold" if p_prev is None else "fallback"
 
 
 def run(spec: EvolutionSpec) -> Trajectory:
@@ -110,7 +132,8 @@ def run(spec: EvolutionSpec) -> Trajectory:
     for n in range(1, n_steps + 1):
         t0, t1 = (n - 1) * spec.dt, n * spec.dt
         try:
-            sol, diag, rate_q = step(u, dp, spec, t0, t1)
+            sol, diag, rate_q, start = step(u, dp, spec, t0, t1,
+                                            traj.p[-1] if n > 1 else None)
         except (SolverError, LinearSolveError) as exc:
             raise RuntimeError(f"evolution failed at step {n} over [{t0:g}, {t1:g}]") from exc
         poured = spec.dt * float(np.einsum("q,tq,t->", ws.rule.weights, rate_q, ws.areas))
@@ -123,6 +146,7 @@ def run(spec: EvolutionSpec) -> Trajectory:
             residual_norms=sol.residual_norms,
             tau_final=sol.tau_final,
             max_gradient_ratio=diag.max_gradient_ratio,
+            start=start,
         ))
         traj.times.append(t1)
         traj.u.append(sol.u)

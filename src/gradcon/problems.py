@@ -166,8 +166,18 @@ class PresetSource:
 
 # --- problem bundle ---------------------------------------------------------
 
+MAX_CELLS = 2**22                  # largest nx * ny a ProblemSpec accepts
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A problem on an nx-by-ny grid of rectangles, each split into two triangles.
+
+    The grid has between 1 and ``MAX_CELLS`` rectangles (n = 2048 per
+    direction at most), so that a mistyped size is an error rather than an
+    attempt to allocate the mesh.
+    """
+
     rect: Rect
     nx: int
     ny: int
@@ -178,6 +188,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.nx}x{self.ny}")
+        if self.nx * self.ny > MAX_CELLS:
+            raise ValueError(f"grid must have at most {MAX_CELLS} cells (nx * ny)")
 
 
 # --- the constant-data reference solution -----------------------------------

@@ -13,8 +13,10 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
 
 an SPD system solved directly.  A backtracking line search on the squared
 residual norm globalizes each step.  The smoothing radius tau follows a
-geometric continuation schedule, each stage warm-started from the last; the
-first stage starts from zero.
+geometric continuation schedule.  The first stage starts from zero (or a
+given flux), the second from the first stage's solution, and every later
+stage from the secant predictor through the last two converged stages
+(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
 """
 
 from __future__ import annotations
@@ -272,9 +274,6 @@ class Diagnostics:
     max_gradient_ratio: float  # max over cells of |grad u| / alpha
     feasibility_violation: float
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class DiscreteSolution:
@@ -313,20 +312,34 @@ def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -
                        feasibility_violation=violation)
 
 
-def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None):
-    """Run the full continuation schedule; returns (DiscreteSolution, Diagnostics).
+def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
+                       p0: np.ndarray | None = None, taus=None):
+    """Run a continuation schedule; returns (DiscreteSolution, Diagnostics).
 
-    Each stage is warm-started from the previous one; the first stage starts
-    from zero.  The diagnostics returned are those of the last stage.  Newton
-    failures propagate annotated with the failing stage.
+    ``taus`` defaults to ``tau_schedule(config)``; the first stage starts
+    from ``p0`` (zero when omitted) and the second from the first stage's
+    solution.  From the third stage on, Newton starts at the secant predictor
+
+        p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
+
+    which extrapolates only between converged stages; on the geometric
+    schedule the step is (p_k - p_{k-1}) / tau_factor.  The diagnostics
+    returned are those of the last stage.  Newton failures propagate
+    annotated with the failing stage.
     """
     config = config or SolverConfig()
-    taus = tau_schedule(config)
+    taus = tau_schedule(config) if taus is None else np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or len(taus) == 0:
+        raise ValueError("the continuation schedule needs at least one stage")
 
-    p = np.zeros(dp.mesh.num_edges)
+    p = np.zeros(dp.mesh.num_edges) if p0 is None else np.asarray(p0, dtype=float)
     iteration_counts, norms, gaps = [], [], []
-    for tau in taus:
-        p, iters, r1n = newton_solve(dp, tau, p, config)
+    for k, tau in enumerate(taus):
+        start = p
+        if k >= 2:                 # p and p_prev are both converged stages
+            start = p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev)
+        p_prev = p
+        p, iters, r1n = newton_solve(dp, tau, start, config)
         u = recover_u(dp, p)
         diag = diagnostics(dp, p, u, tau)
         iteration_counts.append(iters)

@@ -31,4 +31,5 @@ def test_removed_options_are_gone():
     assert "legacy_k_weight" not in {f.name for f in dataclasses.fields(evolution.EvolutionSpec)}
     assert "neumann_edges" not in {f.name for f in dataclasses.fields(solver.DiscreteProblem)}
     assert "verbose" not in inspect.signature(solver.continuation_solve).parameters
+    assert not hasattr(solver.Diagnostics, "as_dict")
     assert "neumann_edges" not in inspect.signature(fem.assemble_huber_residual).parameters

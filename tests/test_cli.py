@@ -270,6 +270,9 @@ CONFIG_ERRORS = {
                                           "f": {"type": "constant", "value": 1.0}}},
     # run without --out, so the config's own out_dir is used
     "out-dir-not-a-string": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "out_dir": 5},
+    # integral floats past ProblemSpec's cell cap
+    "n-too-large": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 1e300},
+    "mesh-size-too-large": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4, 1e300]},
 }
 
 # where the message of each strict-reader case must point
@@ -281,6 +284,8 @@ CONFIG_ERROR_KEYS = {
     "alpha-boolean": "config.problem.alpha.value:",
     "region-misspelled-key": "config.problem.alpha.regions[0]: unknown key 'vlaue'",
     "out-dir-not-a-string": "config.out_dir:",
+    "n-too-large": "config.n:",
+    "mesh-size-too-large": "config.mesh_sizes:",
 }
 
 

@@ -151,3 +151,46 @@ def test_initial_state_validation():
     spec = make_spec(u0=np.zeros(7))  # wrong length
     with pytest.raises(ValueError):
         ev.run(spec)
+
+
+def pour_to_the_bound():
+    # the pour of test_acceptance::test_pour_reaching_the_bound
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=16, ny=16, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(0.0))
+    rate = gc.HalfPlaneSource(gc.HalfPlane(1.0, 1.0, 0.5), inside=2.0)
+    return ev.EvolutionSpec(problem=problem, rate=rate, t_final=0.2, dt=0.1)
+
+
+def test_warm_steps_match_cold_steps():
+    spec = pour_to_the_bound()
+    traj = ev.run(spec)
+    assert [st.start for st in traj.steps] == ["cold", "warm"]
+    assert len(traj.steps[1].newton_iterations) == ev.WARM_STAGES
+    # the cold trajectory: every step runs the full schedule from zero
+    u = traj.u[0]
+    for n in range(1, len(traj.steps) + 1):
+        sol, _, _, start = ev.step(u, traj.problem, spec, (n - 1) * spec.dt, n * spec.dt)
+        assert start == "cold"
+        assert np.max(np.abs(sol.u - traj.u[n])) <= 1e-12
+        assert sol.tau_final == traj.steps[n - 1].tau_final
+        u = sol.u
+
+
+def test_failed_warm_tail_falls_back_to_full_schedule():
+    # a unit time step moves the poured half-plane by a whole unit, so the
+    # previous flux is far from the answer: the warm tail stalls on step 2
+    # and the step reruns the full schedule from zero
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=16, ny=16, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(2.0), source=gc.ConstantSource(0.0))
+    spec = ev.EvolutionSpec(
+        problem=problem,
+        rate=lambda t: gc.HalfPlaneSource(gc.HalfPlane(1.0, -1.0, 0.6 - t), inside=3.0),
+        t_final=4.0, dt=1.0)
+    traj = ev.run(spec)
+    assert len(traj.steps) == 4
+    assert traj.steps[0].start == "cold"
+    assert "fallback" in [st.start for st in traj.steps]
+    for st in traj.steps:
+        assert max(max(norms) for norms in st.residual_norms) <= 1e-8
+        assert abs(st.mass_balance) <= 1e-10
+        assert st.max_gradient_ratio <= 1.0 + 1e-12

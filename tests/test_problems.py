@@ -6,7 +6,7 @@ from gradcon import fem
 from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
 from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane,
                               HalfPlaneSource, MeasureLineAlpha,
-                              PiecewiseAlpha, PresetSource,
+                              MAX_CELLS, PiecewiseAlpha, PresetSource,
                               exact_solution_ex1, scenario)
 
 
@@ -197,6 +197,14 @@ def test_scenario_fields():
 def test_scenario_unknown_name():
     with pytest.raises(ValueError):
         scenario("ex9_unknown")
+
+
+def test_grid_size_bounds():
+    spec = scenario("ex1_f1_a1", n=2048)          # exactly at the cap
+    assert spec.nx * spec.ny == MAX_CELLS
+    for n in (0, 2049, int(1e300)):
+        with pytest.raises(ValueError, match="grid"):
+            scenario("ex1_f1_a1", n=n)
 
 
 def test_discrete_fields_measured_against_themselves():

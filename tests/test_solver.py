@@ -178,6 +178,28 @@ def test_continuation_accepts_backward_stable_steps():
     assert diag.max_gradient_ratio <= 1.0 + 1e-12
 
 
+def test_secant_predictor_keeps_coarse_schedule_in_reach():
+    # with tau_factor=3, starting each stage from the last flux leaves Newton
+    # stalled at tau=1.37e-2 (LineSearchStalled); the secant predictor through
+    # the last two converged stages starts close enough to finish
+    dp = DiscreteProblem.from_spec(gc.scenario("ex2_a25", n=32))
+    sol, diag = continuation_solve(dp, SolverConfig(tau_factor=3.0))
+    assert sol.tau_final <= 1e-6
+    assert max(max(norms) for norms in sol.residual_norms) <= 1e-8
+    assert -1e-7 <= diag.duality_gap <= 1e-3
+    assert diag.max_gradient_ratio <= 1.0 + 1e-12
+
+
+def test_continuation_from_given_flux_and_schedule(solve_cache):
+    dp, sol, _ = solve_cache("ex1_f1_a1", 8)
+    again, _ = continuation_solve(dp, p0=sol.p, taus=[sol.tau_final])
+    assert again.newton_iterations == [0]
+    assert np.array_equal(again.p, sol.p)
+    assert list(again.tau_values) == [sol.tau_final]
+    with pytest.raises(ValueError, match="at least one stage"):
+        continuation_solve(dp, taus=[])
+
+
 def test_one_factorization_per_newton_step(monkeypatch):
     # the steps that miss the relative residual test only by rounding (see
     # test_continuation_accepts_backward_stable_steps) must not pay for a
