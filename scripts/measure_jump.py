@@ -22,7 +22,7 @@ for n in args.meshes:
     sol, _ = gc.continuation_solve(dp)
     ws = dp.workspace
     mass = float(np.einsum("q,tq,t->", ws.rule.weights, dp.alpha_q - 1.0, ws.areas))
-    i = np.arange(n)
-    above = sol.u[2 * ((n // 2) * n + i)]
-    below = sol.u[2 * ((n // 2 - 1) * n + i) + 1]
+    x = (np.arange(n) + 0.5) / n
+    above = sol.u[dp.mesh.locate_triangle(x, 0.5 + 0.25 / n)]
+    below = sol.u[dp.mesh.locate_triangle(x, 0.5 - 0.25 / n)]
     print(f"{n:5d} {dp.mesh.h:10.5f} {mass:11.3f} {np.max(above - below):9.4f}")

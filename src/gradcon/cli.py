@@ -40,7 +40,8 @@ numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
 unknown keys are rejected at every depth.  Flags replace the file's
 values (``--out`` is ``out_dir``) and pass the same checks.  Errors name the
 key path.  Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 I/O failure.
+4 I/O failure; every solver failure is a ``SolverError`` naming the failing
+tau (and, in evolve mode, the step and its interval).
 
 The written VTK and CSV files are byte-stable for a fixed config; the JSON
 summary is stable except for its wall-time field.
@@ -62,7 +63,6 @@ import numpy as np
 
 from . import fem, huber
 from .evolution import EvolutionSpec, conservation_report, run as run_evolution
-from .linalg import LinearSolveError
 from .mesh import BOUNDARY_SIDES, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
@@ -503,14 +503,9 @@ def main(argv=None) -> int:
         summary = runner(cfg, out)
         if "json" in cfg.formats:
             export_summary_json(summary, out / "summary.json")
-    except (SolverError, LinearSolveError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except RuntimeError as exc:
-        if isinstance(exc.__cause__, (SolverError, LinearSolveError)):
-            print(f"solver failure: {exc} ({exc.__cause__})", file=sys.stderr)
-            return EXIT_SOLVER
-        raise
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,7 +10,9 @@ From the second step on, a step first runs only the last ``WARM_STAGES``
 stages of the continuation schedule, starting from the previous step's
 flux, which is close to the answer.  If that tail fails, the step reruns
 the full schedule from zero; ``StepDiagnostics.start`` records which path
-gave the step's solution.
+gave the step's solution.  A step that fails stops the run with a
+:class:`SolverError` (of the failing stage's type) naming the step, its
+interval and the failing tau, chained from the stage's error.
 
 With every boundary side flux-pinned, summing the balance equation over all
 cells shows that the total held mass changes exactly by the poured mass,
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .linalg import LinearSolveError
 from .problems import ProblemSpec
 from .solver import (DiscreteProblem, SolverConfig, SolverError, continuation_solve,
                      tau_schedule)
@@ -115,7 +116,7 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
             sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev,
                                            taus=tau_schedule(spec.config)[-WARM_STAGES:])
             return sol, diag, rate_q, "warm"
-        except (SolverError, LinearSolveError):
+        except SolverError:
             pass
     sol, diag = continuation_solve(dp_step, spec.config)
     return sol, diag, rate_q, "cold" if p_prev is None else "fallback"
@@ -134,8 +135,9 @@ def run(spec: EvolutionSpec) -> Trajectory:
         try:
             sol, diag, rate_q, start = step(u, dp, spec, t0, t1,
                                             traj.p[-1] if n > 1 else None)
-        except (SolverError, LinearSolveError) as exc:
-            raise RuntimeError(f"evolution failed at step {n} over [{t0:g}, {t1:g}]") from exc
+        except SolverError as exc:
+            raise type(exc)(f"evolution failed at step {n} over [{t0:g}, {t1:g}]: {exc.reason}",
+                            exc.tau, exc.r1_norm, exc.r2_norm) from exc
         poured = spec.dt * float(np.einsum("q,tq,t->", ws.rule.weights, rate_q, ws.areas))
         mass = float(np.sum(ws.areas * sol.u))
         prev_mass = float(np.sum(ws.areas * u))

@@ -41,7 +41,6 @@ class LinearSolveError(RuntimeError):
 @dataclass(frozen=True)
 class LinearSolveReport:
     residual_norm: float
-    rhs_norm: float
     factor_nnz: int
     regularized: bool
 
@@ -82,7 +81,7 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10):
         # relative residual first, so the common case pays for no norm of A
         if np.isfinite(res) and (res <= tol * rhs_norm or np.linalg.norm(r, np.inf) <= tol * (
                 spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))):
-            return x, LinearSolveReport(res, rhs_norm, lu.nnz, regularized)
+            return x, LinearSolveReport(res, lu.nnz, regularized)
 
     raise LinearSolveError(
         f"SPD solve failed to reach tol={tol:g} (regularized retry: {lu is not None})",

@@ -127,9 +127,6 @@ class Mesh:
         """Mesh size used by mesh-dependent data: the smaller cell side."""
         return min(self.dx, self.dy)
 
-    def boundary_edge_ids(self) -> np.ndarray:
-        return np.concatenate([self.boundary_edges[s] for s in BOUNDARY_SIDES])
-
     def locate_triangle(self, x, y) -> np.ndarray:
         """Triangle ids containing the given points (vectorized).
 

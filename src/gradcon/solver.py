@@ -17,6 +17,8 @@ geometric continuation schedule.  The first stage starts from zero (or a
 given flux), the second from the first stage's solution, and every later
 stage from the secant predictor through the last two converged stages
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
+Every failure, a failed linear solve included, is a :class:`SolverError`
+naming the failing tau and the residual norms there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, huber, linalg
-from .mesh import classify_boundary
+from .mesh import build_rect_mesh, classify_boundary
 from .problems import ProblemSpec
 
 
@@ -80,10 +82,11 @@ def tau_schedule(config: SolverConfig) -> np.ndarray:
 
 
 class SolverError(RuntimeError):
-    """Base class for Newton failures; carries the failing smoothing radius."""
+    """Any failed solve: its ``reason``, the failing tau and (|r1|, |r2|) there."""
 
-    def __init__(self, message: str, tau: float, r1_norm: float, r2_norm: float):
-        super().__init__(f"{message} (tau={tau:.3e}, |r1|={r1_norm:.3e}, |r2|={r2_norm:.3e})")
+    def __init__(self, reason: str, tau: float, r1_norm: float, r2_norm: float):
+        super().__init__(f"{reason} (tau={tau:.3e}, |r1|={r1_norm:.3e}, |r2|={r2_norm:.3e})")
+        self.reason = reason
         self.tau = tau
         self.r1_norm = r1_norm
         self.r2_norm = r2_norm
@@ -135,8 +138,6 @@ class DiscreteProblem:
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec) -> "DiscreteProblem":
-        from .mesh import build_rect_mesh
-
         mesh = build_rect_mesh(spec.rect, spec.nx, spec.ny)
         ws = fem.build_workspace(mesh)
         B = fem.assemble_div(mesh)
@@ -228,7 +229,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     """Damped Newton on the reduced residual; returns (p, iterations, |r|).
 
     The cell variable is eliminated exactly at every iterate, so the
-    balance equation holds up to rounding throughout.
+    balance equation holds up to rounding throughout.  Every failure raises
+    :class:`SolverError`; a failed linear solve is chained as its cause.
     """
     config = config or SolverConfig()
     ls = config.linesearch
@@ -245,7 +247,10 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
         S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau,
                                                  ws=dp.workspace))
         step = np.zeros_like(p)
-        step[dp.free] = linalg.solve_spd(S, -r[dp.free], tol=config.linear_tol)[0]
+        try:
+            step[dp.free] = linalg.solve_spd(S, -r[dp.free], tol=config.linear_tol)[0]
+        except linalg.LinearSolveError as exc:
+            raise SolverError(str(exc), tau, *residual_norms(dp, p, r)) from exc
 
         merit0 = rnorm * rnorm
         s = 1.0
@@ -324,8 +329,8 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
 
     which extrapolates only between converged stages; on the geometric
     schedule the step is (p_k - p_{k-1}) / tau_factor.  The diagnostics
-    returned are those of the last stage.  Newton failures propagate
-    annotated with the failing stage.
+    returned are those of the last stage.  A failing stage raises
+    :class:`SolverError` naming its tau.
     """
     config = config or SolverConfig()
     taus = tau_schedule(config) if taus is None else np.asarray(taus, dtype=float)

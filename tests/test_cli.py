@@ -357,7 +357,9 @@ def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, path, value
         assert type(cfg.problem.nx) is int
 
 
-def test_main_solver_failure_exit_code(tmp_path):
+def test_main_solver_failure_exit_code(tmp_path, capsys):
+    # every failure, a failed linear solve included, exits 3 with one message
+    # that names its tau, and in evolve mode the step and its interval
     failing = {
         "solve": {"mode": "solve", "scenario": "ex1_f1_a1",
                   "solver": {"newton_max_iter": 1}},
@@ -365,11 +367,16 @@ def test_main_solver_failure_exit_code(tmp_path):
                    "solver": {"newton_max_iter": 1},
                    "evolution": {"t_final": 0.1, "dt": 0.1,
                                  "rate": {"type": "constant", "value": 5.0}}},
+        "linear": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4,
+                   "solver": {"linear_tol": 1e-300}},
     }
+    named = {"solve": "tau=", "evolve": "step 1 over [0, 0.1]", "linear": "tau=1.000e+01"}
     for name, payload in failing.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
         out = tmp_path / name
-        assert main([name, "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER, name
+        assert main([payload["mode"], "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER, name
+        err = capsys.readouterr().err
+        assert err.count("tau=") == 1 and named[name] in err, err
 
 
 def test_main_io_failure_exit_code(tmp_path):

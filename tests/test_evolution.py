@@ -5,7 +5,8 @@ import scipy.optimize
 import gradcon as gc
 from gradcon import evolution as ev
 from gradcon import fem, huber
-from gradcon.solver import DiscreteProblem, newton_solve, recover_u
+from gradcon.solver import (DiscreteProblem, MaxIterationsExceeded, SolverConfig,
+                            newton_solve, recover_u)
 
 
 def make_spec(nx=8, ny=8, boundary=gc.ALL_NEUMANN, alpha=1.0, rate=0.0,
@@ -194,3 +195,16 @@ def test_failed_warm_tail_falls_back_to_full_schedule():
         assert max(max(norms) for norms in st.residual_norms) <= 1e-8
         assert abs(st.mass_balance) <= 1e-10
         assert st.max_gradient_ratio <= 1.0 + 1e-12
+
+
+def test_failed_step_names_step_interval_and_stage():
+    spec = ev.EvolutionSpec(problem=gc.scenario("ex1_f1_a1", n=4), rate=gc.ConstantSource(5.0),
+                            t_final=0.1, dt=0.1, config=SolverConfig(newton_max_iter=1))
+    with pytest.raises(MaxIterationsExceeded) as err:
+        ev.run(spec)
+    cause = err.value.__cause__
+    assert isinstance(cause, MaxIterationsExceeded)
+    assert (err.value.tau, err.value.r1_norm, err.value.r2_norm) == (
+        cause.tau, cause.r1_norm, cause.r2_norm)
+    assert str(err.value).startswith("evolution failed at step 1 over [0, 0.1]: ")
+    assert str(err.value).count("tau=") == 1

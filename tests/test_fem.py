@@ -98,7 +98,7 @@ def test_div_matrix_structure():
     B = fem.assemble_div(mesh)
     col_sums = np.asarray(abs(B).sum(axis=0)).ravel()
     interior = np.ones(mesh.num_edges, dtype=bool)
-    interior[mesh.boundary_edge_ids()] = False
+    interior[np.concatenate(list(mesh.boundary_edges.values()))] = False
     signed = np.asarray(B.sum(axis=0)).ravel()
     assert np.all(col_sums[interior] == 2)
     assert np.all(signed[interior] == 0)

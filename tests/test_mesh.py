@@ -81,7 +81,7 @@ def test_interior_edges_have_opposite_signs():
     np.add.at(sign_sum, mesh.tri_edges, mesh.tri_edge_signs)
     np.add.at(count, mesh.tri_edges, 1)
     boundary = np.zeros(mesh.num_edges, dtype=bool)
-    boundary[mesh.boundary_edge_ids()] = True
+    boundary[np.concatenate(list(mesh.boundary_edges.values()))] = True
     assert np.all(count[boundary] == 1)
     assert np.all(count[~boundary] == 2)
     assert np.all(sign_sum[~boundary] == 0)
@@ -121,7 +121,8 @@ def test_classify_boundary_partitions_exactly():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 2)
     bp = BoundaryPartition(frozenset({"left", "bottom"}))
     dirichlet, neumann = classify_boundary(mesh, bp)
-    assert sorted(np.concatenate([dirichlet, neumann])) == sorted(mesh.boundary_edge_ids())
+    boundary = np.concatenate(list(mesh.boundary_edges.values()))
+    assert sorted(np.concatenate([dirichlet, neumann])) == sorted(boundary)
 
 
 def test_boundary_partition_rejects_unknown_side():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gradcon as gc
 from gradcon import fem, linalg
 from gradcon.linalg import LinearSolveError, solve_spd
+from gradcon.mesh import BOUNDARY_SIDES
 from gradcon.solver import (DiscreteProblem, LineSearchConfig,
                             LineSearchStalled, MaxIterationsExceeded,
                             SolverConfig, SolverError, continuation_solve,
@@ -71,7 +74,7 @@ def test_residual_zero_state_unit_source():
     p = np.zeros(dp.mesh.num_edges)
     r = residual(dp, p, tau=1.0)
     assert np.allclose(r, -(dp.Bt @ np.ones(dp.mesh.num_triangles)), atol=1e-15)
-    boundary = dp.mesh.boundary_edge_ids()
+    boundary = np.concatenate(list(dp.mesh.boundary_edges.values()))
     assert np.allclose(np.abs(r[boundary]), 1.0)
     r1n, r2n = residual_norms(dp, p, r)
     assert r1n == pytest.approx(np.sqrt(len(boundary)))
@@ -137,8 +140,18 @@ def test_line_search_stall_error():
 def test_nan_residual_is_not_converged():
     # a NaN residual must not pass the convergence test as zero iterations
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
-    with pytest.raises((SolverError, LinearSolveError)):
+    with pytest.raises(SolverError):
         newton_solve(dp, 1.0, np.full(dp.mesh.num_edges, np.nan))
+
+
+def test_linear_solve_failure_names_the_stage():
+    # no solution can meet tol=1e-300, so the very first Newton system fails;
+    # the failure is a SolverError of the first stage, chained from linalg's
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
+    with pytest.raises(SolverError) as err:
+        continuation_solve(dp, SolverConfig(linear_tol=1e-300))
+    assert err.value.tau == 10.0
+    assert isinstance(err.value.__cause__, LinearSolveError)
 
 
 @pytest.mark.parametrize("neumann", [frozenset(), frozenset({"left", "top"})])
@@ -327,3 +340,28 @@ def test_continuation_annotates_failing_stage():
         continuation_solve(dp, cfg)
     # the error reports the stage of the schedule that failed
     assert np.any(np.isclose(err.value.tau, tau_schedule(cfg)))
+
+
+halfplanes = st.builds(gc.HalfPlane, *[st.floats(-1.0, 1.0)] * 3)
+bounds = st.floats(0.25, 4.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(halfplanes, bounds), min_size=1, max_size=3), bounds,
+       st.builds(gc.HalfPlaneSource, halfplanes, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       st.integers(1, 8), st.sets(st.sampled_from(BOUNDARY_SIDES)))
+@example([(gc.HalfPlane(0.0, -1.0, -0.75), 3.0)], 0.75,
+         gc.HalfPlaneSource(gc.HalfPlane(0.0, 0.0, 0.0), 1.0), 1, set())
+def test_random_problems_meet_their_certificates(regions, default, source, n, neumann):
+    dp = DiscreteProblem.from_spec(gc.ProblemSpec(
+        rect=gc.UNIT_SQUARE, nx=n, ny=n, boundary=gc.BoundaryPartition(frozenset(neumann)),
+        alpha=gc.PiecewiseAlpha(regions=regions, default=default), source=source))
+    sol, diag = continuation_solve(dp)
+    # the gap is a sum of nonnegative terms plus r . p, r the flux residual
+    # that Newton leaves below newton_tol; on the example above both the gap
+    # and r . p are -5.8e-10
+    r = residual(dp, sol.p, sol.tau_final)
+    assert diag.duality_gap - r @ sol.p >= -1e-10
+    assert diag.max_gradient_ratio <= 1.0 + 1e-9
+    if len(neumann) == 4:          # no flux leaves: the held mass is the load
+        assert abs(np.sum(dp.areas * sol.u) - np.sum(dp.load)) <= 1e-12
