@@ -13,9 +13,8 @@ from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        PresetSource, ProblemSpec, StudyResult,
                        convergence_study, exact_solution_ex1, scenario)
 from .solver import (Diagnostics, DiscreteProblem, DiscreteSolution,
-                     LineSearchConfig, LineSearchStalled,
-                     MaxIterationsExceeded, SolverConfig, SolverError,
-                     continuation_solve, diagnostics, newton_solve,
+                     LineSearchStalled, MaxIterationsExceeded, SolverConfig,
+                     SolverError, continuation_solve, diagnostics, newton_solve,
                      recover_u, recovered_gradient, residual, tau_schedule)
 from .evolution import (EvolutionSpec, Trajectory, conservation_report,
                         run as run_evolution, step as evolution_step)
@@ -29,8 +28,8 @@ __all__ = [
     "HalfPlaneSource", "MeasureLineAlpha", "PiecewiseAlpha", "PresetSource",
     "ProblemSpec", "StudyResult", "convergence_study",
     "exact_solution_ex1", "scenario",
-    "Diagnostics", "DiscreteProblem", "DiscreteSolution", "LineSearchConfig",
-    "LineSearchStalled", "MaxIterationsExceeded", "SolverConfig",
+    "Diagnostics", "DiscreteProblem", "DiscreteSolution", "LineSearchStalled",
+    "MaxIterationsExceeded", "SolverConfig",
     "SolverError", "continuation_solve", "diagnostics", "newton_solve",
     "recover_u", "recovered_gradient", "residual", "tau_schedule",
     "EvolutionSpec", "Trajectory", "conservation_report", "run_evolution",

@@ -22,9 +22,7 @@ Config schema (all keys optional unless a mode needs them)::
              | {"type": "preset", "name": "cone_valley"}
       },
       "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6,
-                 "newton_tol": 1e-8, "newton_max_iter": 50, "linear_tol": 1e-10,
-                 "linesearch": {"shrink": 0.5, "sufficient_decrease": 1e-4,
-                                "max_backtracks": 30}},
+                 "newton_tol": 1e-8, "newton_max_iter": 50},
       "mesh_sizes": [8, 16, 32, 64],           # study mode
       "evolution": {"t_final": 0.5, "dt": 0.1,
                     "u0": {"type": "zero"} | {"type": "constant", "value": 0.1},
@@ -36,12 +34,14 @@ Config schema (all keys optional unless a mode needs them)::
 Every value present is checked, used by the mode or not: booleans are not
 numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
 ``2.7`` is an error), a grid has at most ``problems.MAX_CELLS`` cells
-(n = 2048), lists are arrays (``rect`` of 4, ``halfplane`` of 3) and
-unknown keys are rejected at every depth.  Flags replace the file's
-values (``--out`` is ``out_dir``) and pass the same checks.  Errors name the
-key path.  Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 I/O failure; every solver failure is a ``SolverError`` naming the failing
-tau (and, in evolve mode, the step and its interval).
+(n = 2048), a continuation schedule at most ``solver.MAX_STAGES`` stages
+and an evolution at most ``evolution.MAX_STEPS`` steps, lists are arrays
+(``rect`` of 4, ``halfplane`` of 3) and unknown keys are rejected at every
+depth.  Flags replace the file's values (``--out`` is ``out_dir``) and pass
+the same checks.  Errors name the key path.  Exit codes: 0 success, 2
+configuration error, 3 solver failure, 4 I/O failure; every solver failure
+is a ``SolverError`` naming the failing tau (and, in evolve mode, the step
+and its interval).
 
 The written VTK and CSV files are byte-stable for a fixed config; the JSON
 summary is stable except for its wall-time field.
@@ -67,8 +67,7 @@ from .mesh import BOUNDARY_SIDES, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
                        PresetSource, ProblemSpec, convergence_study, scenario)
-from .solver import (DiscreteProblem, LineSearchConfig, SolverConfig,
-                     SolverError, continuation_solve)
+from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -242,14 +241,8 @@ def _parse_problem(raw, where: str) -> ProblemSpec:
                   source=_get(raw, "f", _parse_source, where))
 
 
-def _parse_linesearch(raw, where: str) -> LineSearchConfig:
-    kinds = {"shrink": float, "sufficient_decrease": float, "max_backtracks": int}
-    return _build(LineSearchConfig, where, **_fields(_object(raw, where, kinds), kinds, where))
-
-
 _SOLVER_KINDS = {"tau_start": float, "tau_factor": float, "tau_min": float,
-                 "newton_tol": float, "newton_max_iter": int, "linear_tol": float,
-                 "linesearch": _parse_linesearch}
+                 "newton_tol": float, "newton_max_iter": int}
 
 
 def _parse_solver(raw, where: str) -> SolverConfig:
@@ -338,13 +331,13 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def export_vtk(mesh: Mesh, u: np.ndarray, p: np.ndarray, path,
-               alpha_c: np.ndarray | None = None, tau: float = 1e-6) -> None:
-    """Legacy ASCII VTK unstructured grid with cell data u, grad_u_mag, p."""
-    ws = fem.build_workspace(mesh)
-    pc = fem.rt0_at_centroids(ws, p)
-    if alpha_c is None:
-        alpha_c = np.ones(mesh.num_triangles)
+def export_vtk(mesh: Mesh, u: np.ndarray, p: np.ndarray, path, *,
+               alpha_c: np.ndarray, tau: float) -> None:
+    """Legacy ASCII VTK unstructured grid with cell data u, grad_u_mag, p.
+
+    grad_u_mag is |alpha_c dphi_tau(p)| at the centroids.
+    """
+    pc = fem.rt0_at_centroids(fem.build_workspace(mesh), p)
     grad_mag = alpha_c * np.linalg.norm(huber.dphi(pc, tau), axis=-1)
 
     lines = [

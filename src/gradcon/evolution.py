@@ -34,6 +34,7 @@ from .solver import (DiscreteProblem, SolverConfig, SolverError, continuation_so
                      tau_schedule)
 
 WARM_STAGES = 12                   # schedule tail run from the previous step's flux
+MAX_STEPS = 2**20                  # most time steps one run may march
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,9 @@ class EvolutionSpec:
             raise ValueError("time step must be positive")
         if self.t_final < self.dt:
             raise ValueError("final time must cover at least one step")
+        if self.t_final / self.dt > MAX_STEPS:      # also an overflow to inf
+            raise ValueError(f"t_final / dt = {self.t_final / self.dt:.3g} steps "
+                             f"exceeds MAX_STEPS = {MAX_STEPS}")
 
 
 @dataclass

@@ -75,7 +75,8 @@ class Workspace:
     psi_centroid: np.ndarray   # (nt, 3, 2)
 
 
-def build_workspace(mesh: Mesh, rule: QuadratureRule = TRI_QUADRATURE) -> Workspace:
+def build_workspace(mesh: Mesh) -> Workspace:
+    rule = TRI_QUADRATURE
     coords = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
     e01 = coords[:, 1] - coords[:, 0]
     e02 = coords[:, 2] - coords[:, 0]

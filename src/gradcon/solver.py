@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,19 +35,12 @@ from .mesh import build_rect_mesh, classify_boundary
 from .problems import ProblemSpec
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 30
+# Armijo backtracking on the squared residual norm
+LS_SHRINK = 0.5
+LS_SUFFICIENT_DECREASE = 1e-4
+LS_MAX_BACKTRACKS = 30
 
-    def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("line-search shrink factor must be in (0, 1)")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("sufficient decrease must be in (0, 1)")
-        if not 0 <= self.max_backtracks < math.inf:
-            raise ValueError("max_backtracks must be nonnegative and finite")
+MAX_STAGES = 2**16                 # longest continuation schedule accepted
 
 
 @dataclass(frozen=True)
@@ -57,20 +50,24 @@ class SolverConfig:
     tau_min: float = 1e-6
     newton_tol: float = 1e-8          # absolute residual norms
     newton_max_iter: int = 50
-    linesearch: LineSearchConfig = field(default_factory=LineSearchConfig)
-    linear_tol: float = 1e-10         # linear-solve acceptance, see linalg.solve_spd
 
     def __post_init__(self):
         if not 1.0 < self.tau_factor < math.inf:
             raise ValueError("continuation factor must exceed 1 and be finite")
         # an infinite tau_start would make tau_schedule grow without end
-        for name in ("tau_start", "tau_min", "newton_tol", "linear_tol"):
+        for name in ("tau_start", "tau_min", "newton_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.tau_start < self.tau_min:
             raise ValueError("tau_start must be at least tau_min")
         if not 1 <= self.newton_max_iter < math.inf:
             raise ValueError("newton_max_iter must be at least 1 and finite")
+        # counted in logarithms: tau_start / tau_min can overflow
+        stages = 1 + math.ceil((math.log(self.tau_start) - math.log(self.tau_min))
+                               / math.log(self.tau_factor))
+        if stages > MAX_STAGES:
+            raise ValueError(f"continuation schedule of {stages} stages exceeds "
+                             f"MAX_STAGES = {MAX_STAGES}")
 
 
 def tau_schedule(config: SolverConfig) -> np.ndarray:
@@ -213,15 +210,15 @@ def residual(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
     return r
 
 
-def residual_norms(dp: DiscreteProblem, p: np.ndarray, r) -> tuple[float, float]:
+def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[float, float]:
     """The pair (|r1|, |r2|) at flux p.
 
-    |r1| is the Euclidean norm of ``r``, the reduced flux residual at p (or
-    that norm itself); |r2| is the mass-weighted norm of the balance
-    residual M u(p) + B p - F, which is zero up to rounding.
+    |r1| is ``r1_norm``, the Euclidean norm of the reduced flux residual at
+    p; |r2| is the mass-weighted norm of the balance residual
+    M u(p) + B p - F, which is zero up to rounding.
     """
     r2 = dp.areas * recover_u(dp, p) + dp.B @ p - dp.load
-    return float(np.linalg.norm(r)), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
+    return float(r1_norm), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
@@ -233,7 +230,6 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     :class:`SolverError`; a failed linear solve is chained as its cause.
     """
     config = config or SolverConfig()
-    ls = config.linesearch
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
@@ -243,29 +239,29 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     while not rnorm <= config.newton_tol:      # a NaN residual is not converged
         if iterations >= config.newton_max_iter:
             raise MaxIterationsExceeded("Newton did not converge", tau,
-                                        *residual_norms(dp, p, r))
+                                        *residual_norms(dp, p, rnorm))
         S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau,
                                                  ws=dp.workspace))
         step = np.zeros_like(p)
         try:
-            step[dp.free] = linalg.solve_spd(S, -r[dp.free], tol=config.linear_tol)[0]
+            step[dp.free] = linalg.solve_spd(S, -r[dp.free])[0]
         except linalg.LinearSolveError as exc:
-            raise SolverError(str(exc), tau, *residual_norms(dp, p, r)) from exc
+            raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm)) from exc
 
         merit0 = rnorm * rnorm
         s = 1.0
         accepted = False
-        for _ in range(ls.max_backtracks + 1):
+        for _ in range(LS_MAX_BACKTRACKS + 1):
             trial = p + s * step
             r_trial = residual(dp, trial, tau)
             m_trial = float(r_trial @ r_trial)
-            if m_trial <= (1.0 - 2.0 * ls.sufficient_decrease * s) * merit0:
+            if m_trial <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * s) * merit0:
                 accepted = True
                 break
-            s *= ls.shrink
+            s *= LS_SHRINK
         if not accepted:
             raise LineSearchStalled("line search made no progress", tau,
-                                    *residual_norms(dp, p, r))
+                                    *residual_norms(dp, p, rnorm))
         p, r, rnorm = trial, r_trial, float(np.sqrt(m_trial))
         iterations += 1
     return p, iterations, rnorm

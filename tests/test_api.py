@@ -3,16 +3,17 @@ import importlib
 import inspect
 
 import gradcon
-from gradcon import evolution, fem, linalg, solver
+from gradcon import cli, evolution, fem, linalg, solver
 
 # names deleted from the package (a dotted name is a class attribute); a stale
 # import or export of one should fail here
 REMOVED = {
-    "gradcon": ("element_geometry", "alpha_at"),
+    "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig"),
     "gradcon.linalg": ("spmv",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids"),
     "gradcon.problems": ("alpha_at", "alpha_values", "source_values"),
+    "gradcon.solver": ("LineSearchConfig",),
 }
 
 
@@ -43,3 +44,8 @@ def test_removed_options_are_gone():
     assert not hasattr(solver.Diagnostics, "as_dict")
     assert "rhs_norm" not in {f.name for f in dataclasses.fields(linalg.LinearSolveReport)}
     assert "neumann_edges" not in inspect.signature(fem.assemble_huber_residual).parameters
+    solver_fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert not {"linesearch", "linear_tol"} & solver_fields
+    assert "rule" not in inspect.signature(fem.build_workspace).parameters
+    vtk = inspect.signature(cli.export_vtk).parameters
+    assert vtk["alpha_c"].default is vtk["tau"].default is inspect.Parameter.empty

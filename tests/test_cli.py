@@ -11,6 +11,7 @@ from gradcon.cli import (ConfigError, export_study_csv, export_summary_json,
                          export_vtk, main, parse_config)
 from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
 from gradcon.problems import StudyResult
+from test_solver import force_linear_tol
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -102,7 +103,7 @@ def test_overrides_win(tmp_path):
 def test_export_vtk_unit_mesh_zero_fields(tmp_path):
     mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
     path = tmp_path / "zero.vtk"
-    export_vtk(mesh, np.zeros(2), np.zeros(5), path)
+    export_vtk(mesh, np.zeros(2), np.zeros(5), path, alpha_c=np.ones(2), tau=1e-6)
     text = path.read_text()
     assert "POINTS 4 double" in text
     assert "CELLS 2 8" in text
@@ -115,7 +116,7 @@ def test_export_vtk_unit_mesh_zero_fields(tmp_path):
     assert data_lines[u_at + 2:u_at + 4] == ["0", "0"]
     # byte-stable re-export
     path2 = tmp_path / "zero2.vtk"
-    export_vtk(mesh, np.zeros(2), np.zeros(5), path2)
+    export_vtk(mesh, np.zeros(2), np.zeros(5), path2, alpha_c=np.ones(2), tau=1e-6)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -219,11 +220,16 @@ CONFIG_ERRORS = {
     "missing-file": None,
     "negative-dt": evolve_config(dt=-1),
     "nan-t-final": evolve_config(t_final=float("nan")),
+    # t_final / dt overflows to inf; it used to end in an OverflowError, exit 1
+    "steps-overflow": evolve_config(t_final=1e300, dt=1e-300),
     "u0-not-a-number": evolve_config(u0={"type": "constant", "value": "x"}),
     "max-iter-not-a-number": {"mode": "solve", "scenario": "ex1_f1_a1",
                               "solver": {"newton_max_iter": "abc"}},
     "infinite-linear-tol": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
                             "solver": {"linear_tol": float("inf")}},
+    # 1.6e13 stages; the solve used to hang building the schedule
+    "stages-too-many": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+                        "solver": {"tau_factor": 1.000000000001}},
     "nan-source": {"mode": "solve",
                    "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
                                "f": {"type": "constant", "value": float("nan")}}},
@@ -280,7 +286,10 @@ CONFIG_ERROR_KEYS = {
     "n-not-integral": "config.n:",
     "n-boolean": "config.n:",
     "mesh-sizes-string": "config.mesh_sizes:",
-    "max-backtracks-not-integral": "config.solver.linesearch.max_backtracks:",
+    "max-backtracks-not-integral": "config.solver: unknown key 'linesearch'",
+    "infinite-linear-tol": "config.solver: unknown key 'linear_tol'",
+    "stages-too-many": "config.solver:",
+    "steps-overflow": "config.evolution:",
     "alpha-boolean": "config.problem.alpha.value:",
     "region-misspelled-key": "config.problem.alpha.regions[0]: unknown key 'vlaue'",
     "out-dir-not-a-string": "config.out_dir:",
@@ -314,9 +323,7 @@ VALID_CONFIG = {
                 "f": {"type": "halfplane", "halfplane": [0, -1, -0.5],
                       "inside": 0.25, "outside": 0.0}},
     "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8,
-               "newton_max_iter": 50, "linear_tol": 1e-10,
-               "linesearch": {"shrink": 0.5, "sufficient_decrease": 1e-4,
-                              "max_backtracks": 30}},
+               "newton_max_iter": 50},
     "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "constant", "value": 0.1},
                   "rate": {"type": "preset", "name": "cone_valley"}},
 }
@@ -357,9 +364,10 @@ def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, path, value
         assert type(cfg.problem.nx) is int
 
 
-def test_main_solver_failure_exit_code(tmp_path, capsys):
+def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # every failure, a failed linear solve included, exits 3 with one message
-    # that names its tau, and in evolve mode the step and its interval
+    # that names its tau, and in evolve mode the step and its interval; no
+    # linear solve meets tol=1e-300
     failing = {
         "solve": {"mode": "solve", "scenario": "ex1_f1_a1",
                   "solver": {"newton_max_iter": 1}},
@@ -367,13 +375,14 @@ def test_main_solver_failure_exit_code(tmp_path, capsys):
                    "solver": {"newton_max_iter": 1},
                    "evolution": {"t_final": 0.1, "dt": 0.1,
                                  "rate": {"type": "constant", "value": 5.0}}},
-        "linear": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4,
-                   "solver": {"linear_tol": 1e-300}},
+        "linear": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4},
     }
     named = {"solve": "tau=", "evolve": "step 1 over [0, 0.1]", "linear": "tau=1.000e+01"}
     for name, payload in failing.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
         out = tmp_path / name
+        if name == "linear":
+            force_linear_tol(monkeypatch, 1e-300)
         assert main([payload["mode"], "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER, name
         err = capsys.readouterr().err
         assert err.count("tau=") == 1 and named[name] in err, err

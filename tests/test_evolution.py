@@ -26,6 +26,11 @@ def test_spec_validation():
     for t_final, dt in ((float("nan"), 0.1), (float("inf"), 0.1), (1.0, float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             make_spec(t_final=t_final, dt=dt)
+    # t_final / dt overflows to inf, or counts 1e18 steps: rejected, never marched
+    for t_final, dt in ((1e300, 1e-300), (1e9, 1e-9)):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            make_spec(t_final=t_final, dt=dt)
+    assert make_spec(t_final=float(ev.MAX_STEPS), dt=1.0).t_final == ev.MAX_STEPS
 
 
 def test_zero_rate_zero_state_stays_zero():

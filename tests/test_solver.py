@@ -5,11 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradcon as gc
-from gradcon import fem, linalg
+from gradcon import fem, linalg, solver
 from gradcon.linalg import LinearSolveError, solve_spd
 from gradcon.mesh import BOUNDARY_SIDES
-from gradcon.solver import (DiscreteProblem, LineSearchConfig,
-                            LineSearchStalled, MaxIterationsExceeded,
+from gradcon.solver import (DiscreteProblem, LineSearchStalled, MaxIterationsExceeded,
                             SolverConfig, SolverError, continuation_solve,
                             diagnostics, newton_solve, recover_u,
                             recovered_gradient, residual, residual_norms,
@@ -42,17 +41,27 @@ def test_config_validation():
         SolverConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tau_start=1e-8, tau_min=1e-6)
-    with pytest.raises(ValueError):
-        LineSearchConfig(shrink=1.5)
     # non-finite numbers, e.g. NaN/Infinity read from JSON; an infinite
     # tau_start would make tau_schedule grow without end, so only construct
     for bad in ({"tau_start": float("inf")}, {"tau_factor": float("inf")},
                 {"tau_min": float("nan")}, {"newton_tol": float("inf")},
-                {"linear_tol": float("nan")}, {"newton_max_iter": float("inf")}):
+                {"newton_max_iter": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    with pytest.raises(ValueError):
-        LineSearchConfig(max_backtracks=float("nan"))
+    # the stage count is capped, and counted without building the schedule:
+    # 1.6e13 stages here, and tau_start / tau_min overflows below
+    with pytest.raises(ValueError, match="MAX_STAGES"):
+        SolverConfig(tau_factor=1.000000000001)
+    with pytest.raises(ValueError, match="MAX_STAGES"):
+        SolverConfig(tau_start=1e300, tau_min=1e-300, tau_factor=1.01)
+    assert len(tau_schedule(SolverConfig(tau_start=1e300, tau_min=1e-300))) == 5267
+    # at the cap: MAX_STAGES - 1.5 factors from tau_start down to tau_min make
+    # MAX_STAGES stages, one factor more is rejected
+    def near_cap(factors):
+        return SolverConfig(tau_start=1.0, tau_factor=1.0001, tau_min=1.0001**-factors)
+    assert len(tau_schedule(near_cap(solver.MAX_STAGES - 1.5))) == solver.MAX_STAGES
+    with pytest.raises(ValueError, match="MAX_STAGES"):
+        near_cap(solver.MAX_STAGES - 0.5)
 
 
 def test_residual_zero_state_zero_source():
@@ -62,7 +71,7 @@ def test_residual_zero_state_zero_source():
     p = np.zeros(dp.mesh.num_edges)
     r = residual(dp, p, tau=1.0)
     assert np.array_equal(r, np.zeros(dp.mesh.num_edges))
-    assert residual_norms(dp, p, r) == (0.0, 0.0)
+    assert residual_norms(dp, p, np.linalg.norm(r)) == (0.0, 0.0)
 
 
 def test_residual_zero_state_unit_source():
@@ -76,7 +85,7 @@ def test_residual_zero_state_unit_source():
     assert np.allclose(r, -(dp.Bt @ np.ones(dp.mesh.num_triangles)), atol=1e-15)
     boundary = np.concatenate(list(dp.mesh.boundary_edges.values()))
     assert np.allclose(np.abs(r[boundary]), 1.0)
-    r1n, r2n = residual_norms(dp, p, r)
+    r1n, r2n = residual_norms(dp, p, np.linalg.norm(r))
     assert r1n == pytest.approx(np.sqrt(len(boundary)))
     assert r2n <= 1e-15
 
@@ -96,7 +105,7 @@ def test_newton_first_stage_converges():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     p, iters, rnorm = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
     assert rnorm <= 1e-8
-    r1n, r2n = residual_norms(dp, p, residual(dp, p, 10.0))
+    r1n, r2n = residual_norms(dp, p, np.linalg.norm(residual(dp, p, 10.0)))
     assert r1n <= 1e-8 and r2n <= 1e-12
 
 
@@ -120,15 +129,15 @@ def test_newton_max_iterations_error():
     assert err.value.r1_norm > 0.0
 
 
-def test_line_search_stall_error():
+def test_line_search_stall_error(monkeypatch):
     # an unattainable decrease requirement stalls the very first step, so the
     # failing iterate is p0; the error reports its residual norms
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
-    cfg = SolverConfig(linesearch=LineSearchConfig(
-        shrink=0.5, sufficient_decrease=0.999, max_backtracks=0))
+    monkeypatch.setattr(solver, "LS_SUFFICIENT_DECREASE", 0.999)
+    monkeypatch.setattr(solver, "LS_MAX_BACKTRACKS", 0)
     p0 = np.random.default_rng(0).normal(size=dp.mesh.num_edges)
     with pytest.raises(LineSearchStalled) as err:
-        newton_solve(dp, 1e-4, p0, cfg)
+        newton_solve(dp, 1e-4, p0)
     u = (dp.load - dp.B @ p0) / dp.areas
     r2 = dp.areas * u + dp.B @ p0 - dp.load
     r2_norm = float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
@@ -144,12 +153,19 @@ def test_nan_residual_is_not_converged():
         newton_solve(dp, 1.0, np.full(dp.mesh.num_edges, np.nan))
 
 
-def test_linear_solve_failure_names_the_stage():
+def force_linear_tol(monkeypatch, tol):
+    """Make every ``linalg.solve_spd`` call use ``tol``, whatever its caller passes."""
+    real = linalg.solve_spd
+    monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: real(A, b, tol=tol))
+
+
+def test_linear_solve_failure_names_the_stage(monkeypatch):
     # no solution can meet tol=1e-300, so the very first Newton system fails;
     # the failure is a SolverError of the first stage, chained from linalg's
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
+    force_linear_tol(monkeypatch, 1e-300)
     with pytest.raises(SolverError) as err:
-        continuation_solve(dp, SolverConfig(linear_tol=1e-300))
+        continuation_solve(dp)
     assert err.value.tau == 10.0
     assert isinstance(err.value.__cause__, LinearSolveError)
 
@@ -181,7 +197,7 @@ def test_factor_fill_of_schur_matrix():
 
 def test_continuation_accepts_backward_stable_steps():
     # with tau_factor=3 some Newton systems have ||S|| ||x|| >> ||b|| (~1e4 * 1e2
-    # against 0.08): the relative residual misses linear_tol by rounding alone,
+    # against 0.08): the relative residual misses the linear tolerance by rounding alone,
     # while the backward error is ~1e-16; such steps must be taken, not abort
     dp = DiscreteProblem.from_spec(gc.scenario("ex2_a15", n=32))
     sol, diag = continuation_solve(dp, SolverConfig(tau_factor=3.0))
