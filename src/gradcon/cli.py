@@ -23,7 +23,7 @@ Config schema (all keys optional unless a mode needs them)::
       },
       "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6,
                  "newton_tol": 1e-8, "newton_max_iter": 50},
-      "mesh_sizes": [8, 16, 32, 64],           # study mode
+      "mesh_sizes": [8, 16, 32, 64],           # study mode; >= 2, none repeated
       "evolution": {"t_final": 0.5, "dt": 0.1,
                     "u0": {"type": "zero"} | {"type": "constant", "value": 0.1},
                     "rate": <source spec>},
@@ -35,13 +35,14 @@ Every value present is checked, used by the mode or not: booleans are not
 numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
 ``2.7`` is an error), a grid has at most ``problems.MAX_CELLS`` cells
 (n = 2048), a continuation schedule at most ``solver.MAX_STAGES`` stages
-and an evolution at most ``evolution.MAX_STEPS`` steps, lists are arrays
-(``rect`` of 4, ``halfplane`` of 3) and unknown keys are rejected at every
-depth.  Flags replace the file's values (``--out`` is ``out_dir``) and pass
-the same checks.  Errors name the key path.  Exit codes: 0 success, 2
-configuration error, 3 solver failure, 4 I/O failure; every solver failure
-is a ``SolverError`` naming the failing tau (and, in evolve mode, the step
-and its interval).
+and an evolution at most ``evolution.MAX_STEPS`` steps, ``mesh_sizes``
+has at least two sizes and none twice, lists are arrays (``rect`` of 4,
+``halfplane`` of 3) and unknown keys are rejected at every depth.  Flags
+replace the file's values (``--out`` is ``out_dir``) and pass the same
+checks.  Errors name the key path.  Exit codes: 0 success, 2 configuration
+error, 3 solver failure, 4 I/O failure; every solver failure is a
+``SolverError`` naming the failing tau (and, in evolve mode, the step and
+its interval).
 
 The written VTK and CSV files are byte-stable for a fixed config; the JSON
 summary is stable except for its wall-time field.
@@ -66,7 +67,7 @@ from .evolution import EvolutionSpec, conservation_report, run as run_evolution
 from .mesh import BOUNDARY_SIDES, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
-                       PresetSource, ProblemSpec, convergence_study, scenario)
+                       PresetSource, ProblemSpec, check_mesh_sizes, convergence_study, scenario)
 from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
 
 EXIT_OK = 0
@@ -306,11 +307,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         problem = _build(dataclasses.replace, "config.n", problem, nx=n, ny=n)
 
     solver = _get(raw, "solver", _parse_solver, where, SolverConfig())
-    mesh_sizes = list(_get(raw, "mesh_sizes", (int, None), where, ()))
-    for size in mesh_sizes:
-        _build(dataclasses.replace, "config.mesh_sizes", problem, nx=size, ny=size)
+    mesh_sizes = _get(raw, "mesh_sizes", (int, None), where, None)
+    if mesh_sizes is not None:
+        for size in mesh_sizes:
+            _build(dataclasses.replace, "config.mesh_sizes", problem, nx=size, ny=size)
+        mesh_sizes = list(_build(check_mesh_sizes, "config.mesh_sizes", mesh_sizes))
     if mode == "study":
-        if not mesh_sizes:
+        if mesh_sizes is None:
             raise ConfigError("config.mesh_sizes: required in study mode")
         if name is None:
             raise ConfigError("config.scenario: study mode needs a named scenario "
@@ -319,7 +322,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     evolution = _get(raw, "evolution", lambda v, w: _parse_evolution(v, w, problem, solver),
                      where, _REQUIRED if mode == "evolve" else None)
     return RunConfig(mode=mode, problem=problem, solver=solver, scenario_name=name,
-                     mesh_sizes=mesh_sizes or None, evolution=evolution,
+                     mesh_sizes=mesh_sizes, evolution=evolution,
                      out_dir=_get(raw, "out_dir", str, where, "out"),
                      formats=_get(raw, "formats", (frozenset(_FORMATS), None), where, _FORMATS))
 
@@ -369,13 +372,11 @@ def export_vtk(mesh: Mesh, u: np.ndarray, p: np.ndarray, path, *,
 def export_study_csv(study, path) -> None:
     """Rows h,err_u,err_p with pairwise rates, plus a fitted-rate row."""
     lines = ["h,err_u,err_p,rate_u,rate_p"]
-    if study is not None:
-        for i, (h, eu, ep) in enumerate(zip(study.h, study.err_u, study.err_p)):
-            ru = _fmt(study.step_rates_u[i - 1]) if i > 0 else ""
-            rp = _fmt(study.step_rates_p[i - 1]) if i > 0 else ""
-            lines.append(f"{_fmt(h)},{_fmt(eu)},{_fmt(ep)},{ru},{rp}")
-        if len(study.h) >= 2:
-            lines.append(f"fit,,,{_fmt(study.rate_u)},{_fmt(study.rate_p)}")
+    for i, (h, eu, ep) in enumerate(zip(study.h, study.err_u, study.err_p)):
+        ru = _fmt(study.step_rates_u[i - 1]) if i > 0 else ""
+        rp = _fmt(study.step_rates_p[i - 1]) if i > 0 else ""
+        lines.append(f"{_fmt(h)},{_fmt(eu)},{_fmt(ep)},{ru},{rp}")
+    lines.append(f"fit,,,{_fmt(study.rate_u)},{_fmt(study.rate_p)}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -16,12 +16,14 @@ for polynomials of total degree <= 4; the non-polynomial smoothed-norm
 integrands are evaluated with the same rule.  Edge integrals (RT0
 interpolation) use 3-point Gauss.
 
-Assembly is pure given an immutable mesh.  The per-mesh basis tables live
-in a :class:`Workspace`; ops accept one optionally and build their own when
-omitted.  The quadrature sums are batched matrix products over triangles,
-with the basis table viewed as one (3, nq*2) matrix per triangle.  The Huber
-Jacobian is returned as its per-triangle element blocks; the solver adds
-them into a sparsity pattern it fixes once per mesh.
+Assembly is pure given an immutable mesh.  Every op that reads the per-mesh
+basis tables takes their :class:`Workspace` as the required keyword ``ws``.
+The load and Huber kernels take scalar data as (nt, nq) arrays of values at
+``ws.qpoints``; ``project_p0`` and the error norms take callables ``f(x, y)``.
+The quadrature sums are batched matrix products over triangles, with the
+basis table viewed as one (3, nq*2) matrix per triangle.  The Huber Jacobian
+is returned as its per-triangle element blocks; the solver adds them into a
+sparsity pattern it fixes once per mesh.
 """
 
 from __future__ import annotations
@@ -99,23 +101,15 @@ def build_workspace(mesh: Mesh) -> Workspace:
                      qpoints=qpoints, psi=psi, psi_centroid=psi_c)
 
 
-def _workspace(mesh: Mesh, ws: Workspace | None) -> Workspace:
-    if ws is not None:
-        if ws.mesh is not mesh:
-            raise ValueError("workspace belongs to a different mesh")
-        return ws
-    return build_workspace(mesh)
+def _check_mesh(mesh: Mesh, ws: Workspace) -> None:
+    if ws.mesh is not mesh:
+        raise ValueError("workspace belongs to a different mesh")
 
 
-def _scalar_at_quadrature(mesh: Mesh, f, ws: Workspace) -> np.ndarray:
-    """Values of a scalar field at all quadrature points, shape (nt, nq)."""
-    if callable(f):
-        vals = np.asarray(f(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float)
-        return np.broadcast_to(vals, ws.qpoints.shape[:2])
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != ws.qpoints.shape[:2]:
-        raise ValueError(f"expected values of shape {ws.qpoints.shape[:2]}, got {vals.shape}")
-    return vals
+def _at_qpoints(f, ws: Workspace) -> np.ndarray:
+    """A callable scalar field evaluated at all quadrature points, (nt, nq)."""
+    vals = np.asarray(f(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float)
+    return np.broadcast_to(vals, ws.qpoints.shape[:2])
 
 
 def assemble_div(mesh: Mesh) -> sp.csr_matrix:
@@ -127,17 +121,16 @@ def assemble_div(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(nt, mesh.num_edges)).tocsr()
 
 
-def assemble_load(mesh: Mesh, f, ws: Workspace | None = None) -> np.ndarray:
-    """Cell integrals of a scalar source, entry_T = integral of f over T."""
-    ws = _workspace(mesh, ws)
-    fq = _scalar_at_quadrature(mesh, f, ws)
+def assemble_load(mesh: Mesh, fq: np.ndarray, *, ws: Workspace) -> np.ndarray:
+    """Cell integrals of a scalar source given at the quadrature points."""
+    _check_mesh(mesh, ws)
     return ws.areas * (fq @ ws.rule.weights)
 
 
-def project_p0(mesh: Mesh, f, ws: Workspace | None = None) -> np.ndarray:
-    """Cell means of a scalar field."""
-    ws = _workspace(mesh, ws)
-    return _scalar_at_quadrature(mesh, f, ws) @ ws.rule.weights
+def project_p0(mesh: Mesh, f, *, ws: Workspace) -> np.ndarray:
+    """Cell means of a scalar field ``f(x, y)``."""
+    _check_mesh(mesh, ws)
+    return _at_qpoints(f, ws) @ ws.rule.weights
 
 
 def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
@@ -179,33 +172,27 @@ def rt0_at_centroids(ws: Workspace, p: np.ndarray) -> np.ndarray:
     return np.einsum("tk,tkd->td", coeffs, ws.psi_centroid)
 
 
-def assemble_huber_residual(mesh: Mesh, p: np.ndarray, alpha, tau: float,
-                            ws: Workspace | None = None) -> np.ndarray:
+def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
+                            ws: Workspace) -> np.ndarray:
     """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh."""
-    ws = _workspace(mesh, ws)
-    aq = _scalar_at_quadrature(mesh, alpha, ws)
+    _check_mesh(mesh, ws)
     g = huber.dphi(rt0_at_quadrature(ws, p), tau)
     g *= (ws.areas[:, None] * ws.rule.weights * aq)[..., None]
     elem = _psi_flat(ws) @ g.reshape(len(g), -1, 1)      # (nt, 3, 1)
     return np.bincount(mesh.tri_edges.ravel(), elem.ravel(), minlength=mesh.num_edges)
 
 
-def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, alpha, tau: float,
-                            ws: Workspace | None = None) -> np.ndarray:
+def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
+                            ws: Workspace) -> np.ndarray:
     """Element blocks of the matrix of integrals alpha * psi_e^T d2phi(p_h) psi_f.
 
     Returns shape (nt, 3, 3): block t couples the edges ``mesh.tri_edges[t]``
     and is symmetric PSD; the global Jacobian is the sum of the blocks
     placed at those edges.
     """
-    ws = _workspace(mesh, ws)
-    aq = _scalar_at_quadrature(mesh, alpha, ws)
+    _check_mesh(mesh, ws)
     pq = rt0_at_quadrature(ws, p)
-    r = np.linalg.norm(pq, axis=-1)
-    quad = r <= tau
-    safe_r = np.where(quad, 1.0, r)
-    iso = np.where(quad, 1.0 / tau, 1.0 / safe_r)
-    rank1 = np.where(quad, 0.0, 1.0 / safe_r**3)
+    iso, rank1 = huber.hessian_weights(pq, tau)
 
     # blocks = sum over q of w_q a_q (iso_q psi_k.psi_l - rank1_q (psi_k.p)(psi_l.p)),
     # as two batched (3, m) @ (m, 3) products; with a transposed view as the
@@ -218,16 +205,16 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, alpha, tau: float,
     return blocks
 
 
-def l2_error_p0(mesh: Mesh, u: np.ndarray, exact, ws: Workspace | None = None) -> float:
+def l2_error_p0(mesh: Mesh, u: np.ndarray, exact, *, ws: Workspace) -> float:
     """L2 distance between a P0 field and a scalar callback."""
-    ws = _workspace(mesh, ws)
-    diff = u[:, None] - _scalar_at_quadrature(mesh, exact, ws)
+    _check_mesh(mesh, ws)
+    diff = u[:, None] - _at_qpoints(exact, ws)
     return float(np.sqrt(np.einsum("q,tq,t->", ws.rule.weights, diff**2, ws.areas)))
 
 
-def l2_error_rt0(mesh: Mesh, p: np.ndarray, exact, ws: Workspace | None = None) -> float:
+def l2_error_rt0(mesh: Mesh, p: np.ndarray, exact, *, ws: Workspace) -> float:
     """L2 distance between an RT0 field and a vector callback."""
-    ws = _workspace(mesh, ws)
+    _check_mesh(mesh, ws)
     vals = np.asarray(exact(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float)
     diff = rt0_at_quadrature(ws, p) - vals
     sq = np.einsum("tqd,tqd->tq", diff, diff)

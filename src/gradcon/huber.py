@@ -1,9 +1,9 @@
 """Huber smoothing of the Euclidean norm and its first two derivatives.
 
 ``phi(v, tau)`` is quadratic for |v| <= tau and linear outside, matching the
-norm up to tau/2.  All three kernels broadcast over leading axes, so ``v``
-may be a single 2-vector or an array of shape (..., 2).  The switch case
-|v| = tau is assigned to the quadratic branch; both branches agree there.
+norm up to tau/2.  All kernels broadcast over leading axes, so ``v`` may be
+a single 2-vector or an array of shape (..., 2).  The switch case |v| = tau
+is assigned to the quadratic branch; both branches agree there.
 """
 
 from __future__ import annotations
@@ -37,15 +37,20 @@ def dphi(v, tau: float):
     return v * scale[..., None]
 
 
-def d2phi(v, tau: float):
-    """Hessian of ``phi``: I/tau inside, (I - v v^T/|v|^2)/|v| outside."""
+def hessian_weights(v, tau: float):
+    """(iso, rank1) with ``d2phi(v) = iso I - rank1 v v^T``, each of shape v.shape[:-1]."""
     tau = _check_tau(tau)
-    v = np.asarray(v, dtype=float)
     r = np.linalg.norm(v, axis=-1)
     quad = r <= tau
     safe_r = np.where(quad, 1.0, r)
     iso = np.where(quad, 1.0 / tau, 1.0 / safe_r)
     rank1 = np.where(quad, 0.0, 1.0 / safe_r**3)
+    return iso, rank1
+
+
+def d2phi(v, tau: float):
+    """Hessian of ``phi``: I/tau inside, (I - v v^T/|v|^2)/|v| outside."""
+    v = np.asarray(v, dtype=float)
+    iso, rank1 = hessian_weights(v, tau)
     outer = v[..., :, None] * v[..., None, :]
-    eye = np.eye(2)
-    return iso[..., None, None] * eye - rank1[..., None, None] * outer
+    return iso[..., None, None] * np.eye(2) - rank1[..., None, None] * outer

@@ -283,10 +283,12 @@ class StudyResult:
     step_rates_p: tuple
 
 
-def _fit_rate(h, err):
-    if len(h) < 2:
-        return float("nan")
-    return float(np.polyfit(np.log(h), np.log(err), 1)[0])
+def check_mesh_sizes(mesh_sizes) -> tuple:
+    """The mesh sizes of a study: at least two, none repeated, so every rate is defined."""
+    sizes = tuple(mesh_sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ValueError(f"a study needs at least two distinct mesh sizes, got {list(sizes)}")
+    return sizes
 
 
 def convergence_study(name: str, mesh_sizes, config=None) -> StudyResult:
@@ -294,6 +296,7 @@ def convergence_study(name: str, mesh_sizes, config=None) -> StudyResult:
     from . import fem
     from .solver import DiscreteProblem, SolverConfig, continuation_solve
 
+    mesh_sizes = check_mesh_sizes(mesh_sizes)
     u_exact, p_exact = exact_solution_for(name)
     config = config or SolverConfig()
     hs, eus, eps = [], [], []
@@ -311,9 +314,12 @@ def convergence_study(name: str, mesh_sizes, config=None) -> StudyResult:
             for i in range(len(errs) - 1)
         )
 
+    def fit(errs):
+        return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
     return StudyResult(
-        mesh_sizes=tuple(mesh_sizes), h=tuple(hs),
+        mesh_sizes=mesh_sizes, h=tuple(hs),
         err_u=tuple(eus), err_p=tuple(eps),
-        rate_u=_fit_rate(hs, eus), rate_p=_fit_rate(hs, eps),
+        rate_u=fit(eus), rate_p=fit(eps),
         step_rates_u=steps(eus), step_rates_p=steps(eps),
     )

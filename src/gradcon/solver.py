@@ -153,7 +153,7 @@ class DiscreteProblem:
 
         indptr, indices, scatter, base = _schur_pattern(mesh, areas, free)
         return cls(spec=spec, mesh=mesh, workspace=ws, B=B, Bt=B.T.tocsr(), areas=areas,
-                   load=fem.assemble_load(mesh, source_q, ws), source_q=source_q,
+                   load=fem.assemble_load(mesh, source_q, ws=ws), source_q=source_q,
                    alpha_q=alpha_q, alpha_c=alpha_c, free=free,
                    schur_indptr=indptr, schur_indices=indices,
                    schur_scatter=scatter, schur_base=base)
@@ -162,7 +162,7 @@ class DiscreteProblem:
         """Same operators with the source given at the quadrature points (time stepping)."""
         source_q = np.asarray(source_q, dtype=float)
         return dataclasses.replace(self, source_q=source_q,
-                                   load=fem.assemble_load(self.mesh, source_q, self.workspace))
+                                   load=fem.assemble_load(self.mesh, source_q, ws=self.workspace))
 
     def schur(self, blocks: np.ndarray) -> sp.csc_matrix:
         """S = G + B^T M^{-1} B over the free edges, G given by its element blocks.

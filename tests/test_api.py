@@ -2,8 +2,10 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
+
 import gradcon
-from gradcon import cli, evolution, fem, linalg, solver
+from gradcon import cli, evolution, fem, huber, linalg, solver
 
 # names deleted from the package (a dotted name is a class attribute); a stale
 # import or export of one should fail here
@@ -49,3 +51,17 @@ def test_removed_options_are_gone():
     assert "rule" not in inspect.signature(fem.build_workspace).parameters
     vtk = inspect.signature(cli.export_vtk).parameters
     assert vtk["alpha_c"].default is vtk["tau"].default is inspect.Parameter.empty
+    # every op that reads a workspace takes one, and the kernels take arrays
+    for op in (fem.assemble_load, fem.project_p0, fem.assemble_huber_residual,
+               fem.assemble_huber_jacobian, fem.l2_error_p0, fem.l2_error_rt0):
+        ws = inspect.signature(op).parameters["ws"]
+        assert ws.kind is inspect.Parameter.KEYWORD_ONLY, op.__name__
+        assert ws.default is inspect.Parameter.empty, op.__name__
+    assert not hasattr(fem, "_scalar_at_quadrature")
+    # d2phi is built from the one weight function the Jacobian uses
+    v = np.random.default_rng(0).normal(size=(50, 2))
+    for tau in (0.3, 1.0, 3.0):
+        iso, rank1 = huber.hessian_weights(v, tau)
+        outer = v[:, :, None] * v[:, None, :]
+        built = iso[:, None, None] * np.eye(2) - rank1[:, None, None] * outer
+        assert np.array_equal(huber.d2phi(v, tau), built)

@@ -133,12 +133,6 @@ def test_export_study_csv_rows(tmp_path):
     assert lines[-1].startswith("fit,")
 
 
-def test_export_study_csv_empty(tmp_path):
-    path = tmp_path / "empty.csv"
-    export_study_csv(None, path)
-    assert path.read_text() == "h,err_u,err_p,rate_u,rate_p\n"
-
-
 def test_summary_round_trip(tmp_path):
     summary = cli.RunSummary(mode="solve", scenario="ex1_f1_a1", nx=4, ny=4,
                              tau_table=[{"tau": 10.0, "newton_iterations": 1,
@@ -279,6 +273,9 @@ CONFIG_ERRORS = {
     # integral floats past ProblemSpec's cell cap
     "n-too-large": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 1e300},
     "mesh-size-too-large": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4, 1e300]},
+    # one size wrote "rate_u": NaN into summary.json; a repeated one divided by zero, exit 1
+    "mesh-sizes-single": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4]},
+    "mesh-sizes-repeated": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4, 4]},
 }
 
 # where the message of each strict-reader case must point
@@ -295,6 +292,8 @@ CONFIG_ERROR_KEYS = {
     "out-dir-not-a-string": "config.out_dir:",
     "n-too-large": "config.n:",
     "mesh-size-too-large": "config.mesh_sizes:",
+    "mesh-sizes-single": "config.mesh_sizes:",
+    "mesh-sizes-repeated": "config.mesh_sizes:",
 }
 
 

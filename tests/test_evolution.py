@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradcon as gc
 from gradcon import evolution as ev
@@ -200,6 +202,33 @@ def test_failed_warm_tail_falls_back_to_full_schedule():
         assert max(max(norms) for norms in st.residual_norms) <= 1e-8
         assert abs(st.mass_balance) <= 1e-10
         assert st.max_gradient_ratio <= 1.0 + 1e-12
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), steps=st.integers(2, 3), dt=st.floats(0.02, 0.5),
+       alpha=st.floats(0.25, 4.0), rate=st.floats(0.1, 5.0), a=unit, b=unit, c=unit)
+def test_random_pours_warm_match_cold(n, steps, dt, alpha, rate, a, b, c):
+    # both trajectories stop at Newton |r| <= 1e-8, so they agree to ~1e-8
+    # at best, not to rounding
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=n, ny=n, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))
+    spec = ev.EvolutionSpec(problem=problem, t_final=steps * dt, dt=dt,
+                            rate=gc.HalfPlaneSource(gc.HalfPlane(a, b, c), inside=rate))
+    warm = ev.run(spec)
+    assert len(warm.steps) == steps
+    for s in warm.steps:
+        assert abs(s.mass_balance) <= 1e-12
+        assert s.max_gradient_ratio <= 1.0 + 1e-9
+    full_step = ev.step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "step", lambda u, dp, spec, t0, t1, p_prev=None:
+                   full_step(u, dp, spec, t0, t1))
+        cold = ev.run(spec)
+    assert [s.start for s in cold.steps] == ["cold"] * steps
+    assert max(np.max(np.abs(uw - uc)) for uw, uc in zip(warm.u, cold.u)) <= 1e-7
 
 
 def test_failed_step_names_step_interval_and_stage():

@@ -111,22 +111,35 @@ def test_p0_mass_diagonal():
     assert np.all(areas > 0)
 
 
+def at_qpoints(ws, f):
+    """A scalar field f(x, y) as the (nt, nq) array the kernels integrate."""
+    return f(ws.qpoints[..., 0], ws.qpoints[..., 1])
+
+
+def ones(ws):
+    return np.ones(ws.qpoints.shape[:2])
+
+
 def test_load_constant_one():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 3)
-    F = fem.assemble_load(mesh, lambda x, y: np.ones_like(x))
-    assert np.allclose(F, fem.build_workspace(mesh).areas, atol=1e-15)
+    ws = fem.build_workspace(mesh)
+    F = fem.assemble_load(mesh, ones(ws), ws=ws)
+    assert np.allclose(F, ws.areas, atol=1e-15)
 
 
 def test_load_zero():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    F = fem.assemble_load(mesh, lambda x, y: np.zeros_like(x))
+    ws = fem.build_workspace(mesh)
+    F = fem.assemble_load(mesh, 0.0 * ones(ws), ws=ws)
     assert np.allclose(F, 0.0)
 
 
 def test_load_upper_half_indicator():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    F = fem.assemble_load(mesh, lambda x, y: np.where(y >= 0.5, 0.25, 0.0))
-    centroids = fem.build_workspace(mesh).centroids
+    ws = fem.build_workspace(mesh)
+    F = fem.assemble_load(mesh, at_qpoints(ws, lambda x, y: np.where(y >= 0.5, 0.25, 0.0)),
+                          ws=ws)
+    centroids = ws.centroids
     upper = centroids[:, 1] > 0.5
     assert np.allclose(F[upper], 0.03125, atol=1e-15)
     assert np.allclose(F[~upper], 0.0, atol=1e-15)
@@ -134,21 +147,23 @@ def test_load_upper_half_indicator():
 
 def test_huber_residual_zero_cases():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 3)
+    ws = fem.build_workspace(mesh)
     zero_p = np.zeros(mesh.num_edges)
-    out = fem.assemble_huber_residual(mesh, zero_p, lambda x, y: np.ones_like(x), 0.5)
+    out = fem.assemble_huber_residual(mesh, zero_p, ones(ws), 0.5, ws=ws)
     assert np.allclose(out, 0.0)
     rng = np.random.default_rng(0)
     p = rng.normal(size=mesh.num_edges)
-    out = fem.assemble_huber_residual(mesh, p, lambda x, y: np.zeros_like(x), 0.5)
+    out = fem.assemble_huber_residual(mesh, p, 0.0 * ones(ws), 0.5, ws=ws)
     assert np.allclose(out, 0.0)
 
 
 def test_huber_residual_linear_in_alpha():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 3)
+    ws = fem.build_workspace(mesh)
     rng = np.random.default_rng(1)
     p = rng.normal(size=mesh.num_edges)
-    one = fem.assemble_huber_residual(mesh, p, lambda x, y: np.ones_like(x), 0.3)
-    two = fem.assemble_huber_residual(mesh, p, lambda x, y: 2.0 * np.ones_like(x), 0.3)
+    one = fem.assemble_huber_residual(mesh, p, ones(ws), 0.3, ws=ws)
+    two = fem.assemble_huber_residual(mesh, p, 2.0 * ones(ws), 0.3, ws=ws)
     assert np.allclose(two, 2.0 * one, rtol=1e-14)
 
 
@@ -247,28 +262,29 @@ def test_matmul_assembly_matches_einsum_reference():
 
 def test_huber_jacobian_is_scaled_rt0_mass_at_zero():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
+    ws = fem.build_workspace(mesh)
     tau = 1.0
     G = global_jacobian(mesh, fem.assemble_huber_jacobian(
-        mesh, np.zeros(mesh.num_edges), lambda x, y: np.ones_like(x), tau))
+        mesh, np.zeros(mesh.num_edges), ones(ws), tau, ws=ws))
     oracle = rt0_mass_oracle(mesh) / tau
     assert np.allclose(G.toarray(), oracle, atol=1e-13)
 
 
 def test_huber_jacobian_symmetric():
     mesh = build_rect_mesh(UNIT_SQUARE, 4, 4)
+    ws = fem.build_workspace(mesh)
     rng = np.random.default_rng(3)
     p = rng.normal(scale=0.5, size=mesh.num_edges)
-    G = global_jacobian(mesh, fem.assemble_huber_jacobian(
-        mesh, p, lambda x, y: np.ones_like(x), 0.2))
+    G = global_jacobian(mesh, fem.assemble_huber_jacobian(mesh, p, ones(ws), 0.2, ws=ws))
     assert abs(G - G.T).max() <= 1e-13
 
 
 def test_huber_jacobian_psd():
     mesh = build_rect_mesh(UNIT_SQUARE, 4, 4)
+    ws = fem.build_workspace(mesh)
     rng = np.random.default_rng(4)
     p = rng.normal(scale=0.5, size=mesh.num_edges)
-    G = global_jacobian(mesh, fem.assemble_huber_jacobian(
-        mesh, p, lambda x, y: np.ones_like(x), 0.2))
+    G = global_jacobian(mesh, fem.assemble_huber_jacobian(mesh, p, ones(ws), 0.2, ws=ws))
     for _ in range(50):
         x = rng.normal(size=mesh.num_edges)
         assert x @ (G @ x) >= -1e-12 * (x @ x)
@@ -279,7 +295,7 @@ def test_huber_jacobian_matches_residual_derivative():
     ws = fem.build_workspace(mesh)
     rng = np.random.default_rng(5)
     tau = 0.1
-    alpha = lambda x, y: np.ones_like(x)
+    alpha = ones(ws)
     # keep all quadrature values away from the branch switch
     while True:
         p = rng.normal(scale=1.0, size=mesh.num_edges)
@@ -311,16 +327,19 @@ def test_commuting_boundary_flux_identity():
 
 def test_l2_error_p0_self_and_constants():
     mesh = build_rect_mesh(UNIT_SQUARE, 4, 4)
+    ws = fem.build_workspace(mesh)
     u = np.full(mesh.num_triangles, 0.37)
-    assert fem.l2_error_p0(mesh, u, lambda x, y: np.full_like(x, 0.37)) <= 1e-14
+    assert fem.l2_error_p0(mesh, u, lambda x, y: np.full_like(x, 0.37), ws=ws) <= 1e-14
     zero = np.zeros(mesh.num_triangles)
-    assert fem.l2_error_p0(mesh, zero, lambda x, y: np.ones_like(x)) == pytest.approx(1.0, abs=1e-14)
+    assert fem.l2_error_p0(mesh, zero, lambda x, y: np.ones_like(x),
+                           ws=ws) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_l2_error_rt0_self():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 3)
     p = fem.interpolate_rt0(mesh, lambda x, y: np.stack([x, y], axis=-1))
-    assert fem.l2_error_rt0(mesh, p, lambda x, y: np.stack([x, y], axis=-1)) <= 1e-13
+    assert fem.l2_error_rt0(mesh, p, lambda x, y: np.stack([x, y], axis=-1),
+                            ws=fem.build_workspace(mesh)) <= 1e-13
 
 
 def p0_projection_error_oracle(mesh):
@@ -338,8 +357,9 @@ def test_p0_projection_error_scales_linearly():
     errors = {}
     for n in (4, 8, 16):
         mesh = build_rect_mesh(UNIT_SQUARE, n, n)
-        u = fem.project_p0(mesh, lambda x, y: x)
-        err = fem.l2_error_p0(mesh, u, lambda x, y: x)
+        ws = fem.build_workspace(mesh)
+        u = fem.project_p0(mesh, lambda x, y: x, ws=ws)
+        err = fem.l2_error_p0(mesh, u, lambda x, y: x, ws=ws)
         assert err == pytest.approx(p0_projection_error_oracle(mesh), rel=1e-12)
         errors[n] = err
     assert errors[4] / errors[8] == pytest.approx(2.0, rel=1e-10)
@@ -351,17 +371,18 @@ def test_workspace_mismatch_rejected():
     b = build_rect_mesh(UNIT_SQUARE, 3, 3)
     ws = fem.build_workspace(a)
     with pytest.raises(ValueError):
-        fem.assemble_load(b, lambda x, y: np.ones_like(x), ws=ws)
+        fem.assemble_load(b, ones(ws), ws=ws)
 
 
 def test_assembly_order_independent():
     # results identical across repeated assembly (no iteration-order effects)
     mesh = build_rect_mesh(UNIT_SQUARE, 5, 5)
+    ws = fem.build_workspace(mesh)
     rng = np.random.default_rng(6)
     p = rng.normal(size=mesh.num_edges)
-    a1 = fem.assemble_huber_residual(mesh, p, lambda x, y: np.ones_like(x), 0.2)
-    a2 = fem.assemble_huber_residual(mesh, p, lambda x, y: np.ones_like(x), 0.2)
+    a1 = fem.assemble_huber_residual(mesh, p, ones(ws), 0.2, ws=ws)
+    a2 = fem.assemble_huber_residual(mesh, p, ones(ws), 0.2, ws=ws)
     assert np.array_equal(a1, a2)
-    G1 = fem.assemble_huber_jacobian(mesh, p, lambda x, y: np.ones_like(x), 0.2)
-    G2 = fem.assemble_huber_jacobian(mesh, p, lambda x, y: np.ones_like(x), 0.2)
+    G1 = fem.assemble_huber_jacobian(mesh, p, ones(ws), 0.2, ws=ws)
+    G2 = fem.assemble_huber_jacobian(mesh, p, ones(ws), 0.2, ws=ws)
     assert np.array_equal(G1, G2)

@@ -207,6 +207,14 @@ def test_grid_size_bounds():
             scenario("ex1_f1_a1", n=n)
 
 
+def test_study_needs_two_distinct_mesh_sizes():
+    # one size gave NaN rates and a repeated one a ZeroDivisionError; both
+    # are rejected before any solve
+    for sizes in ([4], [4, 4], [], [4, 8, 4]):
+        with pytest.raises(ValueError, match="two distinct mesh sizes"):
+            gc.convergence_study("ex1_f1_a1", sizes)
+
+
 def test_discrete_fields_measured_against_themselves():
     nspec = scenario("ex1_f1_a1", n=8)
     dp = gc.DiscreteProblem.from_spec(nspec)
