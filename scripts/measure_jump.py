@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 import gradcon as gc
+from gradcon import fem
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--meshes", type=int, nargs="+", default=[64, 128])
@@ -20,8 +21,7 @@ print(f"{'n':>5} {'h':>10} {'strip_mass':>11} {'max_jump':>9}")
 for n in args.meshes:
     dp = gc.DiscreteProblem.from_spec(gc.scenario("ex4_measure", n=n))
     sol, _ = gc.continuation_solve(dp)
-    ws = dp.workspace
-    mass = float(np.einsum("q,tq,t->", ws.rule.weights, dp.alpha_q - 1.0, ws.areas))
+    mass = fem.integrate(dp.workspace, dp.alpha_q - 1.0)
     x = (np.arange(n) + 0.5) / n
     above = sol.u[dp.mesh.locate_triangle(x, 0.5 + 0.25 / n)]
     below = sol.u[dp.mesh.locate_triangle(x, 0.5 - 0.25 / n)]

@@ -16,8 +16,7 @@ from .solver import (Diagnostics, DiscreteProblem, DiscreteSolution,
                      LineSearchStalled, MaxIterationsExceeded, SolverConfig,
                      SolverError, continuation_solve, diagnostics, newton_solve,
                      recover_u, recovered_gradient, residual, tau_schedule)
-from .evolution import (EvolutionSpec, Trajectory, conservation_report,
-                        run as run_evolution, step as evolution_step)
+from .evolution import EvolutionSpec, Trajectory, conservation_report, run as run_evolution
 
 __version__ = "0.1.0"
 
@@ -33,5 +32,4 @@ __all__ = [
     "SolverError", "continuation_solve", "diagnostics", "newton_solve",
     "recover_u", "recovered_gradient", "residual", "tau_schedule",
     "EvolutionSpec", "Trajectory", "conservation_report", "run_evolution",
-    "evolution_step",
 ]

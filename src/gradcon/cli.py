@@ -67,7 +67,8 @@ from .evolution import EvolutionSpec, conservation_report, run as run_evolution
 from .mesh import BOUNDARY_SIDES, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
-                       PresetSource, ProblemSpec, check_mesh_sizes, convergence_study, scenario)
+                       PresetSource, ProblemSpec, check_mesh_sizes, convergence_study,
+                       exact_solution_for, scenario)
 from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
 
 EXIT_OK = 0
@@ -242,8 +243,7 @@ def _parse_problem(raw, where: str) -> ProblemSpec:
                   source=_get(raw, "f", _parse_source, where))
 
 
-_SOLVER_KINDS = {"tau_start": float, "tau_factor": float, "tau_min": float,
-                 "newton_tol": float, "newton_max_iter": int}
+_SOLVER_KINDS = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
 
 
 def _parse_solver(raw, where: str) -> SolverConfig:
@@ -318,6 +318,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         if name is None:
             raise ConfigError("config.scenario: study mode needs a named scenario "
                               "with a closed-form solution")
+        _build(exact_solution_for, "config.scenario", name)
 
     evolution = _get(raw, "evolution", lambda v, w: _parse_evolution(v, w, problem, solver),
                      where, _REQUIRED if mode == "evolve" else None)

@@ -109,11 +109,7 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
     ("fallback").
     """
     k = t1 - t0
-    ws = dp.workspace
-    src = _rate_at(spec.rate, 0.5 * (t0 + t1))
-    rate_q = np.broadcast_to(
-        np.asarray(src.evaluate(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float),
-        ws.qpoints.shape[:2])
+    rate_q = fem.at_qpoints(dp.workspace, _rate_at(spec.rate, 0.5 * (t0 + t1)).evaluate)
     dp_step = dp.with_load(u_prev[:, None] + k * rate_q)
     if p_prev is not None:
         try:
@@ -142,7 +138,7 @@ def run(spec: EvolutionSpec) -> Trajectory:
         except SolverError as exc:
             raise type(exc)(f"evolution failed at step {n} over [{t0:g}, {t1:g}]: {exc.reason}",
                             exc.tau, exc.r1_norm, exc.r2_norm) from exc
-        poured = spec.dt * float(np.einsum("q,tq,t->", ws.rule.weights, rate_q, ws.areas))
+        poured = spec.dt * fem.integrate(ws, rate_q)
         mass = float(np.sum(ws.areas * sol.u))
         prev_mass = float(np.sum(ws.areas * u))
         traj.steps.append(StepDiagnostics(

@@ -19,7 +19,10 @@ interpolation) use 3-point Gauss.
 Assembly is pure given an immutable mesh.  Every op that reads the per-mesh
 basis tables takes their :class:`Workspace` as the required keyword ``ws``.
 The load and Huber kernels take scalar data as (nt, nq) arrays of values at
-``ws.qpoints``; ``project_p0`` and the error norms take callables ``f(x, y)``.
+the quadrature points; ``project_p0`` and the error norms take callables
+``f(x, y)``.  :func:`at_qpoints` and :func:`integrate` are the one way to
+sample a field on the quadrature rule and to integrate such samples over
+the domain, so no caller needs the layout of the quadrature tables.
 The quadrature sums are batched matrix products over triangles, with the
 basis table viewed as one (3, nq*2) matrix per triangle.  The Huber Jacobian
 is returned as its per-triangle element blocks; the solver adds them into a
@@ -106,10 +109,16 @@ def _check_mesh(mesh: Mesh, ws: Workspace) -> None:
         raise ValueError("workspace belongs to a different mesh")
 
 
-def _at_qpoints(f, ws: Workspace) -> np.ndarray:
-    """A callable scalar field evaluated at all quadrature points, (nt, nq)."""
+def at_qpoints(ws: Workspace, f) -> np.ndarray:
+    """A callable scalar field at all quadrature points, as a read-only (nt, nq) view."""
     vals = np.asarray(f(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float)
     return np.broadcast_to(vals, ws.qpoints.shape[:2])
+
+
+def integrate(ws: Workspace, *fields: np.ndarray) -> float:
+    """Domain integral of the product of (nt, nq) quadrature-point fields."""
+    subscripts = "q," + "tq," * len(fields) + "t->"
+    return float(np.einsum(subscripts, ws.rule.weights, *fields, ws.areas))
 
 
 def assemble_div(mesh: Mesh) -> sp.csr_matrix:
@@ -130,7 +139,7 @@ def assemble_load(mesh: Mesh, fq: np.ndarray, *, ws: Workspace) -> np.ndarray:
 def project_p0(mesh: Mesh, f, *, ws: Workspace) -> np.ndarray:
     """Cell means of a scalar field ``f(x, y)``."""
     _check_mesh(mesh, ws)
-    return _at_qpoints(f, ws) @ ws.rule.weights
+    return at_qpoints(ws, f) @ ws.rule.weights
 
 
 def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
@@ -208,8 +217,8 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
 def l2_error_p0(mesh: Mesh, u: np.ndarray, exact, *, ws: Workspace) -> float:
     """L2 distance between a P0 field and a scalar callback."""
     _check_mesh(mesh, ws)
-    diff = u[:, None] - _at_qpoints(exact, ws)
-    return float(np.sqrt(np.einsum("q,tq,t->", ws.rule.weights, diff**2, ws.areas)))
+    diff = u[:, None] - at_qpoints(ws, exact)
+    return float(np.sqrt(integrate(ws, diff**2)))
 
 
 def l2_error_rt0(mesh: Mesh, p: np.ndarray, exact, *, ws: Workspace) -> float:
@@ -217,5 +226,4 @@ def l2_error_rt0(mesh: Mesh, p: np.ndarray, exact, *, ws: Workspace) -> float:
     _check_mesh(mesh, ws)
     vals = np.asarray(exact(ws.qpoints[..., 0], ws.qpoints[..., 1]), dtype=float)
     diff = rt0_at_quadrature(ws, p) - vals
-    sq = np.einsum("tqd,tqd->tq", diff, diff)
-    return float(np.sqrt(np.einsum("q,tq,t->", ws.rule.weights, sq, ws.areas)))
+    return float(np.sqrt(integrate(ws, np.einsum("tqd,tqd->tq", diff, diff))))

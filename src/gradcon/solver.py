@@ -124,8 +124,8 @@ class DiscreteProblem:
     Bt: sp.csr_matrix
     areas: np.ndarray
     load: np.ndarray               # F
-    source_q: np.ndarray           # source at quadrature points (nt, nq)
-    alpha_q: np.ndarray            # bound at quadrature points (nt, nq)
+    source_q: np.ndarray           # source at quadrature points (nt, nq), read-only
+    alpha_q: np.ndarray            # bound at quadrature points (nt, nq), read-only
     alpha_c: np.ndarray            # bound at centroids (nt,)
     free: np.ndarray               # bool mask over edges, False where the flux is pinned
     schur_indptr: np.ndarray       # CSR pattern of S over the free edges
@@ -139,11 +139,8 @@ class DiscreteProblem:
         ws = fem.build_workspace(mesh)
         B = fem.assemble_div(mesh)
         areas = ws.areas
-        source_q = spec.source.evaluate(ws.qpoints[..., 0], ws.qpoints[..., 1])
-        source_q = np.broadcast_to(np.asarray(source_q, dtype=float),
-                                   ws.qpoints.shape[:2]).copy()
-        alpha_q = np.asarray(spec.alpha.evaluate(mesh, ws.qpoints[..., 0], ws.qpoints[..., 1]),
-                             dtype=float)
+        source_q = fem.at_qpoints(ws, spec.source.evaluate)
+        alpha_q = fem.at_qpoints(ws, lambda x, y: spec.alpha.evaluate(mesh, x, y))
         alpha_c = np.asarray(spec.alpha.evaluate(mesh, ws.centroids[:, 0], ws.centroids[:, 1]),
                              dtype=float)
         if np.any(alpha_q <= 0.0) or np.any(alpha_c <= 0.0):
@@ -295,13 +292,10 @@ def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.nda
 
 def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
     ws = dp.workspace
-    w = ws.rule.weights
-    pq = fem.rt0_at_quadrature(ws, p)
-    pnorm = np.linalg.norm(pq, axis=-1)
-    misfit = (dp.B @ p) / dp.areas
-    misfit = misfit[:, None] - dp.source_q
-    primal = 0.5 * float(np.einsum("q,tq,t->", w, misfit**2, ws.areas))
-    primal += float(np.einsum("q,tq,tq,t->", w, dp.alpha_q, pnorm, ws.areas))
+    pnorm = np.linalg.norm(fem.rt0_at_quadrature(ws, p), axis=-1)
+    misfit = ((dp.B @ p) / dp.areas)[:, None] - dp.source_q
+    primal = 0.5 * fem.integrate(ws, misfit**2)
+    primal += fem.integrate(ws, dp.alpha_q, pnorm)
     dual = float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
     grad = recovered_gradient(dp, p, tau)
     gnorm = np.linalg.norm(grad, axis=-1)

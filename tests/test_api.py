@@ -10,11 +10,11 @@ from gradcon import cli, evolution, fem, huber, linalg, solver
 # names deleted from the package (a dotted name is a class attribute); a stale
 # import or export of one should fail here
 REMOVED = {
-    "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig"),
+    "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step"),
     "gradcon.linalg": ("spmv",),
-    "gradcon.fem": ("rt0_eval", "assemble_mass_p0"),
+    "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids"),
-    "gradcon.problems": ("alpha_at", "alpha_values", "source_values"),
+    "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS"),
     "gradcon.solver": ("LineSearchConfig",),
 }
 

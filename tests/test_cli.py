@@ -276,6 +276,8 @@ CONFIG_ERRORS = {
     # one size wrote "rate_u": NaN into summary.json; a repeated one divided by zero, exit 1
     "mesh-sizes-single": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4]},
     "mesh-sizes-repeated": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4, 4]},
+    # a study needs a closed form; this one ended in a ValueError traceback, exit 1
+    "study-no-closed-form": {"mode": "study", "scenario": "ex2_a25", "mesh_sizes": [2, 4]},
 }
 
 # where the message of each strict-reader case must point
@@ -294,6 +296,7 @@ CONFIG_ERROR_KEYS = {
     "mesh-size-too-large": "config.mesh_sizes:",
     "mesh-sizes-single": "config.mesh_sizes:",
     "mesh-sizes-repeated": "config.mesh_sizes:",
+    "study-no-closed-form": "config.scenario: scenario 'ex2_a25' has no closed-form solution",
 }
 
 
@@ -311,6 +314,15 @@ def test_main_config_error_exit_code(tmp_path, capsys):
         code = main(["solve", "--scenario", "ex1_f1_a1", flag, value,
                      "--out", str(tmp_path / "flags")])
         assert code == cli.EXIT_CONFIG, flag
+
+
+def test_main_study_without_closed_form_exit_code(tmp_path, capsys):
+    for name in ("ex1_f1_ajump", "ex2_a25", "ex2_a15", "ex4_measure"):
+        cfg = write_config(tmp_path, {"mode": "study", "scenario": name, "mesh_sizes": [2, 4]},
+                           name=f"{name}.json")
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / name)]) == cli.EXIT_CONFIG
+        assert f"config.scenario: scenario {name!r} has no closed-form" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
 
 
 VALID_CONFIG = {

@@ -111,13 +111,20 @@ def test_p0_mass_diagonal():
     assert np.all(areas > 0)
 
 
-def at_qpoints(ws, f):
-    """A scalar field f(x, y) as the (nt, nq) array the kernels integrate."""
-    return f(ws.qpoints[..., 0], ws.qpoints[..., 1])
-
-
 def ones(ws):
     return np.ones(ws.qpoints.shape[:2])
+
+
+def test_integrate_is_the_quadrature_sum():
+    mesh = build_rect_mesh(UNIT_SQUARE, 5, 3)
+    ws = fem.build_workspace(mesh)
+    a, b = np.random.default_rng(0).normal(size=(2, *ws.qpoints.shape[:2]))
+    w = ws.rule.weights
+    assert fem.integrate(ws, a) == float(np.einsum("q,tq,t->", w, a, ws.areas))
+    assert fem.integrate(ws, a, b) == float(np.einsum("q,tq,tq,t->", w, a, b, ws.areas))
+    # the rule is exact for degree 4: x^2 y^2 over the unit square is 1/9
+    assert fem.integrate(ws, fem.at_qpoints(ws, lambda x, y: x**2 * y**2)) == pytest.approx(
+        1.0 / 9.0, rel=0.0, abs=1e-14)
 
 
 def test_load_constant_one():
@@ -137,7 +144,7 @@ def test_load_zero():
 def test_load_upper_half_indicator():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
     ws = fem.build_workspace(mesh)
-    F = fem.assemble_load(mesh, at_qpoints(ws, lambda x, y: np.where(y >= 0.5, 0.25, 0.0)),
+    F = fem.assemble_load(mesh, fem.at_qpoints(ws, lambda x, y: np.where(y >= 0.5, 0.25, 0.0)),
                           ws=ws)
     centroids = ws.centroids
     upper = centroids[:, 1] > 0.5

@@ -7,7 +7,7 @@ from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
 from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane,
                               HalfPlaneSource, MeasureLineAlpha,
                               MAX_CELLS, PiecewiseAlpha, PresetSource,
-                              exact_solution_ex1, scenario)
+                              exact_solution_ex1, exact_solution_for, scenario)
 
 
 def test_constant_alpha():
@@ -57,8 +57,8 @@ def test_measure_line_mass():
     spec = MeasureLineAlpha(line_y=0.5, weight=100.0, base=1.0)
     mesh = build_rect_mesh(UNIT_SQUARE, 256, 256)
     ws = fem.build_workspace(mesh)
-    aq = spec.evaluate(mesh, ws.qpoints[..., 0], ws.qpoints[..., 1])
-    mass = float(np.einsum("q,tq,t->", ws.rule.weights, aq - 1.0, ws.areas))
+    aq = fem.at_qpoints(ws, lambda x, y: spec.evaluate(mesh, x, y))
+    mass = fem.integrate(ws, aq - 1.0)
     assert mass == pytest.approx(100.0, rel=0.05)
 
 
@@ -180,6 +180,27 @@ def test_scenarios_complete():
         spec = scenario(name, n=4)
         assert spec.nx == spec.ny == 4
         assert spec.boundary.gamma_n_sides == frozenset()
+
+
+def test_scenario_table_order_and_closed_forms():
+    assert gc.SCENARIOS == ("ex1_f1_a1", "ex1_f025_a1", "ex1_f01_a1", "ex1_f1_a05",
+                            "ex1_f1_ajump", "ex2_a25", "ex2_a15", "ex4_measure")
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7))
+    closed = []
+    for name in gc.SCENARIOS:
+        spec = scenario(name, n=4)
+        try:
+            u, p = exact_solution_for(name)
+        except ValueError as exc:
+            assert "no closed-form solution" in str(exc), name
+            continue
+        closed.append(name)
+        # the closed form is the one of the scenario's own constant data
+        u_ref, p_ref = exact_solution_ex1(spec.source.value, spec.alpha.value)
+        assert np.array_equal(u(x, y), u_ref(x, y)) and np.array_equal(p(x, y), p_ref(x, y))
+    assert closed == ["ex1_f1_a1", "ex1_f025_a1", "ex1_f01_a1", "ex1_f1_a05"]
+    with pytest.raises(ValueError):
+        exact_solution_for("ex9_unknown")
 
 
 def test_scenario_fields():
