@@ -44,8 +44,8 @@ error, 3 solver failure, 4 I/O failure; every solver failure is a
 ``SolverError`` naming the failing tau (and, in evolve mode, the step and
 its interval).
 
-The written VTK and CSV files are byte-stable for a fixed config; the JSON
-summary is stable except for its wall-time field.
+The VTK and CSV files are byte-stable for a fixed config, the JSON summary
+except for its wall time; its nx/ny name the grid solved (a study's finest).
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def export_vtk(mesh: Mesh, u: np.ndarray, p: np.ndarray, path, *,
 
     grad_u_mag is |alpha_c dphi_tau(p)| at the centroids.
     """
-    pc = fem.rt0_at_centroids(fem.build_workspace(mesh), p)
+    pc = fem.rt0_at_centroids(mesh, p)
     grad_mag = alpha_c * np.linalg.norm(huber.dphi(pc, tau), axis=-1)
 
     lines = [
@@ -426,9 +426,9 @@ def _run_study(cfg: RunConfig, out) -> RunSummary:
     wall = time.perf_counter() - start
     if "csv" in cfg.formats:
         export_study_csv(study, out / "study.csv")
+    n = max(study.mesh_sizes)
     return RunSummary(
-        mode="study", scenario=cfg.scenario_name,
-        nx=cfg.problem.nx, ny=cfg.problem.ny,
+        mode="study", scenario=cfg.scenario_name, nx=n, ny=n,
         tau_table=[], final_residuals={},
         primal_value=None, dual_value=None, duality_gap=None,
         wall_time_s=wall,

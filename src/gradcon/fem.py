@@ -23,8 +23,9 @@ the quadrature points; ``project_p0`` and the error norms take callables
 ``f(x, y)``.  :func:`at_qpoints` and :func:`integrate` are the one way to
 sample a field on the quadrature rule and to integrate such samples over
 the domain, so no caller needs the layout of the quadrature tables.
-The quadrature sums are batched matrix products over triangles, with the
-basis table viewed as one (3, nq*2) matrix per triangle.  The Huber Jacobian
+The one basis table is stored as one (3, nq*2) matrix per triangle, and the
+quadrature sums are batched matrix products with it.  Centroid values come
+from the mesh's two cell shapes instead of a table.  The Huber Jacobian
 is returned as its per-triangle element blocks; the solver adds them into a
 sparsity pattern it fixes once per mesh.
 """
@@ -76,32 +77,32 @@ class Workspace:
     areas: np.ndarray          # (nt,)
     centroids: np.ndarray      # (nt, 2)
     qpoints: np.ndarray        # (nt, nq, 2)
-    psi: np.ndarray            # (nt, 3, nq, 2) signed RT0 basis at qpoints
-    psi_centroid: np.ndarray   # (nt, 3, 2)
+    psi: np.ndarray            # (nt, 3, nq*2) signed RT0 basis at qpoints, (q, d) flattened
+
+
+def _areas_and_basis(coords: np.ndarray, signs: np.ndarray, points: np.ndarray):
+    """Areas of triangles (m, 3, 2) and their basis at points (m, n, 2) as (m, 3, n*2)."""
+    e01, e02 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    areas = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
+    # local edge slot k joins vertices k, k+1; opposite vertex is k+2
+    opp = coords[:, [2, 0, 1], :]                   # (m, 3, 2)
+    scale = (signs / (2.0 * areas)[:, None])[:, :, None]
+    # with (x, d) flattened the broadcast runs over rows of n*2 values
+    return areas, scale * (points.reshape(len(points), 1, -1) - np.tile(opp, points.shape[1]))
 
 
 def build_workspace(mesh: Mesh) -> Workspace:
     rule = TRI_QUADRATURE
     coords = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    e01 = coords[:, 1] - coords[:, 0]
-    e02 = coords[:, 2] - coords[:, 0]
-    areas = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
     centroids = (coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3.0
     # summed vertex by vertex: a matmul is faster still but rounds otherwise,
     # which moves quadrature points lying on a jump line such as x + y = 1
     # across it
     qpoints = np.stack([sum(coords[:, k, d, None] * rule.points[:, k] for k in range(3))
                         for d in range(2)], axis=-1)
-    nt, nq = qpoints.shape[:2]
-    # local edge slot k joins vertices k, k+1; opposite vertex is k+2
-    opp = coords[:, [2, 0, 1], :]                   # (nt, 3, 2)
-    scale = (mesh.tri_edge_signs / (2.0 * areas)[:, None])[:, :, None]
-    # with (q, d) flattened the broadcast runs over rows of nq*2 values
-    psi = scale * (qpoints.reshape(nt, 1, 2 * nq) - np.tile(opp, nq))
-    psi = psi.reshape(nt, 3, nq, 2)
-    psi_c = scale * (centroids[:, None, :] - opp)
+    areas, psi = _areas_and_basis(coords, mesh.tri_edge_signs, qpoints)
     return Workspace(mesh=mesh, rule=rule, areas=areas, centroids=centroids,
-                     qpoints=qpoints, psi=psi, psi_centroid=psi_c)
+                     qpoints=qpoints, psi=psi)
 
 
 def _check_mesh(mesh: Mesh, ws: Workspace) -> None:
@@ -160,12 +161,6 @@ def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
     return dofs * mesh.edge_lengths
 
 
-def _psi_flat(ws: Workspace) -> np.ndarray:
-    """The basis table as one (3, nq*2) matrix per triangle (a view)."""
-    nt, _, nq, _ = ws.psi.shape
-    return ws.psi.reshape(nt, 3, 2 * nq)
-
-
 def _transposed(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
@@ -173,12 +168,20 @@ def _transposed(a: np.ndarray) -> np.ndarray:
 def rt0_at_quadrature(ws: Workspace, p: np.ndarray) -> np.ndarray:
     """RT0 field values at all quadrature points, shape (nt, nq, 2)."""
     coeffs = p[ws.mesh.tri_edges][:, None, :]  # (nt, 1, 3)
-    return (coeffs @ _psi_flat(ws)).reshape(ws.qpoints.shape)
+    return (coeffs @ ws.psi).reshape(ws.qpoints.shape)
 
 
-def rt0_at_centroids(ws: Workspace, p: np.ndarray) -> np.ndarray:
-    coeffs = p[ws.mesh.tri_edges]
-    return np.einsum("tk,tkd->td", coeffs, ws.psi_centroid)
+def rt0_at_centroids(mesh: Mesh, p: np.ndarray) -> np.ndarray:
+    """RT0 field values at the cell centroids, shape (nt, 2).
+
+    Every even triangle is a translate of triangle 0 and every odd one of
+    triangle 1, edge signs included, so those two shapes serve every cell.
+    """
+    coords = mesh.vertices[mesh.triangles[:2]]      # (2, 3, 2)
+    centroids = coords.mean(axis=1)[:, None]        # (2, 1, 2)
+    _, shapes = _areas_and_basis(coords, mesh.tri_edge_signs[:2], centroids)
+    coeffs = p[mesh.tri_edges].reshape(-1, 2, 3)
+    return np.stack([coeffs[:, 0] @ shapes[0], coeffs[:, 1] @ shapes[1]], axis=1).reshape(-1, 2)
 
 
 def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
@@ -187,7 +190,7 @@ def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     _check_mesh(mesh, ws)
     g = huber.dphi(rt0_at_quadrature(ws, p), tau)
     g *= (ws.areas[:, None] * ws.rule.weights * aq)[..., None]
-    elem = _psi_flat(ws) @ g.reshape(len(g), -1, 1)      # (nt, 3, 1)
+    elem = ws.psi @ g.reshape(len(g), -1, 1)            # (nt, 3, 1)
     return np.bincount(mesh.tri_edges.ravel(), elem.ravel(), minlength=mesh.num_edges)
 
 
@@ -207,9 +210,8 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     # as two batched (3, m) @ (m, 3) products; with a transposed view as the
     # right operand matmul runs ~3x slower than with a contiguous copy
     wa = ws.areas[:, None] * ws.rule.weights * aq           # (nt, nq)
-    psi = _psi_flat(ws)                                     # (nt, 3, nq*2)
-    pk = ws.psi[..., 0] * pq[:, None, :, 0] + ws.psi[..., 1] * pq[:, None, :, 1]  # psi_k.p
-    blocks = (psi * np.repeat(wa * iso, 2, axis=1)[:, None, :]) @ _transposed(psi)
+    pk = ws.psi[..., 0::2] * pq[:, None, :, 0] + ws.psi[..., 1::2] * pq[:, None, :, 1]  # psi_k.p
+    blocks = (ws.psi * np.repeat(wa * iso, 2, axis=1)[:, None, :]) @ _transposed(ws.psi)
     blocks -= (pk * (wa * rank1)[:, None, :]) @ _transposed(pk)
     return blocks
 

@@ -83,7 +83,5 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10):
                 spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))):
             return x, LinearSolveReport(res, lu.nnz, regularized)
 
-    raise LinearSolveError(
-        f"SPD solve failed to reach tol={tol:g} (regularized retry: {lu is not None})",
-        achieved_residual=res,
-    )
+    outcome = "factorization broke down" if lu is None else "solution missed tol"
+    raise LinearSolveError(f"SPD solve failed to reach tol={tol:g} (shifted {outcome})", res)

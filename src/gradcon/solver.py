@@ -286,7 +286,7 @@ class DiscreteSolution:
 
 def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
     """Per-cell gradient reconstruction -alpha * dphi_tau(p_h) at centroids."""
-    pc = fem.rt0_at_centroids(dp.workspace, p)
+    pc = fem.rt0_at_centroids(dp.mesh, p)
     return -dp.alpha_c[:, None] * huber.dphi(pc, tau)
 
 

@@ -12,7 +12,7 @@ from gradcon import cli, evolution, fem, huber, linalg, solver
 REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step"),
     "gradcon.linalg": ("spmv",),
-    "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints"),
+    "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids"),
     "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS"),
     "gradcon.solver": ("LineSearchConfig",),
@@ -58,6 +58,10 @@ def test_removed_options_are_gone():
         assert ws.kind is inspect.Parameter.KEYWORD_ONLY, op.__name__
         assert ws.default is inspect.Parameter.empty, op.__name__
     assert not hasattr(fem, "_scalar_at_quadrature")
+    # one basis table, no centroid table; centroid values come from the mesh
+    assert [f.name for f in dataclasses.fields(fem.Workspace)] == [
+        "mesh", "rule", "areas", "centroids", "qpoints", "psi"]
+    assert next(iter(inspect.signature(fem.rt0_at_centroids).parameters)) == "mesh"
     # d2phi is built from the one weight function the Jacobian uses
     v = np.random.default_rng(0).normal(size=(50, 2))
     for tau in (0.3, 1.0, 3.0):

@@ -120,6 +120,21 @@ def test_export_vtk_unit_mesh_zero_fields(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_export_vtk_builds_no_workspace(tmp_path, monkeypatch):
+    mesh = build_rect_mesh(UNIT_SQUARE, 3, 2)
+    u = np.arange(mesh.num_triangles, dtype=float)
+    p = np.random.default_rng(2).normal(size=mesh.num_edges)
+    kwargs = dict(alpha_c=np.ones(mesh.num_triangles), tau=0.1)
+    export_vtk(mesh, u, p, tmp_path / "before.vtk", **kwargs)
+
+    def refuse(mesh):
+        raise AssertionError("export_vtk built a workspace")
+
+    monkeypatch.setattr(cli.fem, "build_workspace", refuse)
+    export_vtk(mesh, u, p, tmp_path / "after.vtk", **kwargs)
+    assert (tmp_path / "after.vtk").read_bytes() == (tmp_path / "before.vtk").read_bytes()
+
+
 def test_export_study_csv_rows(tmp_path):
     study = StudyResult(mesh_sizes=(8, 16), h=(0.125, 0.0625),
                         err_u=(2e-2, 1e-2), err_p=(3e-2, 1.5e-2),
@@ -180,6 +195,7 @@ def test_main_study_end_to_end(tmp_path):
     assert len(lines) == 4
     summary = json.loads((out / "summary.json").read_text())
     assert summary["extra"]["rate_u"] > 0.5
+    assert summary["nx"] == summary["ny"] == 8    # the finest grid solved
 
 
 def test_main_evolve_end_to_end(tmp_path):

@@ -44,7 +44,7 @@ def test_rt0_reproduces_constants():
         [np.ones_like(x), np.zeros_like(y)], axis=-1))
     ws = fem.build_workspace(mesh)
     assert np.allclose(fem.rt0_at_quadrature(ws, p), [1.0, 0.0], atol=1e-13)
-    assert np.allclose(fem.rt0_at_centroids(ws, p), [1.0, 0.0], atol=1e-13)
+    assert np.allclose(fem.rt0_at_centroids(mesh, p), [1.0, 0.0], atol=1e-13)
 
 
 def test_rt0_zero_field():
@@ -52,7 +52,7 @@ def test_rt0_zero_field():
     p = np.zeros(mesh.num_edges)
     ws = fem.build_workspace(mesh)
     assert np.array_equal(fem.rt0_at_quadrature(ws, p), np.zeros(ws.qpoints.shape))
-    assert np.array_equal(fem.rt0_at_centroids(ws, p), np.zeros(ws.centroids.shape))
+    assert np.array_equal(fem.rt0_at_centroids(mesh, p), np.zeros(ws.centroids.shape))
 
 
 def test_rt0_identity_field_at_centroids():
@@ -60,9 +60,32 @@ def test_rt0_identity_field_at_centroids():
     mesh = build_rect_mesh(UNIT_SQUARE, 3, 2)
     p = fem.interpolate_rt0(mesh, lambda x, y: np.stack([x, y], axis=-1))
     ws = fem.build_workspace(mesh)
-    values = fem.rt0_at_centroids(ws, p)
+    values = fem.rt0_at_centroids(mesh, p)
     assert np.allclose(values, ws.centroids, atol=1e-13)
     assert np.allclose(fem.rt0_at_quadrature(ws, p), ws.qpoints, atol=1e-13)
+
+
+@pytest.mark.parametrize("rect, nx, ny", [
+    (Rect(-3.0, 10.0, 7.0, 11.0), 6, 4), (UNIT_SQUARE, 1, 1), (UNIT_SQUARE, 16, 16)])
+def test_rt0_at_centroids_matches_per_triangle_basis(rect, nx, ny):
+    mesh = build_rect_mesh(rect, nx, ny)
+    p = np.random.default_rng(nx * ny).normal(size=mesh.num_edges)
+    coords = mesh.vertices[mesh.triangles]
+    ref = np.zeros((mesh.num_triangles, 2))
+    for t, (a, b, c) in enumerate(coords):
+        area = 0.5 * ((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
+        centroid = (a + b + c) / 3.0
+        for k in range(3):
+            opp = coords[t, (k + 2) % 3]
+            sign = mesh.tri_edge_signs[t, k]
+            ref[t] += p[mesh.tri_edges[t, k]] * sign * (centroid - opp) / (2.0 * area)
+    values = fem.rt0_at_centroids(mesh, p)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(values - ref)) <= 1e-12 * scale
+    # an RT0 field is affine on each triangle: its centroid value is its mean
+    ws = fem.build_workspace(mesh)
+    mean = np.einsum("q,tqd->td", ws.rule.weights, fem.rt0_at_quadrature(ws, p))
+    assert np.max(np.abs(values - mean)) <= 1e-12 * scale
 
 
 def test_interpolate_constant_field_dofs():
@@ -219,11 +242,19 @@ def global_jacobian(mesh, blocks):
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
 
 
+def closed_form_basis(ws):
+    """psi_k(x) = sign_k (x - v_opp) / (2|T|) at the quadrature points, (nt, 3, nq, 2)."""
+    opp = ws.mesh.vertices[ws.mesh.triangles][:, [2, 0, 1]]  # opposite local edge k
+    scale = ws.mesh.tri_edge_signs / (2.0 * ws.areas[:, None])
+    return scale[:, :, None, None] * (ws.qpoints[:, None] - opp[:, :, None])
+
+
 def einsum_residual(ws, p, aq, tau):
     """Huber residual as a plain einsum contraction, the reference formula."""
-    pq = np.einsum("tk,tkqd->tqd", p[ws.mesh.tri_edges], ws.psi)
+    psi = closed_form_basis(ws)
+    pq = np.einsum("tk,tkqd->tqd", p[ws.mesh.tri_edges], psi)
     g = huber.dphi(pq, tau)
-    elem = np.einsum("q,tq,tqd,tkqd->tk", ws.rule.weights, aq, g, ws.psi,
+    elem = np.einsum("q,tq,tqd,tkqd->tk", ws.rule.weights, aq, g, psi,
                      optimize=True) * ws.areas[:, None]
     out = np.zeros(ws.mesh.num_edges)
     np.add.at(out, ws.mesh.tri_edges, elem)
@@ -232,15 +263,16 @@ def einsum_residual(ws, p, aq, tau):
 
 def einsum_jacobian_blocks(ws, p, aq, tau):
     """Huber Jacobian element blocks as plain einsum contractions, the reference."""
-    pq = np.einsum("tk,tkqd->tqd", p[ws.mesh.tri_edges], ws.psi)
+    psi = closed_form_basis(ws)
+    pq = np.einsum("tk,tkqd->tqd", p[ws.mesh.tri_edges], psi)
     r = np.linalg.norm(pq, axis=-1)
     quad = r <= tau
     safe_r = np.where(quad, 1.0, r)
     iso = np.where(quad, 1.0 / tau, 1.0 / safe_r)
     rank1 = np.where(quad, 0.0, 1.0 / safe_r**3)
     w = ws.rule.weights
-    blocks = np.einsum("q,tq,tq,tkqd,tlqd->tkl", w, aq, iso, ws.psi, ws.psi, optimize=True)
-    pk = np.einsum("tkqd,tqd->tkq", ws.psi, pq, optimize=True)
+    blocks = np.einsum("q,tq,tq,tkqd,tlqd->tkl", w, aq, iso, psi, psi, optimize=True)
+    pk = np.einsum("tkqd,tqd->tkq", psi, pq, optimize=True)
     blocks -= np.einsum("q,tq,tq,tkq,tlq->tkl", w, aq, rank1, pk, pk, optimize=True)
     return blocks * ws.areas[:, None, None]
 
@@ -256,7 +288,7 @@ def test_matmul_assembly_matches_einsum_reference():
     r = np.linalg.norm(fem.rt0_at_quadrature(ws, p), axis=-1)
     assert np.any(r <= tau) and np.any(r > tau)
     assert np.allclose(fem.rt0_at_quadrature(ws, p),
-                       np.einsum("tk,tkqd->tqd", p[mesh.tri_edges], ws.psi),
+                       np.einsum("tk,tkqd->tqd", p[mesh.tri_edges], closed_form_basis(ws)),
                        rtol=0.0, atol=1e-15)
     res = fem.assemble_huber_residual(mesh, p, aq, tau, ws=ws)
     ref = einsum_residual(ws, p, aq, tau)

@@ -61,10 +61,21 @@ def test_solve_zero_rhs():
 
 
 def test_singular_matrix_raises_with_residual():
+    # a zero diagonal entry stays zero under the shift: both factorizations break down
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(LinearSolveError) as err:
+    with pytest.raises(LinearSolveError, match="shifted factorization broke down") as err:
         solve_spd(A, np.array([1.0, 1.0]))
-    assert err.value.achieved_residual >= 0.0 or np.isinf(err.value.achieved_residual)
+    assert np.isinf(err.value.achieved_residual)
+
+
+def test_shifted_solution_missing_tol_is_named():
+    # an SPD system factors with the shift too, but no solution meets tol=1e-300
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(20, 20))
+    A = sp.csr_matrix(G @ G.T + 20.0 * np.eye(20))
+    with pytest.raises(LinearSolveError, match="shifted solution missed tol") as err:
+        solve_spd(A, rng.normal(size=20), tol=1e-300)
+    assert 0.0 < err.value.achieved_residual < np.inf
 
 
 def test_regularized_retry_handles_rank_deficiency():
