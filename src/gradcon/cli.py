@@ -456,8 +456,9 @@ def _run_evolve(cfg: RunConfig, out) -> RunSummary:
                                        "r2": last.residual_norms[-1][1]},
         primal_value=None, dual_value=None, duality_gap=None,
         wall_time_s=wall,
-        extra={"times": list(traj.times),
-               "masses": [float(np.sum(traj.problem.areas * u)) for u in traj.u],
+        extra={"times": traj.times,
+               "masses": [float(np.sum(traj.problem.areas * traj.u[0]))]
+                         + [s.mass for s in traj.steps],
                "mass_balances": balances,
                "steps": len(traj.steps)})
 

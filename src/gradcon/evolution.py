@@ -4,7 +4,8 @@ Each step solves one stationary problem whose load is built from the
 previous state: testing the backward-difference inequality against the
 feasible set gives a projection of ``u_prev + integral of the rate over the
 step``, so the previous state enters with weight one.  The step integral of
-the rate uses the midpoint rule.
+the rate uses the midpoint rule.  :func:`step` returns the step's record,
+whose poured mass uses the step's own length ``t1 - t0``, as the load does.
 
 From the second step on, a step first runs only the last ``WARM_STAGES``
 stages of the continuation schedule, starting from the previous step's
@@ -69,16 +70,20 @@ class StepDiagnostics:
     tau_final: float
     max_gradient_ratio: float
     start: str                     # "cold", "warm", or "fallback" (warm tail failed)
+    discarded_newton_steps: int    # Newton steps of a failed warm tail; 0 unless "fallback"
 
 
 @dataclass
 class Trajectory:
     spec: EvolutionSpec
-    times: list
     u: list
     p: list
     steps: list                    # StepDiagnostics, one per step
     problem: DiscreteProblem
+
+    @property
+    def times(self) -> list:
+        return [0.0] + [s.t for s in self.steps]
 
 
 def _rate_at(rate, t: float):
@@ -100,60 +105,54 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
          t0: float, t1: float, p_prev: np.ndarray | None = None):
     """Advance one implicit-Euler step over [t0, t1].
 
-    Returns (DiscreteSolution, Diagnostics, rate_q, start): the stationary
-    solve with the effective load of this step, its last-stage diagnostics,
-    the midpoint rate poured over the step at the quadrature points, and
-    the path that solved it.  Without ``p_prev`` the full schedule runs from
-    zero ("cold").  With it, the last ``WARM_STAGES`` stages run from
-    ``p_prev`` ("warm"), and a failure there reruns the full schedule
-    ("fallback").
+    Returns (DiscreteSolution, StepDiagnostics): the stationary solve with
+    the effective load of this step, and its record, whose poured mass uses
+    the step's length ``k = t1 - t0`` as the load does.  Without ``p_prev``
+    the full schedule runs from zero ("cold").  With it, the last
+    ``WARM_STAGES`` stages run from ``p_prev`` ("warm"), and a failure there
+    reruns the full schedule ("fallback").
     """
     k = t1 - t0
     rate_q = fem.at_qpoints(dp.workspace, _rate_at(spec.rate, 0.5 * (t0 + t1)).evaluate)
     dp_step = dp.with_load(u_prev[:, None] + k * rate_q)
+    start, discarded = "cold", 0
     if p_prev is not None:
         try:
             sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev,
                                            taus=tau_schedule(spec.config)[-WARM_STAGES:])
-            return sol, diag, rate_q, "warm"
-        except SolverError:
-            pass
-    sol, diag = continuation_solve(dp_step, spec.config)
-    return sol, diag, rate_q, "cold" if p_prev is None else "fallback"
+            start = "warm"
+        except SolverError as exc:
+            start, discarded = "fallback", exc.newton_steps
+    if start != "warm":
+        sol, diag = continuation_solve(dp_step, spec.config)
+    poured = k * fem.integrate(dp.workspace, rate_q)
+    mass = float(np.sum(dp.areas * sol.u))
+    return sol, StepDiagnostics(
+        t=t1, poured=poured, mass=mass,
+        mass_balance=mass - float(np.sum(dp.areas * u_prev)) - poured,
+        newton_iterations=sol.newton_iterations,
+        residual_norms=sol.residual_norms,
+        tau_final=sol.tau_final,
+        max_gradient_ratio=diag.max_gradient_ratio,
+        start=start, discarded_newton_steps=discarded)
 
 
 def run(spec: EvolutionSpec) -> Trajectory:
     """March ceil(t_final / dt) steps; frame n sits at time n * dt."""
     dp = DiscreteProblem.from_spec(spec.problem)
-    ws = dp.workspace
-    u = _initial_state(spec, dp)
     n_steps = math.ceil(spec.t_final / spec.dt - 1e-12)
-    traj = Trajectory(spec=spec, times=[0.0], u=[u], p=[np.zeros(dp.mesh.num_edges)],
-                      steps=[], problem=dp)
+    traj = Trajectory(spec=spec, u=[_initial_state(spec, dp)],
+                      p=[np.zeros(dp.mesh.num_edges)], steps=[], problem=dp)
     for n in range(1, n_steps + 1):
         t0, t1 = (n - 1) * spec.dt, n * spec.dt
         try:
-            sol, diag, rate_q, start = step(u, dp, spec, t0, t1,
-                                            traj.p[-1] if n > 1 else None)
+            sol, record = step(traj.u[-1], dp, spec, t0, t1, traj.p[-1] if n > 1 else None)
         except SolverError as exc:
             raise type(exc)(f"evolution failed at step {n} over [{t0:g}, {t1:g}]: {exc.reason}",
-                            exc.tau, exc.r1_norm, exc.r2_norm) from exc
-        poured = spec.dt * fem.integrate(ws, rate_q)
-        mass = float(np.sum(ws.areas * sol.u))
-        prev_mass = float(np.sum(ws.areas * u))
-        traj.steps.append(StepDiagnostics(
-            t=t1, poured=poured, mass=mass,
-            mass_balance=mass - prev_mass - poured,
-            newton_iterations=sol.newton_iterations,
-            residual_norms=sol.residual_norms,
-            tau_final=sol.tau_final,
-            max_gradient_ratio=diag.max_gradient_ratio,
-            start=start,
-        ))
-        traj.times.append(t1)
+                            exc.tau, exc.r1_norm, exc.r2_norm, exc.newton_steps) from exc
+        traj.steps.append(record)
         traj.u.append(sol.u)
         traj.p.append(sol.p)
-        u = sol.u
     return traj
 
 

@@ -26,26 +26,25 @@ def phi(v, tau: float):
     return np.where(r <= tau, r * r / (2.0 * tau), r - 0.5 * tau)
 
 
-def dphi(v, tau: float):
-    """Gradient of ``phi``: v/tau inside, v/|v| outside; |dphi| <= 1."""
+def _weights(v, tau: float):
+    """(quad, safe_r, iso): the inside mask, |v| guarded to 1 inside, and 1/tau or 1/|v|."""
     tau = _check_tau(tau)
-    v = np.asarray(v, dtype=float)
     r = np.linalg.norm(v, axis=-1)
     quad = r <= tau
     safe_r = np.where(quad, 1.0, r)  # outside branch has r > tau > 0
-    scale = np.where(quad, 1.0 / tau, 1.0 / safe_r)
-    return v * scale[..., None]
+    return quad, safe_r, np.where(quad, 1.0 / tau, 1.0 / safe_r)
+
+
+def dphi(v, tau: float):
+    """Gradient of ``phi``: v/tau inside, v/|v| outside; |dphi| <= 1."""
+    v = np.asarray(v, dtype=float)
+    return v * _weights(v, tau)[2][..., None]
 
 
 def hessian_weights(v, tau: float):
     """(iso, rank1) with ``d2phi(v) = iso I - rank1 v v^T``, each of shape v.shape[:-1]."""
-    tau = _check_tau(tau)
-    r = np.linalg.norm(v, axis=-1)
-    quad = r <= tau
-    safe_r = np.where(quad, 1.0, r)
-    iso = np.where(quad, 1.0 / tau, 1.0 / safe_r)
-    rank1 = np.where(quad, 0.0, 1.0 / safe_r**3)
-    return iso, rank1
+    quad, safe_r, iso = _weights(v, tau)
+    return iso, np.where(quad, 0.0, 1.0 / safe_r**3)
 
 
 def d2phi(v, tau: float):

@@ -81,12 +81,14 @@ def tau_schedule(config: SolverConfig) -> np.ndarray:
 class SolverError(RuntimeError):
     """Any failed solve: its ``reason``, the failing tau and (|r1|, |r2|) there."""
 
-    def __init__(self, reason: str, tau: float, r1_norm: float, r2_norm: float):
+    def __init__(self, reason: str, tau: float, r1_norm: float, r2_norm: float,
+                 newton_steps: int = 0):
         super().__init__(f"{reason} (tau={tau:.3e}, |r1|={r1_norm:.3e}, |r2|={r2_norm:.3e})")
         self.reason = reason
         self.tau = tau
         self.r1_norm = r1_norm
         self.r2_norm = r2_norm
+        self.newton_steps = newton_steps        # linear solves the failed schedule made
 
 
 class MaxIterationsExceeded(SolverError):
@@ -236,14 +238,15 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     while not rnorm <= config.newton_tol:      # a NaN residual is not converged
         if iterations >= config.newton_max_iter:
             raise MaxIterationsExceeded("Newton did not converge", tau,
-                                        *residual_norms(dp, p, rnorm))
+                                        *residual_norms(dp, p, rnorm), iterations)
         S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau,
                                                  ws=dp.workspace))
         step = np.zeros_like(p)
         try:
             step[dp.free] = linalg.solve_spd(S, -r[dp.free])[0]
         except linalg.LinearSolveError as exc:
-            raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm)) from exc
+            raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm),
+                              iterations + 1) from exc
 
         merit0 = rnorm * rnorm
         s = 1.0
@@ -258,7 +261,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
             s *= LS_SHRINK
         if not accepted:
             raise LineSearchStalled("line search made no progress", tau,
-                                    *residual_norms(dp, p, rnorm))
+                                    *residual_norms(dp, p, rnorm), iterations + 1)
         p, r, rnorm = trial, r_trial, float(np.sqrt(m_trial))
         iterations += 1
     return p, iterations, rnorm
@@ -299,7 +302,7 @@ def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -
     dual = float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
     grad = recovered_gradient(dp, p, tau)
     gnorm = np.linalg.norm(grad, axis=-1)
-    ratio = float(np.max(gnorm / dp.alpha_c)) if len(gnorm) else 0.0
+    ratio = float(np.max(gnorm / dp.alpha_c))
     violation = float(np.sum(dp.areas * np.maximum(0.0, gnorm - dp.alpha_c)))
     return Diagnostics(primal_value=primal, dual_value=dual,
                        duality_gap=primal - dual,
@@ -320,7 +323,8 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     which extrapolates only between converged stages; on the geometric
     schedule the step is (p_k - p_{k-1}) / tau_factor.  The diagnostics
     returned are those of the last stage.  A failing stage raises
-    :class:`SolverError` naming its tau.
+    :class:`SolverError` naming its tau and counting the schedule's Newton
+    steps.
     """
     config = config or SolverConfig()
     taus = tau_schedule(config) if taus is None else np.asarray(taus, dtype=float)
@@ -334,7 +338,11 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
         if k >= 2:                 # p and p_prev are both converged stages
             start = p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev)
         p_prev = p
-        p, iters, r1n = newton_solve(dp, tau, start, config)
+        try:
+            p, iters, r1n = newton_solve(dp, tau, start, config)
+        except SolverError as exc:
+            exc.newton_steps += sum(iteration_counts)
+            raise
         u = recover_u(dp, p)
         diag = diagnostics(dp, p, u, tau)
         iteration_counts.append(iters)

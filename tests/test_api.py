@@ -41,6 +41,8 @@ def test_removed_names_are_gone():
 
 def test_removed_options_are_gone():
     assert "legacy_k_weight" not in {f.name for f in dataclasses.fields(evolution.EvolutionSpec)}
+    # times are read from the step records, not kept alongside them
+    assert "times" not in {f.name for f in dataclasses.fields(evolution.Trajectory)}
     assert "neumann_edges" not in {f.name for f in dataclasses.fields(solver.DiscreteProblem)}
     assert "verbose" not in inspect.signature(solver.continuation_solve).parameters
     assert not hasattr(solver.Diagnostics, "as_dict")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import gradcon as gc
 from gradcon import evolution as ev
-from gradcon import fem, huber
+from gradcon import fem, huber, linalg
 from gradcon.solver import (DiscreteProblem, MaxIterationsExceeded, SolverConfig,
                             newton_solve, recover_u)
 
@@ -66,6 +66,7 @@ def test_trajectory_times_and_determinism():
     spec = make_spec(rate=1.0, t_final=0.25, dt=0.1)  # ceil -> 3 steps
     traj = ev.run(spec)
     assert traj.times == [0.0, pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.3)]
+    assert traj.times == [0.0] + [s.t for s in traj.steps]
     traj2 = ev.run(spec)
     for a, b in zip(traj.u, traj2.u):
         assert np.array_equal(a, b)
@@ -78,6 +79,21 @@ def test_conservation_with_all_sides_pinned():
     assert all(abs(b) <= 1e-8 for b in balances)
     # poured mass accounting: one unit rate over the unit square
     assert traj.steps[0].poured == pytest.approx(0.1, rel=1e-12)
+
+
+def test_poured_mass_uses_the_step_length():
+    # n * dt is not a multiple of dt in floating point: from step 3 on,
+    # t1 - t0 differs from dt, and the poured mass must use the length
+    # that built the load
+    spec = ev.EvolutionSpec(problem=make_spec(nx=4, ny=4).problem, t_final=0.7, dt=0.1,
+                            rate=gc.HalfPlaneSource(gc.HalfPlane(1.0, 1.0, 0.5), inside=2.0))
+    traj = ev.run(spec)
+    ws = traj.problem.workspace
+    rate_q = fem.at_qpoints(ws, spec.rate.evaluate)
+    assert len(traj.steps) == 7
+    assert any(t1 - t0 != spec.dt for t0, t1 in zip(traj.times, traj.times[1:]))
+    for t0, t1, s in zip(traj.times, traj.times[1:], traj.steps):
+        assert s.poured == (t1 - t0) * fem.integrate(ws, rate_q)
 
 
 def test_conservation_report_warns_with_open_boundary():
@@ -177,14 +193,14 @@ def test_warm_steps_match_cold_steps():
     # the cold trajectory: every step runs the full schedule from zero
     u = traj.u[0]
     for n in range(1, len(traj.steps) + 1):
-        sol, _, _, start = ev.step(u, traj.problem, spec, (n - 1) * spec.dt, n * spec.dt)
-        assert start == "cold"
+        sol, record = ev.step(u, traj.problem, spec, (n - 1) * spec.dt, n * spec.dt)
+        assert record.start == "cold"
         assert np.max(np.abs(sol.u - traj.u[n])) <= 1e-12
         assert sol.tau_final == traj.steps[n - 1].tau_final
         u = sol.u
 
 
-def test_failed_warm_tail_falls_back_to_full_schedule():
+def test_failed_warm_tail_falls_back_to_full_schedule(monkeypatch):
     # a unit time step moves the poured half-plane by a whole unit, so the
     # previous flux is far from the answer: the warm tail stalls on step 2
     # and the step reruns the full schedule from zero
@@ -194,11 +210,19 @@ def test_failed_warm_tail_falls_back_to_full_schedule():
         problem=problem,
         rate=lambda t: gc.HalfPlaneSource(gc.HalfPlane(1.0, -1.0, 0.6 - t), inside=3.0),
         t_final=4.0, dt=1.0)
+    solves = []
+    real = linalg.solve_spd
+    monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: solves.append(1) or real(A, b, **kw))
     traj = ev.run(spec)
     assert len(traj.steps) == 4
     assert traj.steps[0].start == "cold"
     assert "fallback" in [st.start for st in traj.steps]
+    # every linear solve is a Newton step of some record, the discarded
+    # warm tail's included
+    assert len(solves) == sum(sum(st.newton_iterations) + st.discarded_newton_steps
+                              for st in traj.steps)
     for st in traj.steps:
+        assert (st.discarded_newton_steps > 0) == (st.start == "fallback")
         assert max(max(norms) for norms in st.residual_norms) <= 1e-8
         assert abs(st.mass_balance) <= 1e-10
         assert st.max_gradient_ratio <= 1.0 + 1e-12

@@ -406,11 +406,24 @@ def test_p0_projection_error_scales_linearly():
 
 
 def test_workspace_mismatch_rejected():
-    a = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    b = build_rect_mesh(UNIT_SQUARE, 3, 3)
-    ws = fem.build_workspace(a)
-    with pytest.raises(ValueError):
-        fem.assemble_load(b, ones(ws), ws=ws)
+    # every op that reads a workspace rejects one built for another mesh,
+    # an equal one built again included: only the identity check tells
+    # those apart
+    mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
+    p, u = np.zeros(mesh.num_edges), np.zeros(mesh.num_triangles)
+    zero = lambda x, y: 0.0 * x
+    for other in (build_rect_mesh(UNIT_SQUARE, 2, 2), build_rect_mesh(UNIT_SQUARE, 3, 3)):
+        ws = fem.build_workspace(other)
+        aq = ones(ws)
+        calls = (lambda: fem.assemble_load(mesh, aq, ws=ws),
+                 lambda: fem.project_p0(mesh, zero, ws=ws),
+                 lambda: fem.assemble_huber_residual(mesh, p, aq, 1.0, ws=ws),
+                 lambda: fem.assemble_huber_jacobian(mesh, p, aq, 1.0, ws=ws),
+                 lambda: fem.l2_error_p0(mesh, u, zero, ws=ws),
+                 lambda: fem.l2_error_rt0(mesh, p, lambda x, y: np.zeros((*x.shape, 2)), ws=ws))
+        for call in calls:
+            with pytest.raises(ValueError, match="different mesh"):
+                call()
 
 
 def test_assembly_order_independent():

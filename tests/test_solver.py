@@ -127,6 +127,7 @@ def test_newton_max_iterations_error():
         newton_solve(dp, 1e-6, np.zeros(dp.mesh.num_edges), cfg)
     assert err.value.tau == 1e-6
     assert err.value.r1_norm > 0.0
+    assert err.value.newton_steps == 1
 
 
 def test_line_search_stall_error(monkeypatch):
@@ -144,6 +145,7 @@ def test_line_search_stall_error(monkeypatch):
     assert r2_norm > 0.0
     assert err.value.r2_norm == pytest.approx(r2_norm, rel=1e-12, abs=0.0)
     assert err.value.r1_norm == pytest.approx(np.linalg.norm(residual(dp, p0, 1e-4)))
+    assert err.value.newton_steps == 1          # the stalled step solved its system
 
 
 def test_nan_residual_is_not_converged():
@@ -168,6 +170,7 @@ def test_linear_solve_failure_names_the_stage(monkeypatch):
         continuation_solve(dp)
     assert err.value.tau == 10.0
     assert isinstance(err.value.__cause__, LinearSolveError)
+    assert err.value.newton_steps == 1          # the failed solve counts
 
 
 @pytest.mark.parametrize("neumann", [frozenset(), frozenset({"left", "top"})])
@@ -349,13 +352,18 @@ def test_recovered_gradient_active_and_plateau(solve_cache):
     assert np.max(g2[plateau]) <= 1e-3
 
 
-def test_continuation_annotates_failing_stage():
+def test_continuation_annotates_failing_stage(monkeypatch):
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
     cfg = SolverConfig(newton_max_iter=1)
+    solves = []
+    real = linalg.solve_spd
+    monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: solves.append(1) or real(A, b, **kw))
     with pytest.raises(MaxIterationsExceeded) as err:
         continuation_solve(dp, cfg)
-    # the error reports the stage of the schedule that failed
+    # the error reports the stage of the schedule that failed, and every
+    # linear solve of the schedule, the completed stages' included
     assert np.any(np.isclose(err.value.tau, tau_schedule(cfg)))
+    assert err.value.newton_steps == len(solves) > 1
 
 
 halfplanes = st.builds(gc.HalfPlane, *[st.floats(-1.0, 1.0)] * 3)
