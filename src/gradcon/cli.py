@@ -342,7 +342,7 @@ def export_vtk(mesh: Mesh, u: np.ndarray, p: np.ndarray, path, *,
     grad_u_mag is |alpha_c dphi_tau(p)| at the centroids.
     """
     pc = fem.rt0_at_centroids(mesh, p)
-    grad_mag = alpha_c * np.linalg.norm(huber.dphi(pc, tau), axis=-1)
+    grad_mag = alpha_c * huber._norm(huber.dphi(pc, tau))
 
     lines = [
         "# vtk DataFile Version 2.0",
@@ -460,7 +460,10 @@ def _run_evolve(cfg: RunConfig, out) -> RunSummary:
                "masses": [float(np.sum(traj.problem.areas * traj.u[0]))]
                          + [s.mass for s in traj.steps],
                "mass_balances": balances,
-               "steps": len(traj.steps)})
+               "steps": len(traj.steps),
+               "starts": [s.start for s in traj.steps],
+               "newton_steps": [sum(s.newton_iterations) for s in traj.steps],
+               "discarded_newton_steps": [s.discarded_newton_steps for s in traj.steps]})
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

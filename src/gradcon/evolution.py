@@ -7,13 +7,14 @@ step``, so the previous state enters with weight one.  The step integral of
 the rate uses the midpoint rule.  :func:`step` returns the step's record,
 whose poured mass uses the step's own length ``t1 - t0``, as the load does.
 
-From the second step on, a step first runs only the last ``WARM_STAGES``
-stages of the continuation schedule, starting from the previous step's
-flux, which is close to the answer.  If that tail fails, the step reruns
-the full schedule from zero; ``StepDiagnostics.start`` records which path
-gave the step's solution.  A step that fails stops the run with a
-:class:`SolverError` (of the failing stage's type) naming the step, its
-interval and the failing tau, chained from the stage's error.
+Every step first runs only the last ``WARM_STAGES`` stages of the
+continuation schedule, starting from the previous step's flux, which is
+close to the answer; the first step starts from the zero initial flux.
+If that tail fails, the step reruns the full schedule from zero;
+``StepDiagnostics.start`` records which path gave the step's solution.  A
+step that fails stops the run with a :class:`SolverError` (of the failing
+stage's type) naming the step, its interval and the failing tau, chained
+from the stage's error.
 
 With every boundary side flux-pinned, summing the balance equation over all
 cells shows that the total held mass changes exactly by the poured mass,
@@ -69,7 +70,7 @@ class StepDiagnostics:
     residual_norms: list
     tau_final: float
     max_gradient_ratio: float
-    start: str                     # "cold", "warm", or "fallback" (warm tail failed)
+    start: str                     # "warm", "fallback" (warm tail failed), or "cold" (no p_prev)
     discarded_newton_steps: int    # Newton steps of a failed warm tail; 0 unless "fallback"
 
 
@@ -107,10 +108,12 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
 
     Returns (DiscreteSolution, StepDiagnostics): the stationary solve with
     the effective load of this step, and its record, whose poured mass uses
-    the step's length ``k = t1 - t0`` as the load does.  Without ``p_prev``
-    the full schedule runs from zero ("cold").  With it, the last
-    ``WARM_STAGES`` stages run from ``p_prev`` ("warm"), and a failure there
-    reruns the full schedule ("fallback").
+    the step's length ``k = t1 - t0`` as the load does.  With ``p_prev``
+    (``run`` passes it at every step, the zero initial flux at the first),
+    the last ``WARM_STAGES`` stages run from ``p_prev`` ("warm"), and a
+    failure there reruns the full schedule ("fallback").  Without it the
+    full schedule runs from zero ("cold").  A failed fallback's
+    ``SolverError.newton_steps`` includes the discarded warm tail's steps.
     """
     k = t1 - t0
     rate_q = fem.at_qpoints(dp.workspace, _rate_at(spec.rate, 0.5 * (t0 + t1)).evaluate)
@@ -124,7 +127,11 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
         except SolverError as exc:
             start, discarded = "fallback", exc.newton_steps
     if start != "warm":
-        sol, diag = continuation_solve(dp_step, spec.config)
+        try:
+            sol, diag = continuation_solve(dp_step, spec.config)
+        except SolverError as exc:
+            exc.newton_steps += discarded
+            raise
     poured = k * fem.integrate(dp.workspace, rate_q)
     mass = float(np.sum(dp.areas * sol.u))
     return sol, StepDiagnostics(
@@ -146,7 +153,7 @@ def run(spec: EvolutionSpec) -> Trajectory:
     for n in range(1, n_steps + 1):
         t0, t1 = (n - 1) * spec.dt, n * spec.dt
         try:
-            sol, record = step(traj.u[-1], dp, spec, t0, t1, traj.p[-1] if n > 1 else None)
+            sol, record = step(traj.u[-1], dp, spec, t0, t1, traj.p[-1])
         except SolverError as exc:
             raise type(exc)(f"evolution failed at step {n} over [{t0:g}, {t1:g}]: {exc.reason}",
                             exc.tau, exc.r1_norm, exc.r2_norm, exc.newton_steps) from exc

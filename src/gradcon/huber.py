@@ -18,18 +18,23 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def _norm(v):
+    """|v| over the last axis of a (..., 2) array: np.linalg.norm's bits, without its reduction."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 def phi(v, tau: float):
     """Smoothed norm: |v|^2/(2 tau) inside, |v| - tau/2 outside."""
     tau = _check_tau(tau)
     v = np.asarray(v, dtype=float)
-    r = np.linalg.norm(v, axis=-1)
+    r = _norm(v)
     return np.where(r <= tau, r * r / (2.0 * tau), r - 0.5 * tau)
 
 
 def _weights(v, tau: float):
     """(quad, safe_r, iso): the inside mask, |v| guarded to 1 inside, and 1/tau or 1/|v|."""
     tau = _check_tau(tau)
-    r = np.linalg.norm(v, axis=-1)
+    r = _norm(v)
     quad = r <= tau
     safe_r = np.where(quad, 1.0, r)  # outside branch has r > tau > 0
     return quad, safe_r, np.where(quad, 1.0 / tau, 1.0 / safe_r)

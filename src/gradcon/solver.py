@@ -295,13 +295,13 @@ def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.nda
 
 def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
     ws = dp.workspace
-    pnorm = np.linalg.norm(fem.rt0_at_quadrature(ws, p), axis=-1)
+    pnorm = huber._norm(fem.rt0_at_quadrature(ws, p))
     misfit = ((dp.B @ p) / dp.areas)[:, None] - dp.source_q
     primal = 0.5 * fem.integrate(ws, misfit**2)
     primal += fem.integrate(ws, dp.alpha_q, pnorm)
     dual = float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
     grad = recovered_gradient(dp, p, tau)
-    gnorm = np.linalg.norm(grad, axis=-1)
+    gnorm = huber._norm(grad)
     ratio = float(np.max(gnorm / dp.alpha_c))
     violation = float(np.sum(dp.areas * np.maximum(0.0, gnorm - dp.alpha_c)))
     return Diagnostics(primal_value=primal, dual_value=dual,

@@ -214,8 +214,13 @@ def test_main_evolve_end_to_end(tmp_path):
     assert (out / "step_000.vtk").exists()
     assert (out / "step_002.vtk").exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["extra"]["steps"] == 2
-    assert all(abs(b) <= 1e-8 for b in summary["extra"]["mass_balances"])
+    extra = summary["extra"]
+    assert extra["steps"] == 2
+    assert all(abs(b) <= 1e-8 for b in extra["mass_balances"])
+    assert extra["starts"] == ["warm", "warm"]
+    assert extra["discarded_newton_steps"] == [0, 0]
+    # a uniform pour on a closed square needs no flux: p = 0 solves each step
+    assert extra["newton_steps"] == [0, 0]
 
 
 def evolve_config(**evolution):

@@ -188,7 +188,7 @@ def pour_to_the_bound():
 def test_warm_steps_match_cold_steps():
     spec = pour_to_the_bound()
     traj = ev.run(spec)
-    assert [st.start for st in traj.steps] == ["cold", "warm"]
+    assert [st.start for st in traj.steps] == ["warm", "warm"]
     assert len(traj.steps[1].newton_iterations) == ev.WARM_STAGES
     # the cold trajectory: every step runs the full schedule from zero
     u = traj.u[0]
@@ -198,6 +198,21 @@ def test_warm_steps_match_cold_steps():
         assert np.max(np.abs(sol.u - traj.u[n])) <= 1e-12
         assert sol.tau_final == traj.steps[n - 1].tau_final
         u = sol.u
+
+
+def test_first_step_from_a_nonzero_state_is_warm():
+    # the first step's warm tail starts from the zero initial flux, also when
+    # the initial state is a slope-3 cone, far outside the feasible set of
+    # alpha = 1, and lands where the full schedule does in fewer steps
+    cone = lambda x, y: 3.0 * np.maximum(0.0, 0.5 - np.hypot(x - 0.5, y - 0.5))
+    spec = make_spec(nx=16, ny=16, rate=1.0, t_final=0.1, dt=0.1, u0=cone)
+    traj = ev.run(spec)
+    warm = traj.steps[0]
+    assert (warm.start, warm.discarded_newton_steps) == ("warm", 0)
+    sol, cold = ev.step(traj.u[0], traj.problem, spec, 0.0, spec.dt)
+    assert cold.start == "cold"
+    assert np.max(np.abs(sol.u - traj.u[1])) <= 1e-12
+    assert sum(warm.newton_iterations) < sum(cold.newton_iterations)
 
 
 def test_failed_warm_tail_falls_back_to_full_schedule(monkeypatch):
@@ -215,7 +230,7 @@ def test_failed_warm_tail_falls_back_to_full_schedule(monkeypatch):
     monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: solves.append(1) or real(A, b, **kw))
     traj = ev.run(spec)
     assert len(traj.steps) == 4
-    assert traj.steps[0].start == "cold"
+    assert traj.steps[0].start == "warm"
     assert "fallback" in [st.start for st in traj.steps]
     # every linear solve is a Newton step of some record, the discarded
     # warm tail's included
@@ -255,11 +270,18 @@ def test_random_pours_warm_match_cold(n, steps, dt, alpha, rate, a, b, c):
     assert max(np.max(np.abs(uw - uc)) for uw, uc in zip(warm.u, cold.u)) <= 1e-7
 
 
-def test_failed_step_names_step_interval_and_stage():
+def test_failed_step_names_step_interval_and_stage(monkeypatch):
+    # one Newton step per stage is too few: the first step's warm tail fails,
+    # then its full-schedule fallback
     spec = ev.EvolutionSpec(problem=gc.scenario("ex1_f1_a1", n=4), rate=gc.ConstantSource(5.0),
                             t_final=0.1, dt=0.1, config=SolverConfig(newton_max_iter=1))
+    solves = []
+    real = linalg.solve_spd
+    monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: solves.append(1) or real(A, b, **kw))
     with pytest.raises(MaxIterationsExceeded) as err:
         ev.run(spec)
+    # the count includes the discarded warm tail's solves
+    assert err.value.newton_steps == len(solves)
     cause = err.value.__cause__
     assert isinstance(cause, MaxIterationsExceeded)
     assert (err.value.tau, err.value.r1_norm, err.value.r2_norm) == (

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcon import huber
 from gradcon.huber import d2phi, dphi, phi
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -26,6 +27,16 @@ def test_d2phi_values():
     assert np.allclose(d2phi([1.0, 0.0], 0.1), [[0.0, 0.0], [0.0, 1.0]])
     assert np.allclose(d2phi([0.6, 0.8], 0.1),
                        [[0.64, -0.48], [-0.48, 0.36]], atol=1e-15)
+
+
+def test_norm_is_bit_identical_to_linalg_norm():
+    rng = np.random.default_rng(0)
+    for scale in (1e-8, 1e-4, 1.0, 1e3):
+        v = scale * rng.normal(size=(64, 7, 2))
+        v[0] = 0.0
+        v[1, :, 0] = 0.0
+        assert np.array_equal(huber._norm(v), np.linalg.norm(v, axis=-1))
+        assert np.array_equal(huber._norm(v[3, 2]), np.linalg.norm(v[3, 2]))
 
 
 def test_rejects_nonpositive_tau():
