@@ -56,5 +56,8 @@ def d2phi(v, tau: float):
     """Hessian of ``phi``: I/tau inside, (I - v v^T/|v|^2)/|v| outside."""
     v = np.asarray(v, dtype=float)
     iso, rank1 = hessian_weights(v, tau)
-    outer = v[..., :, None] * v[..., None, :]
-    return iso[..., None, None] * np.eye(2) - rank1[..., None, None] * outer
+    # entry by entry: broadcasting a (..., 2, 2) outer product is ~10x slower
+    vx, vy = v[..., 0], v[..., 1]
+    xy = -rank1 * (vx * vy)
+    hess = [iso - rank1 * (vx * vx), xy, xy, iso - rank1 * (vy * vy)]
+    return np.stack(hess, axis=-1).reshape(v.shape + (2,))

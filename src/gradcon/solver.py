@@ -314,9 +314,11 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
                        p0: np.ndarray | None = None, taus=None):
     """Run a continuation schedule; returns (DiscreteSolution, Diagnostics).
 
-    ``taus`` defaults to ``tau_schedule(config)``; the first stage starts
-    from ``p0`` (zero when omitted) and the second from the first stage's
-    solution.  From the third stage on, Newton starts at the secant predictor
+    ``taus`` defaults to ``tau_schedule(config)``; a given schedule must be
+    positive, finite and strictly decreasing, as that one is.  The first
+    stage starts from ``p0`` (zero when omitted, else one finite value per
+    edge) and the second from the first stage's solution.  From the third
+    stage on, Newton starts at the secant predictor
 
         p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
 
@@ -330,8 +332,16 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     taus = tau_schedule(config) if taus is None else np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
         raise ValueError("the continuation schedule needs at least one stage")
+    # a repeated tau would divide the secant predictor by zero
+    if not (np.all((taus > 0.0) & (taus < math.inf)) and np.all(np.diff(taus) < 0.0)):
+        raise ValueError(f"continuation schedule must be positive, finite and strictly "
+                         f"decreasing, got {taus}")
 
     p = np.zeros(dp.mesh.num_edges) if p0 is None else np.asarray(p0, dtype=float)
+    if p.shape != (dp.mesh.num_edges,):
+        raise ValueError(f"initial flux must have one value per edge, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("initial flux must be finite")
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
         start = p

@@ -6,13 +6,15 @@ import numpy as np
 
 import gradcon
 from gradcon import cli, evolution, fem, huber, linalg, solver
+from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
 
 # names deleted from the package (a dotted name is a class attribute); a stale
 # import or export of one should fail here
 REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step"),
     "gradcon.linalg": ("spmv",),
-    "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat"),
+    "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
+                    "_areas_and_basis"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids"),
     "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS"),
     "gradcon.solver": ("LineSearchConfig",),
@@ -60,9 +62,12 @@ def test_removed_options_are_gone():
         assert ws.kind is inspect.Parameter.KEYWORD_ONLY, op.__name__
         assert ws.default is inspect.Parameter.empty, op.__name__
     assert not hasattr(fem, "_scalar_at_quadrature")
-    # one basis table, no centroid table; centroid values come from the mesh
+    # one basis table, of the two cell shapes: its size does not grow with the
+    # mesh; no centroid table, centroid values come from the mesh
     assert [f.name for f in dataclasses.fields(fem.Workspace)] == [
-        "mesh", "rule", "areas", "centroids", "qpoints", "psi"]
+        "mesh", "rule", "areas", "centroids", "qpoints", "basis"]
+    small, large = (fem.build_workspace(build_rect_mesh(UNIT_SQUARE, n, n)) for n in (4, 64))
+    assert small.basis.shape == large.basis.shape
     assert next(iter(inspect.signature(fem.rt0_at_centroids).parameters)) == "mesh"
     # d2phi is built from the one weight function the Jacobian uses
     v = np.random.default_rng(0).normal(size=(50, 2))

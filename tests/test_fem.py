@@ -277,9 +277,41 @@ def einsum_jacobian_blocks(ws, p, aq, tau):
     return blocks * ws.areas[:, None, None]
 
 
-def test_matmul_assembly_matches_einsum_reference():
-    # both smoothing branches, a nonconstant bound and a non-square rectangle
-    mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 6, 4)
+def extended_rt0_at_quadrature(ws, p):
+    """The closed form of rt0_at_quadrature in np.longdouble, from the float64
+    vertices, barycentric points and coefficients, (nt, nq, 2)."""
+    ld = np.longdouble
+    coords = ws.mesh.vertices[ws.mesh.triangles].astype(ld)             # (nt, 3, 2)
+    bary = ws.rule.points.astype(ld)                                     # (nq, 3)
+    x = sum(bary[None, :, j, None] * coords[:, None, j] for j in range(3))  # (nt, nq, 2)
+    e01, e02 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    areas = (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0]) / 2
+    opp = coords[:, [2, 0, 1]]                                           # opposite local edge k
+    scale = ws.mesh.tri_edge_signs * p[ws.mesh.tri_edges].astype(ld) / (2 * areas[:, None])
+    return sum(scale[:, k, None, None] * (x - opp[:, k, None]) for k in range(3))
+
+
+@pytest.mark.parametrize("rect, nx, ny, relative", [
+    (Rect(0.0, 0.0, 2.0, 1.0), 6, 4, False), (UNIT_SQUARE, 64, 64, True)], ids=["6x4", "64x64"])
+def test_rt0_at_quadrature_matches_extended_precision_closed_form(rect, nx, ny, relative):
+    # a float64 closed form rounds x - v_opp where the cell lies far from the
+    # origin, by 1e-14 of the largest value at 64x64; without extended
+    # precision the reference would carry that rounding again
+    assert np.finfo(np.longdouble).eps < 1e-18
+    mesh = build_rect_mesh(rect, nx, ny)
+    ws = fem.build_workspace(mesh)
+    p = np.random.default_rng(7).normal(scale=0.3, size=mesh.num_edges)
+    ref = extended_rt0_at_quadrature(ws, p)
+    err = float(np.max(np.abs(fem.rt0_at_quadrature(ws, p) - ref)))
+    assert err <= 1e-15 * (float(np.max(np.abs(ref))) if relative else 1.0)
+
+
+@pytest.mark.parametrize("rect", [Rect(0.0, 0.0, 2.0, 1.0), Rect(-3.0, 10.0, 7.0, 11.0)],
+                         ids=["origin", "far"])
+def test_matmul_assembly_matches_einsum_reference(rect):
+    # both smoothing branches, a nonconstant bound and non-square rectangles,
+    # one of them far from the origin
+    mesh = build_rect_mesh(rect, 6, 4)
     ws = fem.build_workspace(mesh)
     aq = 1.0 + ws.qpoints[..., 0] * ws.qpoints[..., 1]
     rng = np.random.default_rng(7)
@@ -287,9 +319,6 @@ def test_matmul_assembly_matches_einsum_reference():
     tau = 0.2
     r = np.linalg.norm(fem.rt0_at_quadrature(ws, p), axis=-1)
     assert np.any(r <= tau) and np.any(r > tau)
-    assert np.allclose(fem.rt0_at_quadrature(ws, p),
-                       np.einsum("tk,tkqd->tqd", p[mesh.tri_edges], closed_form_basis(ws)),
-                       rtol=0.0, atol=1e-15)
     res = fem.assemble_huber_residual(mesh, p, aq, tau, ws=ws)
     ref = einsum_residual(ws, p, aq, tau)
     assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))

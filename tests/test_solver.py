@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -230,6 +232,20 @@ def test_continuation_from_given_flux_and_schedule(solve_cache):
     assert list(again.tau_values) == [sol.tau_final]
     with pytest.raises(ValueError, match="at least one stage"):
         continuation_solve(dp, taus=[])
+    # a repeated tau would divide the secant predictor by zero, and the NaN
+    # start would then fail as a linear solve
+    for taus in ([1.0, 1.0, 0.5], [1.0, 0.5, 2.0], [1.0, 0.0], [1.0, -0.5],
+                 [math.inf, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            continuation_solve(dp, taus=taus)
+    # a flux of the wrong length would fail as a bare IndexError from a mask,
+    # and a NaN flux as a linear solve
+    for p0 in (sol.p[:-1], np.zeros((dp.mesh.num_edges, 1))):
+        with pytest.raises(ValueError, match="one value per edge"):
+            continuation_solve(dp, p0=p0, taus=[sol.tau_final])
+    with pytest.raises(ValueError, match="must be finite"):
+        continuation_solve(dp, p0=np.where(sol.p == sol.p.max(), math.nan, sol.p),
+                           taus=[sol.tau_final])
 
 
 def test_one_factorization_per_newton_step(monkeypatch):
