@@ -95,10 +95,13 @@ def _initial_state(spec: EvolutionSpec, dp: DiscreteProblem) -> np.ndarray:
     if spec.u0 is None:
         return np.zeros(dp.mesh.num_triangles)
     if callable(spec.u0):
-        return fem.project_p0(dp.mesh, spec.u0, ws=dp.workspace)
-    u0 = np.asarray(spec.u0, dtype=float)
-    if u0.shape != (dp.mesh.num_triangles,):
-        raise ValueError(f"initial state must have one value per cell, got {u0.shape}")
+        u0 = fem.project_p0(dp.mesh, spec.u0, ws=dp.workspace)
+    else:
+        u0 = np.asarray(spec.u0, dtype=float)
+        if u0.shape != (dp.mesh.num_triangles,):
+            raise ValueError(f"initial state must have one value per cell, got {u0.shape}")
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("initial state must be finite")
     return u0
 
 

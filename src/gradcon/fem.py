@@ -14,7 +14,8 @@ per triangle.
 Area integrals use a 6-point rule on the reference triangle that is exact
 for polynomials of total degree <= 4; the non-polynomial smoothed-norm
 integrands are evaluated with the same rule.  Edge integrals (RT0
-interpolation) use 3-point Gauss.
+interpolation) use 3-point Gauss, along scaled normals |e| n_e taken from
+the mesh's two cell shapes as the basis is.
 
 Assembly is pure given an immutable mesh.  Every op that reads the per-mesh
 basis tables takes their :class:`Workspace` as the required keyword ``ws``.
@@ -166,6 +167,12 @@ def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
     ``field(x, y)`` must return an array of shape (..., 2).  Edge integrals
     use 3-point Gauss, exact for traces of polynomial degree <= 5.
     """
+    # |e| n_e from the two cell shapes: on slot k of triangle 0 or 1, the
+    # incidence sign times the clockwise turn of v_{k+1} - v_k
+    coords = mesh.vertices[mesh.triangles[:2]]      # (2, 3, 2)
+    tangents = mesh.tri_edge_signs[:2, :, None] * (np.roll(coords, -1, axis=1) - coords)
+    normals = np.empty((mesh.num_edges, 2))
+    normals[mesh.tri_edges.reshape(-1, 2, 3)] = tangents @ [[0.0, -1.0], [1.0, 0.0]]
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     mid = 0.5 * (a + b)
@@ -174,8 +181,8 @@ def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
     for s, w in zip(_EDGE_NODES, _EDGE_WEIGHTS):
         pts = mid + s * half
         vals = np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
-        dofs += 0.5 * w * np.einsum("ed,ed->e", vals, mesh.edge_normals)
-    return dofs * mesh.edge_lengths
+        dofs += 0.5 * w * np.einsum("ed,ed->e", vals, normals)
+    return dofs
 
 
 def rt0_at_quadrature(ws: Workspace, p: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ rotation of the direction from its lower-numbered to its higher-numbered
 vertex.  This pins the sign convention for flux degrees of freedom, and the
 incidence sign of a triangle on an edge is +1 exactly when the triangle's
 counterclockwise traversal runs from the lower to the higher vertex index.
+The mesh stores the incidence signs; code that needs a normal applies the
+rule where it needs it.
 
 Meshes are immutable after construction; all queries are pure.
 """
@@ -83,10 +85,8 @@ class Mesh:
     vertices        (nv, 2) coordinates, row-major in (i, j) with j outer
     triangles       (nt, 3) vertex ids, counterclockwise
     edges           (ne, 2) vertex ids, lower index first
-    edge_normals    (ne, 2) global unit normals
-    edge_lengths    (ne,)
     tri_edges       (nt, 3) edge ids; local slot k joins vertices k, k+1
-    tri_edge_signs  (nt, 3) +1/-1 incidence signs
+    tri_edge_signs  (nt, 3) +1/-1 incidence signs, +1 where vertex k < vertex k+1
     boundary_edges  side name -> edge ids
     """
 
@@ -96,8 +96,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray
-    edge_normals: np.ndarray
-    edge_lengths: np.ndarray
     tri_edges: np.ndarray
     tri_edge_signs: np.ndarray
     boundary_edges: dict = field(repr=False)
@@ -185,19 +183,6 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
     edges[n_h + n_v:, 0] = d_a
     edges[n_h + n_v:, 1] = d_a + nvx + 1
 
-    diag_len = float(np.hypot(dx, dy))
-    edge_lengths = np.concatenate([
-        np.full(n_h, dx),
-        np.full(n_v, dy),
-        np.full(n_d, diag_len),
-    ])
-    # normal = clockwise rotation of the lower-to-higher vertex direction
-    edge_normals = np.concatenate([
-        np.tile([0.0, -1.0], (n_h, 1)),
-        np.tile([1.0, 0.0], (n_v, 1)),
-        np.tile([dy / diag_len, -dx / diag_len], (n_d, 1)),
-    ])
-
     def h_id(i, j):
         return j * nx + i
 
@@ -213,7 +198,6 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
     nt = 2 * nx * ny
     triangles = np.empty((nt, 3), dtype=int)
     tri_edges = np.empty((nt, 3), dtype=int)
-    tri_edge_signs = np.empty((nt, 3), dtype=np.int8)
 
     # lower triangle (a, a+1, a+nvx+1): edges run a->b, b->c, c->a
     triangles[0::2, 0] = a
@@ -222,7 +206,6 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
     tri_edges[0::2, 0] = h_id(ic, jc)
     tri_edges[0::2, 1] = v_id(ic + 1, jc)
     tri_edges[0::2, 2] = d_id(ic, jc)
-    tri_edge_signs[0::2] = (1, 1, -1)
 
     # upper triangle (a, a+nvx+1, a+nvx)
     triangles[1::2, 0] = a
@@ -231,7 +214,8 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
     tri_edges[1::2, 0] = d_id(ic, jc)
     tri_edges[1::2, 1] = h_id(ic, jc + 1)
     tri_edges[1::2, 2] = v_id(ic, jc)
-    tri_edge_signs[1::2] = (1, -1, -1)
+
+    tri_edge_signs = np.where(triangles < np.roll(triangles, -1, axis=1), 1, -1).astype(np.int8)
 
     boundary_edges = {
         "bottom": h_id(np.arange(nx), 0),
@@ -240,15 +224,13 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
         "right": v_id(nx, np.arange(ny)),
     }
 
-    for arr in (vertices, triangles, edges, edge_normals, edge_lengths,
-                tri_edges, tri_edge_signs):
+    for arr in (vertices, triangles, edges, tri_edges, tri_edge_signs):
         arr.setflags(write=False)
 
     return Mesh(
         rect=rect, nx=nx, ny=ny,
         vertices=vertices, triangles=triangles,
-        edges=edges, edge_normals=edge_normals, edge_lengths=edge_lengths,
-        tri_edges=tri_edges, tri_edge_signs=tri_edge_signs,
+        edges=edges, tri_edges=tri_edges, tri_edge_signs=tri_edge_signs,
         boundary_edges=boundary_edges,
     )
 

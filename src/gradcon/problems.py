@@ -260,7 +260,9 @@ def scenario(name: str, n: int = 64) -> ProblemSpec:
 
 
 def exact_solution_for(name: str):
-    constants = _SCENARIOS[name][2] if name in _SCENARIOS else None
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; available: {SCENARIOS}")
+    constants = _SCENARIOS[name][2]
     if constants is None:
         raise ValueError(f"scenario {name!r} has no closed-form solution")
     return exact_solution_ex1(*constants)

@@ -6,7 +6,7 @@ import numpy as np
 
 import gradcon
 from gradcon import cli, evolution, fem, huber, linalg, solver
-from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
+from gradcon.mesh import UNIT_SQUARE, Mesh, build_rect_mesh
 
 # names deleted from the package (a dotted name is a class attribute); a stale
 # import or export of one should fail here
@@ -15,7 +15,8 @@ REMOVED = {
     "gradcon.linalg": ("spmv",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
                     "_areas_and_basis"),
-    "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids"),
+    "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids",
+                     "Mesh.edge_normals", "Mesh.edge_lengths"),
     "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS"),
     "gradcon.solver": ("LineSearchConfig",),
 }
@@ -69,6 +70,10 @@ def test_removed_options_are_gone():
     small, large = (fem.build_workspace(build_rect_mesh(UNIT_SQUARE, n, n)) for n in (4, 64))
     assert small.basis.shape == large.basis.shape
     assert next(iter(inspect.signature(fem.rt0_at_centroids).parameters)) == "mesh"
+    # the mesh stores the incidence signs, not the edge normals and lengths
+    assert [f.name for f in dataclasses.fields(Mesh)] == [
+        "rect", "nx", "ny", "vertices", "triangles", "edges", "tri_edges",
+        "tri_edge_signs", "boundary_edges"]
     # d2phi is built from the one weight function the Jacobian uses
     v = np.random.default_rng(0).normal(size=(50, 2))
     for tau in (0.3, 1.0, 3.0):

@@ -89,11 +89,25 @@ def test_rt0_at_centroids_matches_per_triangle_basis(rect, nx, ny):
 
 
 def test_interpolate_constant_field_dofs():
-    mesh = build_rect_mesh(UNIT_SQUARE, 2, 3)
-    p = fem.interpolate_rt0(mesh, lambda x, y: np.stack(
-        [np.ones_like(x), np.zeros_like(y)], axis=-1))
-    expected = mesh.edge_lengths * mesh.edge_normals[:, 0]
-    assert np.allclose(p, expected, atol=1e-14)
+    # the flux of a constant field across each edge block (horizontal, vertical,
+    # diagonal) along the clockwise turn of the lower-to-higher direction
+    mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 2, 3)
+    dx, dy = mesh.dx, mesh.dy
+    sizes = (2 * 4, 3 * 3, 2 * 3)
+    for field, blocks in (((1.0, 0.0), (0.0, dy, dy)), ((0.0, 1.0), (-dx, 0.0, -dx))):
+        p = fem.interpolate_rt0(mesh, lambda x, y: np.stack(
+            [np.full_like(x, field[0]), np.full_like(y, field[1])], axis=-1))
+        assert np.allclose(p, np.repeat(blocks, sizes), atol=1e-14)
+
+
+def test_interpolate_identity_field_reproduced_on_fine_mesh():
+    # the scaled normals come from the corner cells, as the basis does; per
+    # edge vertex differences would drift from that basis by about n * eps
+    mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 600, 400)
+    ws = fem.build_workspace(mesh)
+    values = fem.rt0_at_quadrature(ws, fem.interpolate_rt0(
+        mesh, lambda x, y: np.stack([x, y], axis=-1)))
+    assert np.max(np.abs(values - ws.qpoints)) <= 2e-15 * np.max(np.abs(ws.qpoints))
 
 
 def test_interpolate_zero_field():

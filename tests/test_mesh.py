@@ -85,16 +85,16 @@ def test_interior_edges_have_opposite_signs():
     assert np.all(count[boundary] == 1)
     assert np.all(count[~boundary] == 2)
     assert np.all(sign_sum[~boundary] == 0)
+    # every even triangle has the signs of triangle 0, every odd one those of
+    # triangle 1: the RT0 basis of the two cell shapes relies on this
+    assert mesh.tri_edge_signs.dtype == np.int8
+    assert np.all(mesh.tri_edge_signs[0::2] == (1, 1, -1))
+    assert np.all(mesh.tri_edge_signs[1::2] == (1, -1, -1))
 
 
-def test_edge_normals_unit_and_lexicographic():
+def test_edges_run_lower_vertex_first():
     mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 3, 3)
     assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
-    norms = np.linalg.norm(mesh.edge_normals, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-14)
-    tangents = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    assert np.allclose(np.einsum("ed,ed->e", tangents, mesh.edge_normals), 0.0,
-                       atol=1e-14)
 
 
 def test_classify_boundary_all_dirichlet():

@@ -199,7 +199,7 @@ def test_scenario_table_order_and_closed_forms():
         u_ref, p_ref = exact_solution_ex1(spec.source.value, spec.alpha.value)
         assert np.array_equal(u(x, y), u_ref(x, y)) and np.array_equal(p(x, y), p_ref(x, y))
     assert closed == ["ex1_f1_a1", "ex1_f025_a1", "ex1_f01_a1", "ex1_f1_a05"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scenario"):
         exact_solution_for("ex9_unknown")
 
 
