@@ -129,7 +129,9 @@ class Mesh:
         """Triangle ids containing the given points (vectorized).
 
         Points on a shared edge go to the cell/triangle whose closed region
-        is checked first; for field evaluation either choice agrees.
+        is checked first; for field evaluation either choice agrees.  Cell
+        indices are clamped into the grid, so points on or beyond the top or
+        right side land in the last cell of their row or column.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -147,92 +149,35 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
 
     Vertices are numbered row-major, edges in three blocks (horizontal,
     vertical, diagonal, each row-major), triangles cell by cell with the
-    lower triangle first.
+    lower triangle first.  With sw, se, ne, nw the corners of a cell, its
+    triangles and their local edge slots are
+
+        lower  (sw, se, ne)  bottom, right, diagonal
+        upper  (sw, ne, nw)  diagonal, top, left
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"grid must have at least one cell per direction, got {nx}x{ny}")
-    nvx, nvy = nx + 1, ny + 1
-    dx = rect.width / nx
-    dy = rect.height / ny
-
-    xs = rect.x0 + dx * np.arange(nvx)
-    ys = rect.y0 + dy * np.arange(nvy)
-    gx, gy = np.meshgrid(xs, ys)  # row-major: index j*nvx + i
+    gx, gy = np.meshgrid(rect.x0 + (rect.width / nx) * np.arange(nx + 1),
+                         rect.y0 + (rect.height / ny) * np.arange(ny + 1))
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * nvx + i
+    # vertex ids on the grid; each edge block pairs two slices of it
+    v = np.arange(len(vertices)).reshape(ny + 1, nx + 1)
+    blocks = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:]), (v[:-1, :-1], v[1:, 1:])]
+    edges = np.concatenate([np.stack(pair, axis=-1).reshape(-1, 2) for pair in blocks])
+    ids = np.split(np.arange(len(edges)), np.cumsum([a.size for a, _ in blocks[:-1]]))
+    h, vert, d = (i.reshape(a.shape) for i, (a, _) in zip(ids, blocks))
 
-    # edge blocks: horizontal, then vertical, then diagonal
-    n_h = nx * nvy
-    n_v = ny * nvx
-    n_d = nx * ny
-
-    ih, jh = np.meshgrid(np.arange(nx), np.arange(nvy))
-    h_a = vid(ih.ravel(), jh.ravel())
-    iv, jv = np.meshgrid(np.arange(nvx), np.arange(ny))
-    v_a = vid(iv.ravel(), jv.ravel())
-    idg, jdg = np.meshgrid(np.arange(nx), np.arange(ny))
-    d_a = vid(idg.ravel(), jdg.ravel())
-
-    edges = np.empty((n_h + n_v + n_d, 2), dtype=int)
-    edges[:n_h, 0] = h_a
-    edges[:n_h, 1] = h_a + 1
-    edges[n_h:n_h + n_v, 0] = v_a
-    edges[n_h:n_h + n_v, 1] = v_a + nvx
-    edges[n_h + n_v:, 0] = d_a
-    edges[n_h + n_v:, 1] = d_a + nvx + 1
-
-    def h_id(i, j):
-        return j * nx + i
-
-    def v_id(i, j):
-        return n_h + j * nvx + i
-
-    def d_id(i, j):
-        return n_h + n_v + j * nx + i
-
-    ic, jc = np.meshgrid(np.arange(nx), np.arange(ny))
-    ic, jc = ic.ravel(), jc.ravel()
-    a = vid(ic, jc)
-    nt = 2 * nx * ny
-    triangles = np.empty((nt, 3), dtype=int)
-    tri_edges = np.empty((nt, 3), dtype=int)
-
-    # lower triangle (a, a+1, a+nvx+1): edges run a->b, b->c, c->a
-    triangles[0::2, 0] = a
-    triangles[0::2, 1] = a + 1
-    triangles[0::2, 2] = a + nvx + 1
-    tri_edges[0::2, 0] = h_id(ic, jc)
-    tri_edges[0::2, 1] = v_id(ic + 1, jc)
-    tri_edges[0::2, 2] = d_id(ic, jc)
-
-    # upper triangle (a, a+nvx+1, a+nvx)
-    triangles[1::2, 0] = a
-    triangles[1::2, 1] = a + nvx + 1
-    triangles[1::2, 2] = a + nvx
-    tri_edges[1::2, 0] = d_id(ic, jc)
-    tri_edges[1::2, 1] = h_id(ic, jc + 1)
-    tri_edges[1::2, 2] = v_id(ic, jc)
-
+    # three (ny, nx) grids per triangle, a cell's lower triangle first
+    sw, se, nw, ne = v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]
+    triangles = np.stack([sw, se, ne, sw, ne, nw], axis=-1).reshape(-1, 3)
+    tri_edges = np.stack([h[:-1], vert[:, 1:], d, d, h[1:], vert[:, :-1]], axis=-1).reshape(-1, 3)
     tri_edge_signs = np.where(triangles < np.roll(triangles, -1, axis=1), 1, -1).astype(np.int8)
-
-    boundary_edges = {
-        "bottom": h_id(np.arange(nx), 0),
-        "top": h_id(np.arange(nx), ny),
-        "left": v_id(0, np.arange(ny)),
-        "right": v_id(nx, np.arange(ny)),
-    }
-
-    for arr in (vertices, triangles, edges, tri_edges, tri_edge_signs):
+    boundary_edges = {"bottom": h[0], "top": h[-1], "left": vert[:, 0], "right": vert[:, -1]}
+    for arr in (vertices, triangles, edges, tri_edges, tri_edge_signs, *boundary_edges.values()):
         arr.setflags(write=False)
-
-    return Mesh(
-        rect=rect, nx=nx, ny=ny,
-        vertices=vertices, triangles=triangles,
-        edges=edges, tri_edges=tri_edges, tri_edge_signs=tri_edge_signs,
-        boundary_edges=boundary_edges,
-    )
+    return Mesh(rect=rect, nx=nx, ny=ny, vertices=vertices, triangles=triangles, edges=edges,
+                tri_edges=tri_edges, tri_edge_signs=tri_edge_signs, boundary_edges=boundary_edges)
 
 
 def classify_boundary(mesh: Mesh, bp: BoundaryPartition):

@@ -28,11 +28,14 @@ def test_every_export_resolves():
 
 
 def _has(owner, dotted: str) -> bool:
-    for name in dotted.split("."):
+    *path, last = dotted.split(".")
+    for name in path:
         if not hasattr(owner, name):
             return False
         owner = getattr(owner, name)
-    return True
+    # a dataclass field without a default is no class attribute
+    fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+    return hasattr(owner, last) or last in {f.name for f in fields}
 
 
 def test_removed_names_are_gone():

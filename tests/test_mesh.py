@@ -152,6 +152,49 @@ def test_deterministic_construction():
     assert np.array_equal(a.tri_edge_signs, b.tri_edge_signs)
 
 
+def test_numbering_on_a_two_by_one_grid():
+    # the rule of the build_rect_mesh docstring, written out
+    mesh = build_rect_mesh(Rect(0.0, 0.0, 2.0, 1.0), 2, 1)
+    assert mesh.edges.tolist() == [[0, 1], [1, 2], [3, 4], [4, 5], [0, 3], [1, 4],
+                                   [2, 5], [0, 4], [1, 5]]
+    assert mesh.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
+    assert mesh.tri_edges.tolist() == [[0, 5, 7], [7, 2, 4], [1, 6, 8], [8, 3, 5]]
+    assert {s: ids.tolist() for s, ids in mesh.boundary_edges.items()} == {
+        "bottom": [0, 1], "top": [2, 3], "left": [4], "right": [6]}
+
+
+NUMBERING_GRIDS = [(UNIT_SQUARE, 1, 1), (UNIT_SQUARE, 1, 7), (UNIT_SQUARE, 9, 1),
+                   (Rect(-3.0, 10.0, 7.0, 11.0), 6, 4), (Rect(0.0, 0.0, 2.0, 1.0), 2, 1)]
+
+
+@pytest.mark.parametrize("rect,nx,ny", NUMBERING_GRIDS)
+def test_slot_k_joins_vertices_k_and_k_plus_1(rect, nx, ny):
+    mesh = build_rect_mesh(rect, nx, ny)
+    pairs = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)], axis=-1)
+    assert np.array_equal(mesh.edges[mesh.tri_edges], np.sort(pairs, axis=-1))
+
+
+def test_mesh_arrays_are_read_only():
+    mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
+    arrays = [mesh.vertices, mesh.triangles, mesh.edges, mesh.tri_edges, mesh.tri_edge_signs]
+    for arr in arrays + [mesh.boundary_edges[side] for side in BOUNDARY_SIDES]:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("rect,nx,ny", NUMBERING_GRIDS + [(Rect(0.1, 0.2, 0.7, 1.3), 33, 17)])
+def test_locate_triangle_on_vertices_and_edge_midpoints(rect, nx, ny):
+    # corners and points on the top and right sides included: the cell index
+    # is clamped into the grid
+    mesh = build_rect_mesh(rect, nx, ny)
+    pts = np.concatenate([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
+    coords = mesh.vertices[mesh.triangles[mesh.locate_triangle(pts[:, 0], pts[:, 1])]]
+    T = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=-1)
+    lam = np.linalg.solve(T, (pts - coords[:, 0])[..., None])[..., 0]
+    lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    assert lam.min() >= -1e-12
+
+
 def test_locate_triangle_round_trip():
     mesh = build_rect_mesh(UNIT_SQUARE, 5, 4)
     rng = np.random.default_rng(7)
