@@ -18,7 +18,7 @@ args = parser.parse_args()
 problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=args.n, ny=args.n,
                          boundary=gc.ALL_NEUMANN,
                          alpha=gc.ConstantAlpha(args.alpha),
-                         source=gc.ConstantSource(args.rate))
+                         source=gc.ConstantSource(0.0))     # each step's load replaces it
 spec = gc.EvolutionSpec(problem=problem, rate=gc.ConstantSource(args.rate),
                         t_final=args.t_final, dt=args.dt)
 traj = gc.run_evolution(spec)

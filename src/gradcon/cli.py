@@ -44,6 +44,10 @@ error, 3 solver failure, 4 I/O failure; every solver failure is a
 ``SolverError`` naming the failing tau (and, in evolve mode, the step and
 its interval).
 
+In evolve mode the problem's source (``problem.f`` or the scenario's) is
+checked but has no effect: each step's load ``u_prev + dt * rate`` replaces
+it (``DiscreteProblem.with_load``).
+
 The VTK and CSV files are byte-stable for a fixed config, the JSON summary
 except for its wall time; its nx/ny name the grid solved (a study's finest).
 """
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import reprlib
@@ -64,7 +69,7 @@ import numpy as np
 
 from . import fem, huber
 from .evolution import EvolutionSpec, conservation_report, run as run_evolution
-from .mesh import BOUNDARY_SIDES, BoundaryPartition, Mesh, Rect
+from .mesh import BOUNDARY_SIDES, UNIT_SQUARE, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
                        PresetSource, ProblemSpec, check_mesh_sizes, convergence_study,
@@ -99,12 +104,12 @@ class RunSummary:
     scenario: str | None
     nx: int
     ny: int
-    tau_table: list            # per-stage dicts
-    final_residuals: dict
-    primal_value: float | None
-    dual_value: float | None
-    duality_gap: float | None
     wall_time_s: float
+    tau_table: list = field(default_factory=list)      # per-stage dicts
+    final_residuals: dict = field(default_factory=dict)
+    primal_value: float | None = None
+    dual_value: float | None = None
+    duality_gap: float | None = None
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -112,9 +117,6 @@ class RunSummary:
 
 
 # --- config parsing ----------------------------------------------------------
-
-_REQUIRED = object()
-_FORMATS = ("vtk", "csv", "json")
 
 
 def _value(raw, kind, where: str):
@@ -152,30 +154,23 @@ def _value(raw, kind, where: str):
     return kind(raw, where)
 
 
-def _get(raw: dict, key: str, kind, where: str, default=_REQUIRED):
-    """``raw[key]`` read as ``kind``, or ``default`` when absent."""
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key}: required")
-        return default
-    return _value(raw[key], kind, f"{where}.{key}")
+def _section(raw, where: str, kinds: dict, required=()) -> dict:
+    """The keys of ``kinds`` present in the object ``raw``, each read as its kind.
 
-
-def _object(raw, where: str, keys) -> dict:
+    Keys not in ``kinds`` are rejected; a key of ``required`` must be present.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {reprlib.repr(raw)}")
-    unknown = sorted(set(raw) - set(keys))
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-    return raw
-
-
-def _tagged(raw, where: str, keys_by_type: dict) -> str:
-    """The ``type`` of a tagged object, its keys checked against that type's."""
-    _object(raw, where, set().union(*keys_by_type.values()))
-    kind = _get(raw, "type", frozenset(keys_by_type), where)
-    _object(raw, where, keys_by_type[kind])
-    return kind
+    fields = {}
+    for key, kind in kinds.items():
+        if key in raw:
+            fields[key] = _value(raw[key], kind, f"{where}.{key}")
+        elif key in required:
+            raise ConfigError(f"{where}.{key}: required")
+    return fields
 
 
 def _build(cls, where: str, *args, **kwargs):
@@ -186,85 +181,74 @@ def _build(cls, where: str, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _fields(raw: dict, kinds: dict, where: str) -> dict:
-    """The keys of ``kinds`` present in ``raw``, each read as its kind."""
-    return {k: _get(raw, k, kind, where) for k, kind in kinds.items() if k in raw}
+def _tagged(raw, where: str, types: dict):
+    """The object a tagged section builds: its ``type`` picks an entry of ``types``.
+
+    Each entry is (builder, kinds, required keys); the builder is called with
+    the type's keys that are present.  Unknown keys are checked against every
+    type's keys before the type is read, then against that type's own.
+    """
+    any_key = {key: lambda v, w: v for _, kinds, _ in types.values() for key in kinds}
+    kind = _section(raw, where, {"type": frozenset(types), **any_key}, ("type",))["type"]
+    build, kinds, required = types[kind]
+    fields = _section(raw, where, {"type": str, **kinds}, required)
+    del fields["type"]
+    return _build(build, where, **fields)
 
 
-def _halfplane(raw: dict, where: str) -> HalfPlane:
-    return _build(HalfPlane, f"{where}.halfplane", *_get(raw, "halfplane", (float, 3), where))
+def _numbers(cls, length: int):
+    """The kind of an array of ``length`` numbers that are the arguments of ``cls``."""
+    return lambda raw, where: _build(cls, where, *_value(raw, (float, length), where))
 
 
-def _parse_region(raw, where: str):
-    _object(raw, where, {"halfplane", "value"})
-    return _halfplane(raw, where), _get(raw, "value", float, where)
+def _region(raw, where: str) -> tuple:
+    kinds = {"halfplane": _numbers(HalfPlane, 3), "value": float}
+    return tuple(_section(raw, where, kinds, required=tuple(kinds)).values())
 
 
-_ALPHA_KEYS = {"constant": {"type", "value"},
-               "piecewise": {"type", "regions", "default"},
-               "measure_line": {"type", "line_y", "weight", "base"}}
-_SOURCE_KEYS = {"constant": {"type", "value"},
-                "halfplane": {"type", "halfplane", "inside", "outside"},
-                "preset": {"type", "name"}}
+_ALPHA_TYPES = {
+    "constant": (ConstantAlpha, {"value": float}, ("value",)),
+    "piecewise": (functools.partial(PiecewiseAlpha, regions=()),
+                  {"regions": (_region, None), "default": float}, ("default",)),
+    "measure_line": (MeasureLineAlpha, dict.fromkeys(("line_y", "weight", "base"), float), ()),
+}
+_SOURCE_TYPES = {
+    "constant": (ConstantSource, {"value": float}, ("value",)),
+    "halfplane": (lambda halfplane, **values: HalfPlaneSource(halfplane, **values),
+                  {"halfplane": _numbers(HalfPlane, 3), "inside": float, "outside": float},
+                  ("halfplane", "inside")),
+    "preset": (PresetSource, {"name": str}, ("name",)),
+}
+# EvolutionSpec.u0: None for a zero start, else the constant's evaluator
+_U0_TYPES = {
+    "zero": (lambda: None, {}, ()),
+    "constant": (lambda value: ConstantSource(value).evaluate, {"value": float}, ("value",)),
+}
+_alpha, _source, _u0 = (functools.partial(_tagged, types=types)
+                        for types in (_ALPHA_TYPES, _SOURCE_TYPES, _U0_TYPES))
 
 
-def _parse_alpha(raw, where: str):
-    kind = _tagged(raw, where, _ALPHA_KEYS)
-    if kind == "constant":
-        return _build(ConstantAlpha, where, _get(raw, "value", float, where))
-    if kind == "piecewise":
-        return _build(PiecewiseAlpha, where,
-                      regions=_get(raw, "regions", (_parse_region, None), where, ()),
-                      default=_get(raw, "default", float, where))
-    return _build(MeasureLineAlpha, where,
-                  **_fields(raw, dict.fromkeys(("line_y", "weight", "base"), float), where))
-
-
-def _parse_source(raw, where: str):
-    kind = _tagged(raw, where, _SOURCE_KEYS)
-    if kind == "constant":
-        return _build(ConstantSource, where, _get(raw, "value", float, where))
-    if kind == "halfplane":
-        return _build(HalfPlaneSource, where, _halfplane(raw, where),
-                      inside=_get(raw, "inside", float, where),
-                      outside=_get(raw, "outside", float, where, 0.0))
-    return _build(PresetSource, where, _get(raw, "name", str, where))
-
-
-def _parse_problem(raw, where: str) -> ProblemSpec:
-    _object(raw, where, {"rect", "nx", "ny", "neumann_sides", "alpha", "f"})
-    rect = _get(raw, "rect", (float, 4), where, (0.0, 0.0, 1.0, 1.0))
-    sides = _get(raw, "neumann_sides", (frozenset(BOUNDARY_SIDES), None), where, ())
-    return _build(ProblemSpec, where,
-                  rect=_build(Rect, f"{where}.rect", *rect),
-                  nx=_get(raw, "nx", int, where), ny=_get(raw, "ny", int, where),
-                  boundary=BoundaryPartition(frozenset(sides)),
-                  alpha=_get(raw, "alpha", _parse_alpha, where),
-                  source=_get(raw, "f", _parse_source, where))
+def _problem(raw, where: str) -> ProblemSpec:
+    fields = _section(raw, where, {"rect": _numbers(Rect, 4),
+                                   "neumann_sides": (frozenset(BOUNDARY_SIDES), None),
+                                   "nx": int, "ny": int, "alpha": _alpha, "f": _source},
+                      required=("nx", "ny", "alpha", "f"))
+    return _build(ProblemSpec, where, rect=fields.pop("rect", UNIT_SQUARE),
+                  boundary=BoundaryPartition(frozenset(fields.pop("neumann_sides", ()))),
+                  source=fields.pop("f"), **fields)
 
 
 _SOLVER_KINDS = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
 
 
-def _parse_solver(raw, where: str) -> SolverConfig:
-    return _build(SolverConfig, where,
-                  **_fields(_object(raw, where, _SOLVER_KINDS), _SOLVER_KINDS, where))
+def _solver(raw, where: str) -> SolverConfig:
+    return _build(SolverConfig, where, **_section(raw, where, _SOLVER_KINDS))
 
 
-def _parse_u0(raw, where: str):
-    """None for a zero start, else the constant source's evaluator."""
-    kind = _tagged(raw, where, {"zero": {"type"}, "constant": {"type", "value"}})
-    return None if kind == "zero" else _parse_source(raw, where).evaluate
-
-
-def _parse_evolution(raw, where: str, problem: ProblemSpec,
-                     solver: SolverConfig) -> EvolutionSpec:
-    _object(raw, where, {"t_final", "dt", "u0", "rate"})
-    return _build(EvolutionSpec, where, problem=problem,
-                  rate=_get(raw, "rate", _parse_source, where, ConstantSource(0.0)),
-                  t_final=_get(raw, "t_final", float, where),
-                  dt=_get(raw, "dt", float, where),
-                  u0=_get(raw, "u0", _parse_u0, where, None), config=solver)
+def _evolution(raw, where: str) -> dict:
+    """The evolution's fields; its spec is built once the problem and solver are known."""
+    return _section(raw, where, {"rate": _source, "t_final": float, "dt": float, "u0": _u0},
+                    required=("t_final", "dt"))
 
 
 def _load(path: str) -> dict:
@@ -275,30 +259,29 @@ def _load(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-_TOP_KEYS = {"mode", "scenario", "problem", "solver", "mesh_sizes",
-             "evolution", "out_dir", "formats", "n"}
-
-
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a validated RunConfig from a JSON file and/or override flags.
 
     The set flags (mode, scenario, n, out, tau_min, newton_tol) replace the
     file's values before anything is read, so both pass the same checks.
     """
-    raw = _object(_load(path) if path is not None else {}, "config", _TOP_KEYS)
+    raw = _load(path) if path is not None else {}
     flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     solver_flags = {k: flags.pop(k) for k in ("tau_min", "newton_tol") if k in flags}
     if "out" in flags:
         flags["out_dir"] = flags.pop("out")
-    raw = {**raw, **flags}
-    if solver_flags and isinstance(raw.get("solver", {}), dict):
-        raw["solver"] = {**raw.get("solver", {}), **solver_flags}
+    if isinstance(raw, dict):
+        raw = {**raw, **flags}
+        if solver_flags and isinstance(raw.get("solver", {}), dict):
+            raw["solver"] = {**raw.get("solver", {}), **solver_flags}
 
-    where = "config"
-    mode = _get(raw, "mode", frozenset(("solve", "study", "evolve")), where)
-    name = _get(raw, "scenario", frozenset(SCENARIOS), where, None)
-    n = _get(raw, "n", int, where, None)
-    problem = _get(raw, "problem", _parse_problem, where, None)
+    fields = _section(raw, "config", {
+        "mode": frozenset(_MODES), "scenario": frozenset(SCENARIOS), "n": int,
+        "problem": _problem, "solver": _solver, "mesh_sizes": (int, None),
+        "evolution": _evolution, "out_dir": str,
+        "formats": (frozenset(("vtk", "csv", "json")), None)}, required=("mode",))
+    mode, name, n = fields["mode"], fields.pop("scenario", None), fields.pop("n", None)
+    problem = fields.pop("problem", None)
     if name is not None:
         problem = scenario(name)
     elif problem is None:
@@ -306,8 +289,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if n is not None:
         problem = _build(dataclasses.replace, "config.n", problem, nx=n, ny=n)
 
-    solver = _get(raw, "solver", _parse_solver, where, SolverConfig())
-    mesh_sizes = _get(raw, "mesh_sizes", (int, None), where, None)
+    mesh_sizes = fields.pop("mesh_sizes", None)
     if mesh_sizes is not None:
         for size in mesh_sizes:
             _build(dataclasses.replace, "config.mesh_sizes", problem, nx=size, ny=size)
@@ -320,12 +302,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
                               "with a closed-form solution")
         _build(exact_solution_for, "config.scenario", name)
 
-    evolution = _get(raw, "evolution", lambda v, w: _parse_evolution(v, w, problem, solver),
-                     where, _REQUIRED if mode == "evolve" else None)
-    return RunConfig(mode=mode, problem=problem, solver=solver, scenario_name=name,
-                     mesh_sizes=mesh_sizes, evolution=evolution,
-                     out_dir=_get(raw, "out_dir", str, where, "out"),
-                     formats=_get(raw, "formats", (frozenset(_FORMATS), None), where, _FORMATS))
+    evolution = fields.pop("evolution", None)
+    if evolution is None and mode == "evolve":
+        raise ConfigError("config.evolution: required")
+    cfg = RunConfig(problem=problem, scenario_name=name, mesh_sizes=mesh_sizes, **fields)
+    if evolution is not None:
+        cfg.evolution = _build(EvolutionSpec, "config.evolution", problem=problem,
+                               config=cfg.solver, **{"rate": ConstantSource(0.0), **evolution})
+    return cfg
 
 
 # --- exporters ---------------------------------------------------------------
@@ -400,7 +384,7 @@ def _tau_table(sol) -> list:
     ]
 
 
-def _run_solve(cfg: RunConfig, out) -> RunSummary:
+def _run_solve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     start = time.perf_counter()
     dp = DiscreteProblem.from_spec(cfg.problem)
     sol, diag = continuation_solve(dp, cfg.solver)
@@ -411,16 +395,17 @@ def _run_solve(cfg: RunConfig, out) -> RunSummary:
     r1, r2 = sol.residual_norms[-1]
     return RunSummary(
         mode="solve", scenario=cfg.scenario_name,
-        nx=cfg.problem.nx, ny=cfg.problem.ny,
+        nx=cfg.problem.nx, ny=cfg.problem.ny, wall_time_s=wall,
         tau_table=_tau_table(sol),
         final_residuals={"r1": r1, "r2": r2},
         primal_value=diag.primal_value, dual_value=diag.dual_value,
-        duality_gap=diag.duality_gap, wall_time_s=wall,
+        duality_gap=diag.duality_gap,
         extra={"max_gradient_ratio": diag.max_gradient_ratio,
-               "feasibility_violation": diag.feasibility_violation})
+               "feasibility_violation": diag.feasibility_violation},
+    ), f"solve finished: gap={diag.duality_gap:.3e}, |r1|={r1:.3e}"
 
 
-def _run_study(cfg: RunConfig, out) -> RunSummary:
+def _run_study(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     start = time.perf_counter()
     study = convergence_study(cfg.scenario_name, cfg.mesh_sizes, cfg.solver)
     wall = time.perf_counter() - start
@@ -428,16 +413,14 @@ def _run_study(cfg: RunConfig, out) -> RunSummary:
         export_study_csv(study, out / "study.csv")
     n = max(study.mesh_sizes)
     return RunSummary(
-        mode="study", scenario=cfg.scenario_name, nx=n, ny=n,
-        tau_table=[], final_residuals={},
-        primal_value=None, dual_value=None, duality_gap=None,
-        wall_time_s=wall,
+        mode="study", scenario=cfg.scenario_name, nx=n, ny=n, wall_time_s=wall,
         extra={"mesh_sizes": list(study.mesh_sizes),
                "err_u": list(study.err_u), "err_p": list(study.err_p),
-               "rate_u": study.rate_u, "rate_p": study.rate_p})
+               "rate_u": study.rate_u, "rate_p": study.rate_p},
+    ), f"study finished: rate_u={study.rate_u:.3f}, rate_p={study.rate_p:.3f}"
 
 
-def _run_evolve(cfg: RunConfig, out) -> RunSummary:
+def _run_evolve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     start = time.perf_counter()
     traj = run_evolution(cfg.evolution)
     balances = conservation_report(traj) if not cfg.problem.boundary.gamma_d_sides else None
@@ -451,11 +434,9 @@ def _run_evolve(cfg: RunConfig, out) -> RunSummary:
     last = traj.steps[-1]
     return RunSummary(
         mode="evolve", scenario=cfg.scenario_name,
-        nx=cfg.problem.nx, ny=cfg.problem.ny,
-        tau_table=[], final_residuals={"r1": last.residual_norms[-1][0],
-                                       "r2": last.residual_norms[-1][1]},
-        primal_value=None, dual_value=None, duality_gap=None,
-        wall_time_s=wall,
+        nx=cfg.problem.nx, ny=cfg.problem.ny, wall_time_s=wall,
+        final_residuals={"r1": last.residual_norms[-1][0],
+                         "r2": last.residual_norms[-1][1]},
         extra={"times": traj.times,
                "masses": [float(np.sum(traj.problem.areas * traj.u[0]))]
                          + [s.mass for s in traj.steps],
@@ -463,7 +444,14 @@ def _run_evolve(cfg: RunConfig, out) -> RunSummary:
                "steps": len(traj.steps),
                "starts": [s.start for s in traj.steps],
                "newton_steps": [sum(s.newton_iterations) for s in traj.steps],
-               "discarded_newton_steps": [s.discarded_newton_steps for s in traj.steps]})
+               "discarded_newton_steps": [s.discarded_newton_steps for s in traj.steps]},
+    ), f"evolution finished: {len(traj.steps)} steps"
+
+
+# mode -> (runner, help text); a runner returns its summary and completion line
+_MODES = {"solve": (_run_solve, "one stationary solve"),
+          "study": (_run_study, "mesh-refinement study"),
+          "evolve": (_run_evolve, "implicit Euler time stepping")}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -472,9 +460,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Solve gradient-constrained variational problems "
                     "through the flux-side formulation.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, desc in (("solve", "one stationary solve"),
-                       ("study", "mesh-refinement study"),
-                       ("evolve", "implicit Euler time stepping")):
+    for mode, (_, desc) in _MODES.items():
         cmd = sub.add_parser(mode, help=desc)
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--scenario", help=f"named scenario, one of {', '.join(SCENARIOS)}")
@@ -498,8 +484,7 @@ def main(argv=None) -> int:
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        runner = {"solve": _run_solve, "study": _run_study, "evolve": _run_evolve}[cfg.mode]
-        summary = runner(cfg, out)
+        summary, message = _MODES[cfg.mode][0](cfg, out)
         if "json" in cfg.formats:
             export_summary_json(summary, out / "summary.json")
     except SolverError as exc:
@@ -509,14 +494,7 @@ def main(argv=None) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if cfg.mode == "solve":
-        print(f"solve finished: gap={summary.duality_gap:.3e}, "
-              f"|r1|={summary.final_residuals['r1']:.3e}")
-    elif cfg.mode == "study":
-        print(f"study finished: rate_u={summary.extra['rate_u']:.3f}, "
-              f"rate_p={summary.extra['rate_p']:.3f}")
-    else:
-        print(f"evolution finished: {summary.extra['steps']} steps")
+    print(message)
     return EXIT_OK
 
 

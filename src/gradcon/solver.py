@@ -54,7 +54,6 @@ class SolverConfig:
     def __post_init__(self):
         if not 1.0 < self.tau_factor < math.inf:
             raise ValueError("continuation factor must exceed 1 and be finite")
-        # an infinite tau_start would make tau_schedule grow without end
         for name in ("tau_start", "tau_min", "newton_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -62,18 +61,19 @@ class SolverConfig:
             raise ValueError("tau_start must be at least tau_min")
         if not 1 <= self.newton_max_iter < math.inf:
             raise ValueError("newton_max_iter must be at least 1 and finite")
-        # counted in logarithms: tau_start / tau_min can overflow
-        stages = 1 + math.ceil((math.log(self.tau_start) - math.log(self.tau_min))
-                               / math.log(self.tau_factor))
-        if stages > MAX_STAGES:
-            raise ValueError(f"continuation schedule of {stages} stages exceeds "
-                             f"MAX_STAGES = {MAX_STAGES}")
+        tau_schedule(self)
 
 
 def tau_schedule(config: SolverConfig) -> np.ndarray:
-    """Geometric schedule from tau_start down to the first value <= tau_min."""
+    """Geometric schedule from tau_start down to the first value <= tau_min.
+
+    Raises ValueError, without building the rest, once it would pass
+    ``MAX_STAGES`` stages.
+    """
     taus = [config.tau_start]
     while taus[-1] > config.tau_min:
+        if len(taus) == MAX_STAGES:
+            raise ValueError(f"continuation schedule exceeds MAX_STAGES = {MAX_STAGES} stages")
         taus.append(taus[-1] / config.tau_factor)
     return np.array(taus)
 

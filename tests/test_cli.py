@@ -81,15 +81,38 @@ def test_parse_rejects_unknown_scenario(tmp_path):
         parse_config(path)
 
 
+# one valid object of each tagged type, and where each kind of section sits
+TAGGED_TYPES = {
+    "alpha": {"constant": {"value": 1.0},
+              "piecewise": {"default": 1.0,
+                            "regions": [{"halfplane": [1, 1, 1], "value": 0.75}]},
+              "measure_line": {"line_y": 0.5, "weight": 100.0, "base": 1.0}},
+    "source": {"constant": {"value": 1.0},
+               "halfplane": {"halfplane": [0, -1, -0.5], "inside": 0.25, "outside": 0.0},
+               "preset": {"name": "cone_valley"}},
+    "u0": {"zero": {}, "constant": {"value": 0.1}},
+}
+TAGGED_AT = {"alpha": [("problem", "alpha")],
+             "source": [("problem", "f"), ("evolution", "rate")],
+             "u0": [("evolution", "u0")]}
+
+
 def test_parse_rejects_keys_foreign_to_the_type(tmp_path):
-    path = write_config(tmp_path, {
-        "mode": "solve",
-        "problem": {"rect": [0, 0, 1, 1], "nx": 2, "ny": 2,
-                    "alpha": {"type": "constant", "value": 1.0, "weight": 5},
-                    "f": {"type": "constant", "value": 1.0}},
-    })
-    with pytest.raises(ConfigError, match=r"alpha.*weight"):
-        parse_config(path)
+    # every type, given a key that only a sibling type has, names that key
+    checked = 0
+    for section, types in TAGGED_TYPES.items():
+        for kind, fields in types.items():
+            foreign = {k: v for other in types.values() for k, v in other.items()
+                       if k not in fields}
+            for outer, inner in TAGGED_AT[section]:
+                for key, value in foreign.items():
+                    payload = evolve_config()
+                    payload[outer][inner] = {"type": kind, **fields, key: value}
+                    with pytest.raises(ConfigError) as err:
+                        parse_config(write_config(tmp_path, payload))
+                    assert str(err.value) == f"config.{outer}.{inner}: unknown key {key!r}"
+                    checked += 1
+    assert checked == 33
 
 
 def test_overrides_win(tmp_path):
@@ -394,6 +417,76 @@ def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, path, value
         assert not isinstance(value, bool)
         assert cfg.problem.nx == cfg.problem.ny == value
         assert type(cfg.problem.nx) is int
+
+
+# between them every key of the schema, every tagged type included
+FULL_CONFIGS = (
+    VALID_CONFIG | {"scenario": None, "n": None, "mesh_sizes": None},
+    {"mode": "evolve",
+     "problem": {"nx": 2, "ny": 2,
+                 "alpha": {"type": "measure_line", "line_y": 0.5, "weight": 100.0, "base": 1.0},
+                 "f": {"type": "preset", "name": "cone_valley"}},
+     "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "zero"},
+                   "rate": {"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 2.0}}},
+    {"mode": "evolve",
+     "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+                 "f": {"type": "constant", "value": 1.0}},
+     "evolution": {"t_final": 0.2, "dt": 0.1, "rate": {"type": "constant", "value": 1.0}}},
+)
+REQUIRED_KEYS = {"mode", "type", "value", "default", "halfplane", "inside", "name",
+                 "nx", "ny", "alpha", "f", "evolution", "t_final", "dt"}
+OPTIONAL_KEYS = {"regions", "outside", "line_y", "weight", "base", "rect", "neumann_sides",
+                 "u0", "rate", "out_dir", "formats", "solver", "tau_start", "tau_factor",
+                 "tau_min", "newton_tol", "newton_max_iter"}
+
+
+def key_paths(node, path=()):
+    """Key paths to every object key of a JSON value, outermost first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    return [p for k, v in items
+            for p in ([(*path, k)] if isinstance(node, dict) else []) + key_paths(v, (*path, k))]
+
+
+DELETIONS = [pytest.param(i, path, id=f"{i}-{'.'.join(map(str, path))}")
+             for i, config in enumerate(FULL_CONFIGS)
+             for path in key_paths({k: v for k, v in config.items() if v is not None})
+             if path != ("problem",)]       # a scenario can stand in for it
+
+
+@pytest.mark.parametrize("index, path", DELETIONS)
+def test_missing_key_is_located_or_optional(tmp_path, index, path):
+    payload = copy.deepcopy({k: v for k, v in FULL_CONFIGS[index].items() if v is not None})
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    config = write_config(tmp_path, payload)
+    assert path[-1] in REQUIRED_KEYS | OPTIONAL_KEYS
+    if path[-1] in OPTIONAL_KEYS:
+        parse_config(config)
+        return
+    where = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(ConfigError) as err:
+        parse_config(config)
+    assert str(err.value) == f"{where}: required"
+
+
+def test_evolve_ignores_the_problem_source(tmp_path):
+    # each step's load is u_prev + dt * rate: problem.f is checked, then unused
+    runs = []
+    for f in (0.0, 5.0):
+        payload = evolve_config(rate={"type": "halfplane", "halfplane": [1, 1, 0.5],
+                                      "inside": 2.0})
+        payload["problem"] |= {"nx": 4, "ny": 4, "f": {"type": "constant", "value": f}}
+        out = tmp_path / f"f{f}"
+        assert main(["evolve", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        runs.append(out)
+    steps = sorted(p.name for p in runs[0].glob("step_*.vtk"))
+    assert steps == ["step_000.vtk", "step_001.vtk", "step_002.vtk"]
+    for name in steps:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -50,8 +50,8 @@ def test_config_validation():
                 {"newton_max_iter": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    # the stage count is capped, and counted without building the schedule:
-    # 1.6e13 stages here, and tau_start / tau_min overflows below
+    # the stage count is capped, and the schedule is built no further than the
+    # cap: 1.6e13 stages here, and tau_start / tau_min overflows below
     with pytest.raises(ValueError, match="MAX_STAGES"):
         SolverConfig(tau_factor=1.000000000001)
     with pytest.raises(ValueError, match="MAX_STAGES"):
@@ -64,6 +64,10 @@ def test_config_validation():
     assert len(tau_schedule(near_cap(solver.MAX_STAGES - 1.5))) == solver.MAX_STAGES
     with pytest.raises(ValueError, match="MAX_STAGES"):
         near_cap(solver.MAX_STAGES - 0.5)
+    # tau_min on a schedule point: a count taken in logarithms read MAX_STAGES
+    # here, while the schedule has one stage more
+    with pytest.raises(ValueError, match="MAX_STAGES"):
+        SolverConfig(tau_start=1.0, tau_factor=1.0001, tau_min=0.0014255859641889993)
 
 
 def test_residual_zero_state_zero_source():
