@@ -4,7 +4,7 @@ Config schema (all keys optional unless a mode needs them)::
 
     {
       "mode": "solve" | "study" | "evolve",
-      "scenario": "ex1_f1_a1",                 # or an inline "problem"
+      "scenario": "ex1_f1_a1",                 # or an inline "problem", not both
       "n": 64,                                 # mesh override, cells per direction
       "problem": {
         "rect": [x0, y0, x1, y1],
@@ -282,6 +282,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         "formats": (frozenset(("vtk", "csv", "json")), None)}, required=("mode",))
     mode, name, n = fields["mode"], fields.pop("scenario", None), fields.pop("n", None)
     problem = fields.pop("problem", None)
+    if name is not None and problem is not None:
+        raise ConfigError("config: 'scenario' and 'problem' both given; keep one")
     if name is not None:
         problem = scenario(name)
     elif problem is None:

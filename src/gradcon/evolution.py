@@ -7,14 +7,13 @@ step``, so the previous state enters with weight one.  The step integral of
 the rate uses the midpoint rule.  :func:`step` returns the step's record,
 whose poured mass uses the step's own length ``t1 - t0``, as the load does.
 
-Every step first runs only the last ``WARM_STAGES`` stages of the
-continuation schedule, starting from the previous step's flux, which is
-close to the answer; the first step starts from the zero initial flux.
-If that tail fails, the step reruns the full schedule from zero;
-``StepDiagnostics.start`` records which path gave the step's solution.  A
-step that fails stops the run with a :class:`SolverError` (of the failing
-stage's type) naming the step, its interval and the failing tau, chained
-from the stage's error.
+Every step starts the continuation from the previous step's flux, which
+is close to the answer (the first step from the zero initial flux): a
+"warm" start of :func:`solver.continuation_solve`, with its fallback to
+the full schedule; ``StepDiagnostics.start`` records which run gave the
+step's solution.  A step that fails stops the run with a
+:class:`SolverError` (of the failing stage's type) naming the step, its
+interval and the failing tau, chained from the stage's error.
 
 With every boundary side flux-pinned, summing the balance equation over all
 cells shows that the total held mass changes exactly by the poured mass,
@@ -32,10 +31,8 @@ import numpy as np
 
 from . import fem
 from .problems import ProblemSpec
-from .solver import (DiscreteProblem, SolverConfig, SolverError, continuation_solve,
-                     tau_schedule)
+from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
 
-WARM_STAGES = 12                   # schedule tail run from the previous step's flux
 MAX_STEPS = 2**20                  # most time steps one run may march
 
 
@@ -111,30 +108,15 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
 
     Returns (DiscreteSolution, StepDiagnostics): the stationary solve with
     the effective load of this step, and its record, whose poured mass uses
-    the step's length ``k = t1 - t0`` as the load does.  With ``p_prev``
-    (``run`` passes it at every step, the zero initial flux at the first),
-    the last ``WARM_STAGES`` stages run from ``p_prev`` ("warm"), and a
-    failure there reruns the full schedule ("fallback").  Without it the
-    full schedule runs from zero ("cold").  A failed fallback's
-    ``SolverError.newton_steps`` includes the discarded warm tail's steps.
+    the step's length ``k = t1 - t0`` as the load does.  ``p_prev`` is the
+    start flux of :func:`solver.continuation_solve` (``run`` passes it at
+    every step, the zero initial flux at the first); without it the full
+    schedule runs from zero ("cold").
     """
     k = t1 - t0
     rate_q = fem.at_qpoints(dp.workspace, _rate_at(spec.rate, 0.5 * (t0 + t1)).evaluate)
     dp_step = dp.with_load(u_prev[:, None] + k * rate_q)
-    start, discarded = "cold", 0
-    if p_prev is not None:
-        try:
-            sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev,
-                                           taus=tau_schedule(spec.config)[-WARM_STAGES:])
-            start = "warm"
-        except SolverError as exc:
-            start, discarded = "fallback", exc.newton_steps
-    if start != "warm":
-        try:
-            sol, diag = continuation_solve(dp_step, spec.config)
-        except SolverError as exc:
-            exc.newton_steps += discarded
-            raise
+    sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev)
     poured = k * fem.integrate(dp.workspace, rate_q)
     mass = float(np.sum(dp.areas * sol.u))
     return sol, StepDiagnostics(
@@ -144,7 +126,7 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
         residual_norms=sol.residual_norms,
         tau_final=sol.tau_final,
         max_gradient_ratio=diag.max_gradient_ratio,
-        start=start, discarded_newton_steps=discarded)
+        start=sol.start, discarded_newton_steps=sol.discarded_newton_steps)
 
 
 def run(spec: EvolutionSpec) -> Trajectory:

@@ -13,8 +13,11 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
 
 an SPD system solved directly.  A backtracking line search on the squared
 residual norm globalizes each step.  The smoothing radius tau follows a
-geometric continuation schedule.  The first stage starts from zero (or a
-given flux), the second from the first stage's solution, and every later
+geometric continuation schedule.  Without a start flux the full schedule
+runs from zero ("cold"); from a start flux near the answer only its last
+``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
+reruns from zero ("fallback").  The first stage of a run starts from its
+start flux, the second from the first stage's solution, and every later
 stage from the secant predictor through the last two converged stages
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
 Every failure, a failed linear solve included, is a :class:`SolverError`
@@ -41,6 +44,7 @@ LS_SUFFICIENT_DECREASE = 1e-4
 LS_MAX_BACKTRACKS = 30
 
 MAX_STAGES = 2**16                 # longest continuation schedule accepted
+WARM_STAGES = 12                   # schedule tail run from a given start flux
 
 
 @dataclass(frozen=True)
@@ -285,6 +289,8 @@ class DiscreteSolution:
     newton_iterations: list
     residual_norms: list       # (|r1|, |r2|) per stage
     gap_history: list          # duality gap per stage
+    start: str = "cold"        # "cold", "warm" or "fallback" (warm tail failed)
+    discarded_newton_steps: int = 0     # Newton steps of a failed warm tail
 
 
 def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
@@ -311,47 +317,56 @@ def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -
 
 
 def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
-                       p0: np.ndarray | None = None, taus=None):
-    """Run a continuation schedule; returns (DiscreteSolution, Diagnostics).
+                       p0: np.ndarray | None = None):
+    """Run the continuation; returns (DiscreteSolution, Diagnostics).
 
-    ``taus`` defaults to ``tau_schedule(config)``; a given schedule must be
-    positive, finite and strictly decreasing, as that one is.  The first
-    stage starts from ``p0`` (zero when omitted, else one finite value per
-    edge) and the second from the first stage's solution.  From the third
-    stage on, Newton starts at the secant predictor
+    Without ``p0`` the full ``tau_schedule(config)`` runs from zero
+    ("cold").  With ``p0``, one finite value per edge, its last
+    ``WARM_STAGES`` stages run from ``p0`` ("warm"); if they raise
+    :class:`SolverError` the full schedule reruns from zero ("fallback").
+    ``DiscreteSolution.start`` names the run that gave the solution.
+    """
+    config = config or SolverConfig()
+    taus = tau_schedule(config)
+    zero = np.zeros(dp.mesh.num_edges)
+    if p0 is None:
+        return _stages(dp, config, taus, zero, "cold")
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != zero.shape:
+        raise ValueError(f"initial flux must have one value per edge, got {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise ValueError("initial flux must be finite")
+    try:
+        return _stages(dp, config, taus[-WARM_STAGES:], p0, "warm")
+    except SolverError as exc:
+        discarded = exc.newton_steps
+    return _stages(dp, config, taus, zero, "fallback", discarded)
+
+
+def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.ndarray,
+            start: str, discarded: int = 0):
+    """Run the stages ``taus`` from flux ``p``; see :func:`continuation_solve`.
+
+    From the third stage on, Newton starts at the secant predictor
 
         p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
 
     which extrapolates only between converged stages; on the geometric
     schedule the step is (p_k - p_{k-1}) / tau_factor.  The diagnostics
     returned are those of the last stage.  A failing stage raises
-    :class:`SolverError` naming its tau and counting the schedule's Newton
-    steps.
+    :class:`SolverError` naming its tau and counting the run's Newton steps
+    plus the ``discarded`` ones of an earlier, failed run.
     """
-    config = config or SolverConfig()
-    taus = tau_schedule(config) if taus is None else np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or len(taus) == 0:
-        raise ValueError("the continuation schedule needs at least one stage")
-    # a repeated tau would divide the secant predictor by zero
-    if not (np.all((taus > 0.0) & (taus < math.inf)) and np.all(np.diff(taus) < 0.0)):
-        raise ValueError(f"continuation schedule must be positive, finite and strictly "
-                         f"decreasing, got {taus}")
-
-    p = np.zeros(dp.mesh.num_edges) if p0 is None else np.asarray(p0, dtype=float)
-    if p.shape != (dp.mesh.num_edges,):
-        raise ValueError(f"initial flux must have one value per edge, got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("initial flux must be finite")
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
-        start = p
+        guess = p
         if k >= 2:                 # p and p_prev are both converged stages
-            start = p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev)
+            guess = p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev)
         p_prev = p
         try:
-            p, iters, r1n = newton_solve(dp, tau, start, config)
+            p, iters, r1n = newton_solve(dp, tau, guess, config)
         except SolverError as exc:
-            exc.newton_steps += sum(iteration_counts)
+            exc.newton_steps += sum(iteration_counts) + discarded
             raise
         u = recover_u(dp, p)
         diag = diagnostics(dp, p, u, tau)
@@ -361,5 +376,6 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
 
     sol = DiscreteSolution(p=p, u=u, tau_final=float(taus[-1]), tau_values=taus,
                            newton_iterations=iteration_counts,
-                           residual_norms=norms, gap_history=gaps)
+                           residual_norms=norms, gap_history=gaps,
+                           start=start, discarded_newton_steps=discarded)
     return sol, diag

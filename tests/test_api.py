@@ -13,6 +13,7 @@ from gradcon.mesh import UNIT_SQUARE, Mesh, build_rect_mesh
 REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step"),
     "gradcon.linalg": ("spmv",),
+    "gradcon.evolution": ("WARM_STAGES",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
                     "_areas_and_basis"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids",
@@ -50,7 +51,8 @@ def test_removed_options_are_gone():
     # times are read from the step records, not kept alongside them
     assert "times" not in {f.name for f in dataclasses.fields(evolution.Trajectory)}
     assert "neumann_edges" not in {f.name for f in dataclasses.fields(solver.DiscreteProblem)}
-    assert "verbose" not in inspect.signature(solver.continuation_solve).parameters
+    # a start flux chooses the schedule: all of it from zero, or the warm tail
+    assert not {"verbose", "taus"} & set(inspect.signature(solver.continuation_solve).parameters)
     assert not hasattr(solver.Diagnostics, "as_dict")
     assert "rhs_norm" not in {f.name for f in dataclasses.fields(linalg.LinearSolveReport)}
     assert "neumann_edges" not in inspect.signature(fem.assemble_huber_residual).parameters

@@ -75,6 +75,22 @@ def test_parse_rejects_unknown_keys_with_location(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_scenario_with_inline_problem(tmp_path, capsys):
+    # the problem used to be checked and dropped, and the scenario solved
+    inline = {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+              "f": {"type": "constant", "value": 1.0}}
+    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1",
+                                   "problem": inline})
+    with pytest.raises(ConfigError, match="'scenario' and 'problem' both given"):
+        parse_config(path)
+    # a --scenario flag merges into a file that has a problem before the check
+    path = write_config(tmp_path, {"mode": "solve", "problem": inline}, name="inline.json")
+    assert main(["solve", "--config", path, "--scenario", "ex1_f1_a1",
+                 "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "'scenario' and 'problem' both given" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_unknown_scenario(tmp_path):
     path = write_config(tmp_path, {"mode": "solve", "scenario": "nope"})
     with pytest.raises(ConfigError, match="scenario"):
@@ -370,7 +386,7 @@ def test_main_study_without_closed_form_exit_code(tmp_path, capsys):
 
 
 VALID_CONFIG = {
-    "mode": "evolve", "scenario": "ex1_f1_a1", "n": 4, "out_dir": "out",
+    "mode": "evolve", "n": 4, "out_dir": "out",
     "formats": ["vtk", "json"], "mesh_sizes": [4, 8],
     "problem": {"rect": [0, 0, 1, 1], "nx": 2, "ny": 2, "neumann_sides": ["left"],
                 "alpha": {"type": "piecewise", "default": 1.0,
@@ -398,11 +414,24 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text(max_size=4))
 
 
+# a config names a scenario or an inline problem, so every scalar of the
+# schema is fuzzed in one of the two bases
+FUZZ_BASES = (VALID_CONFIG,
+              {k: v for k, v in VALID_CONFIG.items() if k != "problem"} | {"scenario": "ex1_f1_a1"})
+
+
+def test_fuzz_bases_parse(tmp_path):
+    for i, base in enumerate(FUZZ_BASES):
+        cfg = parse_config(write_config(tmp_path, base, name=f"base{i}.json"))
+        assert cfg.evolution is not None and cfg.problem.nx == 4
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(scalar_paths(VALID_CONFIG)),
+@given(st.sampled_from([(base, path) for base in FUZZ_BASES for path in scalar_paths(base)]),
        JSON_SCALARS | st.lists(JSON_SCALARS, max_size=5))
-def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, path, value):
-    payload = copy.deepcopy(VALID_CONFIG)
+def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, case, value):
+    base, path = case
+    payload = copy.deepcopy(base)
     node = payload
     for key in path[:-1]:
         node = node[key]
@@ -421,7 +450,7 @@ def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, path, value
 
 # between them every key of the schema, every tagged type included
 FULL_CONFIGS = (
-    VALID_CONFIG | {"scenario": None, "n": None, "mesh_sizes": None},
+    VALID_CONFIG | {"n": None, "mesh_sizes": None},
     {"mode": "evolve",
      "problem": {"nx": 2, "ny": 2,
                  "alpha": {"type": "measure_line", "line_y": 0.5, "weight": 100.0, "base": 1.0},
@@ -451,7 +480,7 @@ def key_paths(node, path=()):
 DELETIONS = [pytest.param(i, path, id=f"{i}-{'.'.join(map(str, path))}")
              for i, config in enumerate(FULL_CONFIGS)
              for path in key_paths({k: v for k, v in config.items() if v is not None})
-             if path != ("problem",)]       # a scenario can stand in for it
+             if path != ("problem",)]       # without it: "either 'scenario' or 'problem'"
 
 
 @pytest.mark.parametrize("index, path", DELETIONS)

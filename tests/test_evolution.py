@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import gradcon as gc
 from gradcon import evolution as ev
-from gradcon import fem, huber, linalg
+from gradcon import fem, huber, linalg, solver
 from gradcon.solver import (DiscreteProblem, MaxIterationsExceeded, SolverConfig,
                             newton_solve, recover_u)
 
@@ -202,7 +202,7 @@ def test_warm_steps_match_cold_steps():
     spec = pour_to_the_bound()
     traj = ev.run(spec)
     assert [st.start for st in traj.steps] == ["warm", "warm"]
-    assert len(traj.steps[1].newton_iterations) == ev.WARM_STAGES
+    assert len(traj.steps[1].newton_iterations) == solver.WARM_STAGES
     # the cold trajectory: every step runs the full schedule from zero
     u = traj.u[0]
     for n in range(1, len(traj.steps) + 1):

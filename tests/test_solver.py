@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -228,28 +229,61 @@ def test_secant_predictor_keeps_coarse_schedule_in_reach():
     assert diag.max_gradient_ratio <= 1.0 + 1e-12
 
 
-def test_continuation_from_given_flux_and_schedule(solve_cache):
+def test_continuation_from_given_flux_runs_the_warm_tail(solve_cache):
     dp, sol, _ = solve_cache("ex1_f1_a1", 8)
-    again, _ = continuation_solve(dp, p0=sol.p, taus=[sol.tau_final])
-    assert again.newton_iterations == [0]
-    assert np.array_equal(again.p, sol.p)
-    assert list(again.tau_values) == [sol.tau_final]
-    with pytest.raises(ValueError, match="at least one stage"):
-        continuation_solve(dp, taus=[])
-    # a repeated tau would divide the secant predictor by zero, and the NaN
-    # start would then fail as a linear solve
-    for taus in ([1.0, 1.0, 0.5], [1.0, 0.5, 2.0], [1.0, 0.0], [1.0, -0.5],
-                 [math.inf, 1.0], [1.0, math.nan]):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            continuation_solve(dp, taus=taus)
+    assert (sol.start, sol.discarded_newton_steps) == ("cold", 0)
+    again, _ = continuation_solve(dp, p0=sol.p)
+    assert (again.start, again.discarded_newton_steps) == ("warm", 0)
+    assert len(again.newton_iterations) == solver.WARM_STAGES
+    assert np.array_equal(again.tau_values, tau_schedule(SolverConfig())[-solver.WARM_STAGES:])
+    assert np.max(np.abs(again.u - sol.u)) <= 1e-8
     # a flux of the wrong length would fail as a bare IndexError from a mask,
     # and a NaN flux as a linear solve
     for p0 in (sol.p[:-1], np.zeros((dp.mesh.num_edges, 1))):
         with pytest.raises(ValueError, match="one value per edge"):
-            continuation_solve(dp, p0=p0, taus=[sol.tau_final])
+            continuation_solve(dp, p0=p0)
     with pytest.raises(ValueError, match="must be finite"):
-        continuation_solve(dp, p0=np.where(sol.p == sol.p.max(), math.nan, sol.p),
-                           taus=[sol.tau_final])
+        continuation_solve(dp, p0=np.where(sol.p == sol.p.max(), math.nan, sol.p))
+
+
+def newton_failing_at(monkeypatch, *calls):
+    """Make the given calls of newton_solve (0-based) fail after 2 steps.
+
+    Returns the Newton steps of the calls that succeed, in call order.
+    """
+    real, steps, call = solver.newton_solve, [], itertools.count()
+
+    def newton(dp, tau, p0, config=None):
+        if next(call) in calls:
+            raise LineSearchStalled("injected failure", tau, 1.0, 0.0, 2)
+        result = real(dp, tau, p0, config)
+        steps.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    return steps
+
+
+def test_failed_warm_tail_reruns_the_full_schedule(solve_cache, monkeypatch):
+    # the warm tail fails at its third stage: its two converged stages and
+    # the failed stage's 2 steps are discarded, and the full schedule reruns
+    # from zero, which is the cold solve
+    dp, sol, _ = solve_cache("ex1_f1_a1", 8)
+    steps = newton_failing_at(monkeypatch, 2)
+    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
+    assert again.start == "fallback"
+    assert again.discarded_newton_steps == sum(steps[:2]) + 2
+    assert again.newton_iterations == sol.newton_iterations == steps[2:]
+    assert np.array_equal(again.p, sol.p)
+    # a fallback failing at its fifth stage counts every Newton step, the
+    # discarded tail's included
+    monkeypatch.undo()
+    steps = newton_failing_at(monkeypatch, 2, 7)
+    with pytest.raises(LineSearchStalled) as err:
+        continuation_solve(dp, p0=0.5 * sol.p)
+    assert len(steps) == 2 + 4
+    assert err.value.newton_steps == sum(steps) + 2 + 2
+    assert err.value.tau == tau_schedule(SolverConfig())[4]
 
 
 def test_one_factorization_per_newton_step(monkeypatch):
