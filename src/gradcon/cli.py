@@ -403,7 +403,8 @@ def _run_solve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
         primal_value=diag.primal_value, dual_value=diag.dual_value,
         duality_gap=diag.duality_gap,
         extra={"max_gradient_ratio": diag.max_gradient_ratio,
-               "feasibility_violation": diag.feasibility_violation},
+               "feasibility_violation": diag.feasibility_violation,
+               "factorizations": sol.factorizations, "cg_iterations": sol.cg_iterations},
     ), f"solve finished: gap={diag.duality_gap:.3e}, |r1|={r1:.3e}"
 
 
@@ -446,7 +447,9 @@ def _run_evolve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
                "steps": len(traj.steps),
                "starts": [s.start for s in traj.steps],
                "newton_steps": [sum(s.newton_iterations) for s in traj.steps],
-               "discarded_newton_steps": [s.discarded_newton_steps for s in traj.steps]},
+               "discarded_newton_steps": [s.discarded_newton_steps for s in traj.steps],
+               "factorizations": [s.factorizations for s in traj.steps],
+               "cg_iterations": [s.cg_iterations for s in traj.steps]},
     ), f"evolution finished: {len(traj.steps)} steps"
 
 

@@ -69,6 +69,8 @@ class StepDiagnostics:
     max_gradient_ratio: float
     start: str                     # "warm", "fallback" (warm tail failed), or "cold" (no p_prev)
     discarded_newton_steps: int    # Newton steps of a failed warm tail; 0 unless "fallback"
+    factorizations: int            # of the Schur matrix, by the run that gave the solution
+    cg_iterations: int             # PCG iterations of that run
 
 
 @dataclass
@@ -126,7 +128,8 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
         residual_norms=sol.residual_norms,
         tau_final=sol.tau_final,
         max_gradient_ratio=diag.max_gradient_ratio,
-        start=sol.start, discarded_newton_steps=sol.discarded_newton_steps)
+        start=sol.start, discarded_newton_steps=sol.discarded_newton_steps,
+        factorizations=sol.factorizations, cg_iterations=sol.cg_iterations)
 
 
 def run(spec: EvolutionSpec) -> Trajectory:

@@ -1,6 +1,6 @@
-"""The SPD solve used by Newton steps.
+"""The SPD solve used by Newton steps: a direct factorization, or PCG on a kept one.
 
-The solve is a sparse direct LU factorization (SuperLU), deterministic for
+The direct path is a sparse LU factorization (SuperLU), deterministic for
 fixed input.  The matrices it sees are symmetric positive definite, so it
 runs SuperLU in symmetric mode: the columns are ordered by minimum degree
 on the pattern of A + A^T, the same permutation is applied to the rows, and
@@ -8,7 +8,7 @@ the diagonal is taken as the pivot (no partial pivoting).  On the Schur
 matrices of the flux system this keeps the factor less than half as full as
 the default unsymmetric (COLAMD, partial pivoting) factorization.
 
-A solution x is accepted when its relative residual is small,
+A direct solution x is accepted when its relative residual is small,
 ||A x - b||_2 <= tol ||b||_2, or, failing that, when it is backward stable:
 its normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) in the
 infinity norm is at most tol, i.e. x solves a nearby system exactly.  The
@@ -17,6 +17,16 @@ violate the first.  Only when the factorization breaks down or x passes
 neither test is A factored again with a tiny diagonal (Tikhonov) shift
 ``1e-12 * diag(A)``; the shifted solution is judged against A by the same
 rule before the solve gives up.
+
+A :class:`FactorCache` keeps the last accepted factor for a run of
+solves whose matrices change little, such as the Newton steps of one
+continuation.  While it holds a factor of a matrix of A's shape, A x = b is
+solved by conjugate gradients from x = 0, preconditioned by that factor,
+and x is accepted once ||b - A x||_2 <= max(rtol, tol) ||b||_2.  A is
+factored again, by the direct path above, only when PCG misses that
+within ``PCG_MAX_ITER`` iterations, breaks down (a curvature d.A d or
+r.z that is not positive) or goes non-finite; the stale factor is dropped
+first, so two factors never coexist, and the new one is kept.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 TIKHONOV_EPS = 1e-12
+PCG_MAX_ITER = 10              # PCG iterations on a kept factor before factoring again
 
 
 class LinearSolveError(RuntimeError):
@@ -41,8 +52,19 @@ class LinearSolveError(RuntimeError):
 @dataclass(frozen=True)
 class LinearSolveReport:
     residual_norm: float
-    factor_nnz: int
+    factor_nnz: int            # of the factor that solved or preconditioned
     regularized: bool
+    cg_iterations: int         # PCG iterations on a kept factor, a failed attempt's included
+    refactored: bool           # the direct path ran: A was factored
+
+
+@dataclass
+class FactorCache:
+    """The last accepted factor of one run of solves, and the run's counts."""
+
+    lu: object = None
+    factorizations: int = 0    # splu calls, shifted retries included
+    cg_iterations: int = 0
 
 
 def _try_factor(A: sp.csc_matrix):
@@ -53,15 +75,46 @@ def _try_factor(A: sp.csc_matrix):
         return None
 
 
-def solve_spd(A, b: np.ndarray, tol: float = 1e-10):
+def _pcg(A, b: np.ndarray, lu, target: float):
+    """PCG from x = 0 preconditioned by ``lu.solve``; returns (x, iterations).
+
+    Stops once the recurred residual is at most ``target``.  x is None when
+    that takes more than ``PCG_MAX_ITER`` iterations or a curvature is not
+    positive (NaN included).
+    """
+    x, r = np.zeros_like(b), b.copy()
+    d, rz = None, 1.0
+    for k in range(1, PCG_MAX_ITER + 1):
+        z = lu.solve(r)
+        rz, rz_prev = float(r @ z), rz
+        d = z if d is None else z + (rz / rz_prev) * d
+        q = A @ d
+        dq = float(d @ q)
+        if not (rz > 0.0 and dq > 0.0):
+            return None, k
+        x += (rz / dq) * d
+        r -= (rz / dq) * q
+        if np.linalg.norm(r) <= target:
+            return x, k
+    return None, PCG_MAX_ITER
+
+
+def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None = None,
+              rtol: float | None = None):
     """Solve A x = b for symmetric positive definite A.
 
-    Returns ``(x, LinearSolveReport)`` where x has relative residual
-    ||A x - b|| <= tol ||b|| or normwise backward error <= tol (see the
-    module docstring).  The diagonally shifted retry runs only when the
-    factorization breaks down or x meets neither test; ``regularized``
-    says whether it did.  Raises :class:`LinearSolveError` when the retry
-    fails too.
+    Returns ``(x, LinearSolveReport)``.  Without ``cache``, A is factored
+    and x has relative residual ||A x - b|| <= tol ||b|| or normwise
+    backward error <= tol (see the module docstring); the diagonally
+    shifted retry runs only when the factorization breaks down or x meets
+    neither test, and ``regularized`` says whether it did.  ``rtol`` is
+    then unused.
+
+    With ``cache``, its factor first preconditions PCG, which must reach
+    ||b - A x|| <= max(rtol, tol) ||b||; if it cannot, or the cache is
+    empty, the direct path runs, ``refactored`` is set and the accepted
+    factor is kept in the cache.  Raises :class:`LinearSolveError` only
+    when the direct path fails, its retry included.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[1] != b.shape[0]:
@@ -69,10 +122,23 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10):
     A = sp.csc_matrix(A)
     rhs_norm = float(np.linalg.norm(b))
 
+    cg_iterations = 0
+    if cache is not None and cache.lu is not None and cache.lu.shape == A.shape:
+        target = max(tol, rtol or 0.0) * rhs_norm
+        x, cg_iterations = _pcg(A, b, cache.lu, target)
+        cache.cg_iterations += cg_iterations
+        res = np.inf if x is None else float(np.linalg.norm(A @ x - b))
+        if res <= target:
+            return x, LinearSolveReport(res, cache.lu.nnz, False, cg_iterations, False)
+    if cache is not None:
+        cache.lu = None        # the stale factor goes before the next is made
+
     res = np.inf
     for regularized in (False, True):
         M = A + sp.diags(TIKHONOV_EPS * A.diagonal()) if regularized else A
         lu = _try_factor(sp.csc_matrix(M))
+        if cache is not None:
+            cache.factorizations += 1
         if lu is None:
             continue
         x = lu.solve(b)
@@ -81,7 +147,9 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10):
         # relative residual first, so the common case pays for no norm of A
         if np.isfinite(res) and (res <= tol * rhs_norm or np.linalg.norm(r, np.inf) <= tol * (
                 spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))):
-            return x, LinearSolveReport(res, lu.nnz, regularized)
+            if cache is not None:
+                cache.lu = lu
+            return x, LinearSolveReport(res, lu.nnz, regularized, cg_iterations, True)
 
     outcome = "factorization broke down" if lu is None else "solution missed tol"
     raise LinearSolveError(f"SPD solve failed to reach tol={tol:g} (shifted {outcome})", res)

@@ -11,10 +11,14 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
 
     R(P) = -B^T u(P) + H_tau(P),     dR/dP = G_tau(P) + B^T M^{-1} B =: S(P),
 
-an SPD system solved directly.  A backtracking line search on the squared
-residual norm globalizes each step.  The smoothing radius tau follows a
-geometric continuation schedule.  Without a start flux the full schedule
-runs from zero ("cold"); from a start flux near the answer only its last
+an SPD system.  Each run of stages keeps one factor of S in a
+:class:`linalg.FactorCache`: a step solves S d = -R by PCG on that factor
+to the inexact Newton forcing term eta = min(0.1, |R|) (Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996), and S is factored again only when
+PCG misses it.  A backtracking line search on the squared residual norm
+globalizes each step.  The smoothing radius tau follows a geometric
+continuation schedule.  Without a start flux the full schedule runs from
+zero ("cold"); from a start flux near the answer only its last
 ``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
 reruns from zero ("fallback").  The first stage of a run starts from its
 start flux, the second from the first stage's solution, and every later
@@ -43,6 +47,7 @@ LS_SHRINK = 0.5
 LS_SUFFICIENT_DECREASE = 1e-4
 LS_MAX_BACKTRACKS = 30
 
+FORCING_MAX = 0.1                  # largest inexact Newton forcing term eta
 MAX_STAGES = 2**16                 # longest continuation schedule accepted
 WARM_STAGES = 12                   # schedule tail run from a given start flux
 
@@ -110,9 +115,10 @@ class DiscreteProblem:
     ``free`` is always a boolean mask over the edges, False on the edges of
     flux-pinned (Neumann) sides and all True when there are none.
 
-    Every Newton step factors the Schur matrix S = G_tau + B^T M^{-1} B over
-    the free edges.  Its sparsity never changes: edges e and f are coupled
-    exactly when they share a triangle.  ``from_spec`` fixes it once:
+    Every Newton step solves a system in the Schur matrix
+    S = G_tau + B^T M^{-1} B over the free edges.  Its sparsity never
+    changes: edges e and f are coupled exactly when they share a triangle.
+    ``from_spec`` fixes it once:
 
     * ``schur_indptr``, ``schur_indices``: the CSR pattern of S;
     * ``schur_scatter``: for each entry (t, k, l) of the Jacobian's element
@@ -225,12 +231,15 @@ def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
-                 config: SolverConfig | None = None):
+                 config: SolverConfig | None = None, *, cache: linalg.FactorCache | None = None):
     """Damped Newton on the reduced residual; returns (p, iterations, |r|).
 
     The cell variable is eliminated exactly at every iterate, so the
-    balance equation holds up to rounding throughout.  Every failure raises
-    :class:`SolverError`; a failed linear solve is chained as its cause.
+    balance equation holds up to rounding throughout.  Without ``cache``
+    every step factors S; with one, a step may be solved by PCG on the
+    cached factor, to the relative residual min(FORCING_MAX, |r|) only.
+    Every failure raises :class:`SolverError`; a failed linear solve is
+    chained as its cause.
     """
     config = config or SolverConfig()
     p = np.array(p0, dtype=float)
@@ -247,7 +256,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
                                                  ws=dp.workspace))
         step = np.zeros_like(p)
         try:
-            step[dp.free] = linalg.solve_spd(S, -r[dp.free])[0]
+            step[dp.free] = linalg.solve_spd(S, -r[dp.free], cache=cache,
+                                             rtol=min(FORCING_MAX, rnorm))[0]
         except linalg.LinearSolveError as exc:
             raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm),
                               iterations + 1) from exc
@@ -291,6 +301,8 @@ class DiscreteSolution:
     gap_history: list          # duality gap per stage
     start: str = "cold"        # "cold", "warm" or "fallback" (warm tail failed)
     discarded_newton_steps: int = 0     # Newton steps of a failed warm tail
+    factorizations: int = 0    # of S, by the run that gave this solution
+    cg_iterations: int = 0     # PCG iterations of that run
 
 
 def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
@@ -355,8 +367,10 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
     schedule the step is (p_k - p_{k-1}) / tau_factor.  The diagnostics
     returned are those of the last stage.  A failing stage raises
     :class:`SolverError` naming its tau and counting the run's Newton steps
-    plus the ``discarded`` ones of an earlier, failed run.
+    plus the ``discarded`` ones of an earlier, failed run.  The run keeps
+    one :class:`linalg.FactorCache`, made here and dropped on return.
     """
+    cache = linalg.FactorCache()
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
         guess = p
@@ -364,7 +378,7 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
             guess = p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev)
         p_prev = p
         try:
-            p, iters, r1n = newton_solve(dp, tau, guess, config)
+            p, iters, r1n = newton_solve(dp, tau, guess, config, cache=cache)
         except SolverError as exc:
             exc.newton_steps += sum(iteration_counts) + discarded
             raise
@@ -377,5 +391,7 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
     sol = DiscreteSolution(p=p, u=u, tau_final=float(taus[-1]), tau_values=taus,
                            newton_iterations=iteration_counts,
                            residual_norms=norms, gap_history=gaps,
-                           start=start, discarded_newton_steps=discarded)
+                           start=start, discarded_newton_steps=discarded,
+                           factorizations=cache.factorizations,
+                           cg_iterations=cache.cg_iterations)
     return sol, diag

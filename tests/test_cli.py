@@ -210,6 +210,9 @@ def test_main_solve_end_to_end(tmp_path):
     assert summary["final_residuals"]["r1"] <= 1e-8
     assert len(summary["tau_table"]) == 63
     assert summary["duality_gap"] <= 1e-3
+    steps = sum(row["newton_iterations"] for row in summary["tau_table"])
+    assert 1 <= summary["extra"]["factorizations"] < steps
+    assert summary["extra"]["cg_iterations"] > 0
 
 
 def test_main_is_reproducible_modulo_wall_time(tmp_path):
@@ -260,6 +263,7 @@ def test_main_evolve_end_to_end(tmp_path):
     assert extra["discarded_newton_steps"] == [0, 0]
     # a uniform pour on a closed square needs no flux: p = 0 solves each step
     assert extra["newton_steps"] == [0, 0]
+    assert extra["factorizations"] == extra["cg_iterations"] == [0, 0]
 
 
 def evolve_config(**evolution):

@@ -251,6 +251,7 @@ def test_failed_warm_tail_falls_back_to_full_schedule(monkeypatch):
                               for st in traj.steps)
     for st in traj.steps:
         assert (st.discarded_newton_steps > 0) == (st.start == "fallback")
+        assert 1 <= st.factorizations <= sum(st.newton_iterations)
         assert max(max(norms) for norms in st.residual_norms) <= 1e-8
         assert abs(st.mass_balance) <= 1e-10
         assert st.max_gradient_ratio <= 1.0 + 1e-12

@@ -123,3 +123,82 @@ def test_diagonal_systems_hypothesis(diag):
     b = np.arange(1.0, len(diag) + 1.0)
     x, _ = solve_spd(A, b)
     assert np.allclose(x, b / np.asarray(diag), rtol=1e-12)
+
+
+def spread_spd(n=60, seed=15):
+    """SPD with n eigenvalues spread over 1e0..1e-4: unpreconditioned CG needs ~n steps."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = Q @ np.diag(np.logspace(0, -4, n)) @ Q.T
+    return sp.csr_matrix(0.5 * (A + A.T)), rng.normal(size=n)
+
+
+def test_direct_path_reports_its_factorization():
+    A, b = spread_spd()
+    x, report = solve_spd(A, b, rtol=0.1)       # without a cache rtol is unused
+    assert report.refactored and report.cg_iterations == 0
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_cache_keeps_the_factor_and_pcg_meets_rtol():
+    rng = np.random.default_rng(16)
+    A = random_spd(rng, 200)
+    cache = linalg.FactorCache()
+    b = rng.normal(size=200)
+    _, first = solve_spd(A, b, cache=cache)
+    assert first.refactored and cache.lu is not None and cache.factorizations == 1
+    kept = cache.lu
+    # a nearby matrix: the kept factor preconditions PCG to the looser rtol
+    A2 = A + sp.diags(rng.uniform(0.0, 0.05, 200))
+    x, report = solve_spd(A2, b, cache=cache, rtol=1e-3)
+    assert not report.refactored and not report.regularized
+    assert 1 <= report.cg_iterations <= linalg.PCG_MAX_ITER
+    assert cache.lu is kept and cache.factorizations == 1
+    assert cache.cg_iterations == report.cg_iterations
+    res = np.linalg.norm(A2 @ x - b)
+    assert res <= 1e-3 * np.linalg.norm(b) and report.residual_norm == pytest.approx(res, rel=1e-9)
+    assert report.factor_nnz == kept.nnz
+
+
+def test_scaled_factor_is_still_an_exact_preconditioner():
+    # PCG does not see the scale of its preconditioner: the factor of 1e6 A
+    # solves A x = b in one iteration, to tol
+    A, b = spread_spd()
+    cache = linalg.FactorCache(lu=linalg._try_factor(sp.csc_matrix(1e6 * A)))
+    x, report = solve_spd(A, b, cache=cache)
+    assert not report.refactored and report.cg_iterations == 1
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+class PoisonedFactor:
+    shape, nnz = (60, 60), 60
+
+    def solve(self, r):
+        return np.full_like(r, np.nan)
+
+
+@pytest.mark.parametrize("stale, cg_iterations", [
+    # the factor of 1e6 I: plain CG, which misses in PCG_MAX_ITER iterations
+    (lambda n: linalg._try_factor(sp.csc_matrix(1e6 * sp.identity(n))), linalg.PCG_MAX_ITER),
+    (lambda n: PoisonedFactor(), 1),                                # NaN: breaks down at once
+    (lambda n: linalg._try_factor(sp.csc_matrix(sp.identity(n + 1))), 0),   # wrong size
+])
+def test_stale_or_poisoned_cache_factors_again(stale, cg_iterations):
+    A, b = spread_spd()
+    cache = linalg.FactorCache(lu=stale(A.shape[0]))
+    x, report = solve_spd(A, b, cache=cache, rtol=1e-10)
+    assert report.refactored and not report.regularized
+    assert cache.factorizations == 1 and cache.lu.shape == A.shape
+    assert not isinstance(cache.lu, PoisonedFactor)
+    assert report.cg_iterations == cache.cg_iterations == cg_iterations
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_only_the_direct_path_raises():
+    # a poisoned cache falls through to the direct path, whose own failure
+    # is the one LinearSolveError; the cache is left without a factor
+    A, b = spread_spd()
+    cache = linalg.FactorCache(lu=PoisonedFactor())
+    with pytest.raises(LinearSolveError, match="shifted solution missed tol"):
+        solve_spd(A, b, tol=1e-300, cache=cache)
+    assert cache.lu is None and cache.factorizations == 2

@@ -253,10 +253,10 @@ def newton_failing_at(monkeypatch, *calls):
     """
     real, steps, call = solver.newton_solve, [], itertools.count()
 
-    def newton(dp, tau, p0, config=None):
+    def newton(dp, tau, p0, config=None, *, cache=None):
         if next(call) in calls:
             raise LineSearchStalled("injected failure", tau, 1.0, 0.0, 2)
-        result = real(dp, tau, p0, config)
+        result = real(dp, tau, p0, config, cache=cache)
         steps.append(result[1])
         return result
 
@@ -274,6 +274,7 @@ def test_failed_warm_tail_reruns_the_full_schedule(solve_cache, monkeypatch):
     assert again.start == "fallback"
     assert again.discarded_newton_steps == sum(steps[:2]) + 2
     assert again.newton_iterations == sol.newton_iterations == steps[2:]
+    assert (again.factorizations, again.cg_iterations) == (sol.factorizations, sol.cg_iterations)
     assert np.array_equal(again.p, sol.p)
     # a fallback failing at its fifth stage counts every Newton step, the
     # discarded tail's included
@@ -289,14 +290,55 @@ def test_failed_warm_tail_reruns_the_full_schedule(solve_cache, monkeypatch):
 def test_one_factorization_per_newton_step(monkeypatch):
     # the steps that miss the relative residual test only by rounding (see
     # test_continuation_accepts_backward_stable_steps) must not pay for a
-    # second, shifted factorization
-    factorizations = []
-    splu = linalg.spla.splu
+    # second, shifted factorization; every factorization is one step's
+    # refactor, and the kept factor serves the other steps
+    factorizations, reports = [], []
+    splu, real = linalg.spla.splu, linalg.solve_spd
     monkeypatch.setattr(linalg.spla, "splu",
                         lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+
+    def solve(A, b, **kw):
+        result = real(A, b, **kw)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(linalg, "solve_spd", solve)
     dp = DiscreteProblem.from_spec(gc.scenario("ex2_a15", n=32))
     sol, _ = continuation_solve(dp, SolverConfig(tau_factor=3.0))
-    assert len(factorizations) == sum(sol.newton_iterations)
+    assert len(reports) == sum(sol.newton_iterations)
+    assert len(factorizations) == sum(r.refactored for r in reports) == sol.factorizations
+    assert not any(r.regularized for r in reports)
+    assert len(factorizations) < sum(sol.newton_iterations)
+    assert sol.cg_iterations == sum(r.cg_iterations for r in reports)
+
+
+def test_repeated_runs_repeat_exactly():
+    # the kept factor lives for one run, so a second solve of the same
+    # problem makes the same steps, factorizations and flux
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=16))
+    first, _ = continuation_solve(dp)
+    second, _ = continuation_solve(dp)
+    assert second.newton_iterations == first.newton_iterations
+    assert (second.factorizations, second.cg_iterations) == (
+        first.factorizations, first.cg_iterations)
+    assert 1 <= first.factorizations < sum(first.newton_iterations)
+    assert np.array_equal(second.p, first.p)
+
+
+@pytest.mark.parametrize("name", ["ex1_f1_a1", "ex4_measure", "ex2_a15"])
+def test_lagged_factor_matches_factoring_every_step(name, monkeypatch):
+    # both runs stop at |r| <= newton_tol, not at rounding, so u agrees to
+    # what that stop leaves: 3.6e-15, 1.6e-12 and 1.9e-15 here
+    dp = DiscreteProblem.from_spec(gc.scenario(name, n=16))
+    lagged, _ = continuation_solve(dp)
+    real = linalg.solve_spd
+    monkeypatch.setattr(linalg, "solve_spd",
+                        lambda A, b, tol=1e-10, *, cache=None, rtol=None: real(A, b, tol))
+    direct, _ = continuation_solve(dp)
+    assert direct.factorizations == direct.cg_iterations == 0
+    assert lagged.factorizations < sum(lagged.newton_iterations)
+    assert max(max(norms) for norms in lagged.residual_norms) <= 1e-8
+    assert np.max(np.abs(lagged.u - direct.u)) <= 1e-11
 
 
 def test_recover_u_mean_of_source():
