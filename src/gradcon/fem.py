@@ -32,9 +32,14 @@ the pairs.  Built at the corner cell, the table keeps x - v_opp from
 cancelling: on the 64x64 unit square the field values lie within 1.1e-16
 of their largest value of an extended-precision closed form, where a table
 per triangle was off by 1.2e-14.  Centroid values come from the same
-builder at the two centroids.  The Huber Jacobian is returned as its
-per-triangle element blocks; the solver adds them into a sparsity pattern
-it fixes once per mesh.
+builder at the two centroids.  The Huber kernels take one weight per
+point, iso = 1/max(|v|, tau), for both smoothing branches: the residual
+folds the quadrature weight into it, and the Jacobian contracts the three
+distinct entries (xx, xy, yy) of the symmetric weighted Hessian with a
+36-row table of basis products per pair of cells, the xy and yx products
+summed in one row.  The Huber Jacobian is returned as its per-triangle
+element blocks; the solver adds them into a sparsity pattern it fixes once
+per mesh.
 """
 
 from __future__ import annotations
@@ -200,8 +205,11 @@ def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
                             ws: Workspace) -> np.ndarray:
     """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh."""
     _check_mesh(mesh, ws)
-    g = huber.dphi(rt0_at_quadrature(ws, p), tau)
-    g *= (ws.areas[:, None] * ws.rule.weights * aq)[..., None]
+    g = rt0_at_quadrature(ws, p)
+    # dphi(p_h) = iso p_h: the quadrature weight is folded into iso
+    iso = huber.isotropic_weight(g, tau)
+    iso *= ws.areas[:, None] * ws.rule.weights * aq
+    g *= iso[..., None]
     elem = g.reshape(-1, ws.basis.shape[1]) @ ws.basis.T   # (nt/2, 6)
     return np.bincount(mesh.tri_edges.ravel(), elem.ravel(), minlength=mesh.num_edges)
 
@@ -215,12 +223,28 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     placed at those edges.
     """
     _check_mesh(mesh, ws)
-    h = huber.d2phi(rt0_at_quadrature(ws, p), tau)
-    h *= (ws.areas[:, None] * ws.rule.weights * aq)[..., None, None]
-    # blocks = sum over (q, d, e) of h_qde psi_k[q, d] psi_l[q, e]: one product
-    # with the table of those basis products, block-diagonal as the basis is
+    pq = rt0_at_quadrature(ws, p)
+    iso, rank1 = huber.hessian_weights(pq, tau)
+    w = ws.areas[:, None] * ws.rule.weights * aq
+    iso *= w
+    rank1 *= w
+    # the distinct entries xx, xy, yy of the weighted iso I - rank1 v v^T,
+    # written in place: a large temporary per entry costs as much as the
+    # arithmetic
+    vx, vy = pq[..., 0], pq[..., 1]
+    h = np.empty(iso.shape + (3,))
+    xx, xy, yy = np.moveaxis(h, -1, 0)
+    np.multiply(rank1, vx, out=xy)
+    np.subtract(iso, xy * vx, out=xx)
+    np.subtract(iso, rank1 * vy * vy, out=yy)
+    xy *= -vy
+    # blocks = sum over (q, entry) of h times the basis products of that
+    # entry at q (xx, xy + yx, yy): one product with their table,
+    # block-diagonal as the basis is
     psi = ws.basis.reshape(2, 3, 2, -1, 2)          # (cell, k, cell of the points, q, d)
-    products = np.einsum("skrqd,slrqe->rqdeskl", psi, psi).reshape(-1, 18)
+    pp = np.einsum("skrqd,slrqe->rqdeskl", psi, psi)
+    products = np.stack([pp[:, :, 0, 0], pp[:, :, 0, 1] + pp[:, :, 1, 0], pp[:, :, 1, 1]],
+                        axis=2).reshape(-1, 18)
     return (h.reshape(-1, len(products)) @ products).reshape(-1, 3, 3)
 
 

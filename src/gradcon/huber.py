@@ -31,25 +31,30 @@ def phi(v, tau: float):
     return np.where(r <= tau, r * r / (2.0 * tau), r - 0.5 * tau)
 
 
-def _weights(v, tau: float):
-    """(quad, safe_r, iso): the inside mask, |v| guarded to 1 inside, and 1/tau or 1/|v|."""
-    tau = _check_tau(tau)
-    r = _norm(v)
-    quad = r <= tau
-    safe_r = np.where(quad, 1.0, r)  # outside branch has r > tau > 0
-    return quad, safe_r, np.where(quad, 1.0 / tau, 1.0 / safe_r)
+def isotropic_weight(v, tau: float):
+    """iso = 1/max(|v|, tau), of shape v.shape[:-1]: 1/tau inside, 1/|v| outside.
+
+    ``dphi(v) = iso v`` and ``d2phi(v) = iso I - rank1 v v^T``; one weight
+    serves both branches, so a kernel needs no branch mask for it.
+    """
+    return 1.0 / np.maximum(_norm(v), _check_tau(tau))
 
 
 def dphi(v, tau: float):
     """Gradient of ``phi``: v/tau inside, v/|v| outside; |dphi| <= 1."""
     v = np.asarray(v, dtype=float)
-    return v * _weights(v, tau)[2][..., None]
+    return v * isotropic_weight(v, tau)[..., None]
 
 
 def hessian_weights(v, tau: float):
-    """(iso, rank1) with ``d2phi(v) = iso I - rank1 v v^T``, each of shape v.shape[:-1]."""
-    quad, safe_r, iso = _weights(v, tau)
-    return iso, np.where(quad, 0.0, 1.0 / safe_r**3)
+    """(iso, rank1) with ``d2phi(v) = iso I - rank1 v v^T``, each of shape v.shape[:-1].
+
+    rank1 is iso^3 = 1/|v|^3 outside and 0 inside.
+    """
+    tau = _check_tau(tau)
+    r = _norm(v)
+    iso = 1.0 / np.maximum(r, tau)
+    return iso, (r > tau) * (iso * iso * iso)
 
 
 def d2phi(v, tau: float):

@@ -26,7 +26,11 @@ and x is accepted once ||b - A x||_2 <= max(rtol, tol) ||b||_2.  A is
 factored again, by the direct path above, only when PCG misses that
 within ``PCG_MAX_ITER`` iterations, breaks down (a curvature d.A d or
 r.z that is not positive) or goes non-finite; the stale factor is dropped
-first, so two factors never coexist, and the new one is kept.
+first, so two factors never coexist, and the new one is kept.  PCG gives
+up before the budget is spent when, from its second iteration on, its mean
+contraction per iteration so far would leave the residual above the target
+after ``PCG_MAX_ITER`` iterations: a factor too stale to serve costs two
+or three iterations, not ten.
 """
 
 from __future__ import annotations
@@ -79,10 +83,13 @@ def _pcg(A, b: np.ndarray, lu, target: float):
     """PCG from x = 0 preconditioned by ``lu.solve``; returns (x, iterations).
 
     Stops once the recurred residual is at most ``target``.  x is None when
-    that takes more than ``PCG_MAX_ITER`` iterations or a curvature is not
-    positive (NaN included).
+    a curvature is not positive (NaN included), or when from the second
+    iteration on the mean contraction so far, rho = (|r_k|/|r_0|)^(1/k),
+    predicts |r_k| rho^(PCG_MAX_ITER - k) > target: the budget cannot be met
+    at that pace, and at k = PCG_MAX_ITER the prediction is |r_k| itself.
     """
     x, r = np.zeros_like(b), b.copy()
+    r0 = np.linalg.norm(b)
     d, rz = None, 1.0
     for k in range(1, PCG_MAX_ITER + 1):
         z = lu.solve(r)
@@ -94,8 +101,11 @@ def _pcg(A, b: np.ndarray, lu, target: float):
             return None, k
         x += (rz / dq) * d
         r -= (rz / dq) * q
-        if np.linalg.norm(r) <= target:
+        rk = np.linalg.norm(r)
+        if rk <= target:
             return x, k
+        if k >= 2 and rk * (rk / r0) ** ((PCG_MAX_ITER - k) / k) > target:
+            return None, k
     return None, PCG_MAX_ITER
 
 

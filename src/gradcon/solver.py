@@ -24,6 +24,9 @@ reruns from zero ("fallback").  The first stage of a run starts from its
 start flux, the second from the first stage's solution, and every later
 stage from the secant predictor through the last two converged stages
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
+Each stage records only its duality gap, from the primal and dual values
+that :func:`diagnostics` also uses; the full diagnostics, recovered
+gradient included, are computed once per run, for its last stage.
 Every failure, a failed linear solve included, is a :class:`SolverError`
 naming the failing tau and the residual norms there.
 """
@@ -311,13 +314,18 @@ def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.nda
     return -dp.alpha_c[:, None] * huber.dphi(pc, tau)
 
 
-def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
+def _objectives(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """(primal, dual): the unsmoothed flux-side objective and the sign-flipped height side."""
     ws = dp.workspace
     pnorm = huber._norm(fem.rt0_at_quadrature(ws, p))
     misfit = ((dp.B @ p) / dp.areas)[:, None] - dp.source_q
     primal = 0.5 * fem.integrate(ws, misfit**2)
     primal += fem.integrate(ws, dp.alpha_q, pnorm)
-    dual = float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
+    return primal, float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
+
+
+def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
+    primal, dual = _objectives(dp, p, u)
     grad = recovered_gradient(dp, p, tau)
     gnorm = huber._norm(grad)
     ratio = float(np.max(gnorm / dp.alpha_c))
@@ -364,8 +372,9 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
         p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
 
     which extrapolates only between converged stages; on the geometric
-    schedule the step is (p_k - p_{k-1}) / tau_factor.  The diagnostics
-    returned are those of the last stage.  A failing stage raises
+    schedule the step is (p_k - p_{k-1}) / tau_factor.  Each stage records
+    its duality gap only; the full diagnostics, recovered gradient
+    included, are computed once, for the last stage.  A failing stage raises
     :class:`SolverError` naming its tau and counting the run's Newton steps
     plus the ``discarded`` ones of an earlier, failed run.  The run keeps
     one :class:`linalg.FactorCache`, made here and dropped on return.
@@ -383,10 +392,10 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
             exc.newton_steps += sum(iteration_counts) + discarded
             raise
         u = recover_u(dp, p)
-        diag = diagnostics(dp, p, u, tau)
+        primal, dual = _objectives(dp, p, u)
         iteration_counts.append(iters)
         norms.append(residual_norms(dp, p, r1n))
-        gaps.append(diag.duality_gap)
+        gaps.append(primal - dual)
 
     sol = DiscreteSolution(p=p, u=u, tau_final=float(taus[-1]), tau_values=taus,
                            newton_iterations=iteration_counts,
@@ -394,4 +403,4 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
                            start=start, discarded_newton_steps=discarded,
                            factorizations=cache.factorizations,
                            cg_iterations=cache.cg_iterations)
-    return sol, diag
+    return sol, diagnostics(dp, p, u, sol.tau_final)

@@ -342,6 +342,35 @@ def test_matmul_assembly_matches_einsum_reference(rect):
     assert np.max(np.abs(blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_kernels_at_the_branch_switch():
+    # |v| = tau exactly belongs to the quadratic branch: iso = 1/tau and no
+    # rank-one term.  tau is taken from points where the matmul and einsum
+    # routes give |v| to the same bit, and v = 0 on every point of the
+    # triangles whose three edges carry no flux
+    mesh = build_rect_mesh(UNIT_SQUARE, 6, 6)
+    ws = fem.build_workspace(mesh)
+    aq = 1.0 + ws.qpoints[..., 0] * ws.qpoints[..., 1]
+    p = np.random.default_rng(9).normal(scale=0.3, size=mesh.num_edges)
+    p[mesh.tri_edges[::7]] = 0.0
+    pq = fem.rt0_at_quadrature(ws, p)
+    r = np.linalg.norm(pq, axis=-1)
+    r_ref = np.linalg.norm(np.einsum("tk,tkqd->tqd", p[mesh.tri_edges], closed_form_basis(ws)),
+                           axis=-1)
+    assert np.all(r[::7] == 0.0)
+    exact = np.flatnonzero((r == r_ref) & (r > 0.0))
+    assert len(exact) >= 4
+    for tau in r.ravel()[exact[:: len(exact) // 4][:4]]:
+        res = fem.assemble_huber_residual(mesh, p, aq, tau, ws=ws)
+        ref = einsum_residual(ws, p, aq, tau)
+        assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
+        blocks = fem.assemble_huber_jacobian(mesh, p, aq, tau, ws=ws)
+        ref = einsum_jacobian_blocks(ws, p, aq, tau)
+        assert np.max(np.abs(blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
+        with np.errstate(divide="ignore"):
+            iso = np.where(r <= tau, 1.0 / tau, 1.0 / r)
+        assert np.array_equal(huber.dphi(pq, tau), pq * iso[..., None])
+
+
 def test_huber_jacobian_is_scaled_rt0_mass_at_zero():
     mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
     ws = fem.build_workspace(mesh)

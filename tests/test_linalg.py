@@ -178,8 +178,9 @@ class PoisonedFactor:
 
 
 @pytest.mark.parametrize("stale, cg_iterations", [
-    # the factor of 1e6 I: plain CG, which misses in PCG_MAX_ITER iterations
-    (lambda n: linalg._try_factor(sp.csc_matrix(1e6 * sp.identity(n))), linalg.PCG_MAX_ITER),
+    # the factor of 1e6 I: plain CG, whose contraction over its first two
+    # iterations cannot reach rtol in PCG_MAX_ITER, so it gives up there
+    (lambda n: linalg._try_factor(sp.csc_matrix(1e6 * sp.identity(n))), 2),
     (lambda n: PoisonedFactor(), 1),                                # NaN: breaks down at once
     (lambda n: linalg._try_factor(sp.csc_matrix(sp.identity(n + 1))), 0),   # wrong size
 ])
@@ -192,6 +193,35 @@ def test_stale_or_poisoned_cache_factors_again(stale, cg_iterations):
     assert not isinstance(cache.lu, PoisonedFactor)
     assert report.cg_iterations == cache.cg_iterations == cg_iterations
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_slow_contraction_gives_up_before_the_budget():
+    # the Jacobi factor contracts too slowly to reach rtol in PCG_MAX_ITER
+    # iterations: PCG stops as soon as its mean contraction shows it, and
+    # the direct path solves to tol
+    A, b = spread_spd()
+    cache = linalg.FactorCache(lu=linalg._try_factor(sp.csc_matrix(sp.diags(A.diagonal()))))
+    x, report = solve_spd(A, b, cache=cache, rtol=1e-6)
+    assert report.refactored and not report.regularized
+    assert 2 <= report.cg_iterations < linalg.PCG_MAX_ITER
+    assert cache.factorizations == 1 and cache.cg_iterations == report.cg_iterations
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("near, cg_iterations", [
+    (lambda A: 1.01 * A, 1),
+    # slow at first (|r_2| = 0.05 |r_0|), then superlinear: the mean
+    # contraction of the early iterations does not give up on it
+    (lambda A: A + 1e-4 * sp.identity(A.shape[0]), 8),
+])
+def test_near_fresh_factor_is_kept(near, cg_iterations):
+    A, b = spread_spd()
+    kept = linalg._try_factor(sp.csc_matrix(near(A)))
+    cache = linalg.FactorCache(lu=kept)
+    x, report = solve_spd(A, b, cache=cache, rtol=1e-6)
+    assert not report.refactored and report.cg_iterations == cg_iterations
+    assert cache.lu is kept and cache.factorizations == 0
+    assert np.linalg.norm(A @ x - b) <= 1e-6 * np.linalg.norm(b)
 
 
 def test_only_the_direct_path_raises():

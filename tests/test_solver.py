@@ -428,6 +428,18 @@ def test_diagnostics_zero_problem():
     assert diag.feasibility_violation == 0.0
 
 
+def test_full_diagnostics_once_per_run(monkeypatch):
+    # each stage records its gap from the objectives alone; the recovered
+    # gradient, ratio and violation are computed once, for the last stage
+    calls, real = [], solver.diagnostics
+    monkeypatch.setattr(solver, "diagnostics", lambda *a: calls.append(a) or real(*a))
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
+    sol, diag = continuation_solve(dp)
+    assert len(calls) == 1 and len(sol.gap_history) == 63
+    assert diag == real(dp, sol.p, sol.u, sol.tau_final)
+    assert sol.gap_history[-1] == diag.duality_gap
+
+
 def test_recovered_gradient_zero_flux():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
     g = recovered_gradient(dp, np.zeros(dp.mesh.num_edges), 1e-3)
