@@ -4,8 +4,9 @@ Each step solves one stationary problem whose load is built from the
 previous state: testing the backward-difference inequality against the
 feasible set gives a projection of ``u_prev + integral of the rate over the
 step``, so the previous state enters with weight one.  The step integral of
-the rate uses the midpoint rule.  :func:`step` returns the step's record,
-whose poured mass uses the step's own length ``t1 - t0``, as the load does.
+the rate uses the midpoint rule.  :func:`step` returns one record: the
+step's :class:`DiscreteSolution` and the mass it pours, which uses the
+step's own length ``t1 - t0``, as the load does.
 
 Every step starts the continuation from the previous step's flux, which
 is close to the answer (the first step from the zero initial flux): a
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import fem
 from .problems import ProblemSpec
-from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
+from .solver import (DiscreteProblem, DiscreteSolution, SolverConfig, SolverError,
+                     continuation_solve)
 
 MAX_STEPS = 2**20                  # most time steps one run may march
 
@@ -57,20 +59,15 @@ class EvolutionSpec:
                              f"exceeds MAX_STEPS = {MAX_STEPS}")
 
 
-@dataclass
-class StepDiagnostics:
+@dataclass(kw_only=True)
+class StepDiagnostics(DiscreteSolution):
+    """A step's stationary solution, and what the step adds to it."""
+
     t: float
     poured: float                  # integral of the rate over the step and domain
     mass: float                    # integral of u at the end of the step
     mass_balance: float            # mass change minus poured mass
-    newton_iterations: list
-    residual_norms: list
-    tau_final: float
     max_gradient_ratio: float
-    start: str                     # "warm", "fallback" (warm tail failed), or "cold" (no p_prev)
-    discarded_newton_steps: int    # Newton steps of a failed warm tail; 0 unless "fallback"
-    factorizations: int            # of the Schur matrix, by the run that gave the solution
-    cg_iterations: int             # PCG iterations of that run
 
 
 @dataclass
@@ -105,15 +102,15 @@ def _initial_state(spec: EvolutionSpec, dp: DiscreteProblem) -> np.ndarray:
 
 
 def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
-         t0: float, t1: float, p_prev: np.ndarray | None = None):
-    """Advance one implicit-Euler step over [t0, t1].
+         t0: float, t1: float, p_prev: np.ndarray | None = None) -> StepDiagnostics:
+    """Advance one implicit-Euler step over [t0, t1]; returns its record.
 
-    Returns (DiscreteSolution, StepDiagnostics): the stationary solve with
-    the effective load of this step, and its record, whose poured mass uses
-    the step's length ``k = t1 - t0`` as the load does.  ``p_prev`` is the
-    start flux of :func:`solver.continuation_solve` (``run`` passes it at
-    every step, the zero initial flux at the first); without it the full
-    schedule runs from zero ("cold").
+    The record is the stationary solution with this step's effective load,
+    plus the mass the step pours over the length ``k = t1 - t0`` (as the
+    load does) and the balance of held mass.  ``p_prev`` is the start flux
+    of :func:`solver.continuation_solve` (``run`` passes it at every step,
+    the zero initial flux at the first); without it the full schedule runs
+    from zero ("cold").
     """
     k = t1 - t0
     rate_q = fem.at_qpoints(dp.workspace, _rate_at(spec.rate, 0.5 * (t0 + t1)).evaluate)
@@ -121,15 +118,9 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
     sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev)
     poured = k * fem.integrate(dp.workspace, rate_q)
     mass = float(np.sum(dp.areas * sol.u))
-    return sol, StepDiagnostics(
-        t=t1, poured=poured, mass=mass,
-        mass_balance=mass - float(np.sum(dp.areas * u_prev)) - poured,
-        newton_iterations=sol.newton_iterations,
-        residual_norms=sol.residual_norms,
-        tau_final=sol.tau_final,
-        max_gradient_ratio=diag.max_gradient_ratio,
-        start=sol.start, discarded_newton_steps=sol.discarded_newton_steps,
-        factorizations=sol.factorizations, cg_iterations=sol.cg_iterations)
+    return StepDiagnostics(**vars(sol), t=t1, poured=poured, mass=mass,
+                           mass_balance=mass - float(np.sum(dp.areas * u_prev)) - poured,
+                           max_gradient_ratio=diag.max_gradient_ratio)
 
 
 def run(spec: EvolutionSpec) -> Trajectory:
@@ -141,13 +132,13 @@ def run(spec: EvolutionSpec) -> Trajectory:
     for n in range(1, n_steps + 1):
         t0, t1 = (n - 1) * spec.dt, n * spec.dt
         try:
-            sol, record = step(traj.u[-1], dp, spec, t0, t1, traj.p[-1])
+            record = step(traj.u[-1], dp, spec, t0, t1, traj.p[-1])
         except SolverError as exc:
             raise type(exc)(f"evolution failed at step {n} over [{t0:g}, {t1:g}]: {exc.reason}",
                             exc.tau, exc.r1_norm, exc.r2_norm, exc.newton_steps) from exc
         traj.steps.append(record)
-        traj.u.append(sol.u)
-        traj.p.append(sol.p)
+        traj.u.append(record.u)
+        traj.p.append(record.p)
     return traj
 
 

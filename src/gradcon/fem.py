@@ -35,11 +35,11 @@ per triangle was off by 1.2e-14.  Centroid values come from the same
 builder at the two centroids.  The Huber kernels take one weight per
 point, iso = 1/max(|v|, tau), for both smoothing branches: the residual
 folds the quadrature weight into it, and the Jacobian contracts the three
-distinct entries (xx, xy, yy) of the symmetric weighted Hessian with a
-36-row table of basis products per pair of cells, the xy and yx products
-summed in one row.  The Huber Jacobian is returned as its per-triangle
-element blocks; the solver adds them into a sparsity pattern it fixes once
-per mesh.
+distinct entries (xx, xy, yy) of the symmetric weighted Hessian with the
+workspace's 36-row table of basis products per pair of cells, the xy and
+yx products summed in one row.  The Huber Jacobian is returned as its
+per-triangle element blocks; the solver adds them into a sparsity pattern
+it fixes once per mesh.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ class Workspace:
     centroids: np.ndarray      # (nt, 2)
     qpoints: np.ndarray        # (nt, nq, 2)
     basis: np.ndarray          # (6, 2*nq*2) _pair_basis at the qpoints of triangles 0 and 1
+    basis_products: np.ndarray  # (2*nq*3, 18) its products for the Huber Jacobian
 
 
 def _areas(coords: np.ndarray) -> np.ndarray:
@@ -124,8 +125,15 @@ def build_workspace(mesh: Mesh) -> Workspace:
     # across it
     qpoints = np.stack([sum(coords[:, k, d, None] * rule.points[:, k] for k in range(3))
                         for d in range(2)], axis=-1)
+    basis = _pair_basis(mesh, qpoints[:2])
+    # the Jacobian's products psi_k . e_d psi_l . e_e per (cell, q) for the
+    # Hessian entries xx, xy + yx and yy, block-diagonal as the basis is
+    psi = basis.reshape(2, 3, 2, -1, 2)             # (cell, k, cell of the points, q, d)
+    pp = np.einsum("skrqd,slrqe->rqdeskl", psi, psi)
+    products = np.stack([pp[:, :, 0, 0], pp[:, :, 0, 1] + pp[:, :, 1, 0], pp[:, :, 1, 1]],
+                        axis=2).reshape(-1, 18)
     return Workspace(mesh=mesh, rule=rule, areas=_areas(coords), centroids=centroids,
-                     qpoints=qpoints, basis=_pair_basis(mesh, qpoints[:2]))
+                     qpoints=qpoints, basis=basis, basis_products=products)
 
 
 def _check_mesh(mesh: Mesh, ws: Workspace) -> None:
@@ -239,13 +247,8 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     np.subtract(iso, rank1 * vy * vy, out=yy)
     xy *= -vy
     # blocks = sum over (q, entry) of h times the basis products of that
-    # entry at q (xx, xy + yx, yy): one product with their table,
-    # block-diagonal as the basis is
-    psi = ws.basis.reshape(2, 3, 2, -1, 2)          # (cell, k, cell of the points, q, d)
-    pp = np.einsum("skrqd,slrqe->rqdeskl", psi, psi)
-    products = np.stack([pp[:, :, 0, 0], pp[:, :, 0, 1] + pp[:, :, 1, 0], pp[:, :, 1, 1]],
-                        axis=2).reshape(-1, 18)
-    return (h.reshape(-1, len(products)) @ products).reshape(-1, 3, 3)
+    # entry at q: one product with their table
+    return (h.reshape(-1, len(ws.basis_products)) @ ws.basis_products).reshape(-1, 3, 3)
 
 
 def l2_error_p0(mesh: Mesh, u: np.ndarray, exact, *, ws: Workspace) -> float:

@@ -113,18 +113,18 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
               rtol: float | None = None):
     """Solve A x = b for symmetric positive definite A.
 
-    Returns ``(x, LinearSolveReport)``.  Without ``cache``, A is factored
-    and x has relative residual ||A x - b|| <= tol ||b|| or normwise
-    backward error <= tol (see the module docstring); the diagonally
-    shifted retry runs only when the factorization breaks down or x meets
-    neither test, and ``regularized`` says whether it did.  ``rtol`` is
-    then unused.
-
-    With ``cache``, its factor first preconditions PCG, which must reach
-    ||b - A x|| <= max(rtol, tol) ||b||; if it cannot, or the cache is
-    empty, the direct path runs, ``refactored`` is set and the accepted
-    factor is kept in the cache.  Raises :class:`LinearSolveError` only
-    when the direct path fails, its retry included.
+    Returns ``(x, LinearSolveReport)``.  Without ``cache`` the solve gets
+    an empty :class:`FactorCache`, dropped on return.  A kept factor of a
+    matrix of A's shape first preconditions PCG, which must reach
+    ||b - A x|| <= max(rtol, tol) ||b||.  Otherwise (an empty cache
+    included, so ``rtol`` is then unused) the direct path runs: A is
+    factored and x has relative residual ||A x - b|| <= tol ||b|| or
+    normwise backward error <= tol (see the module docstring); the
+    diagonally shifted retry runs only when the factorization breaks down
+    or x meets neither test, and ``regularized`` says whether it did.
+    The direct path sets ``refactored`` and keeps the accepted factor in
+    the cache.  Raises :class:`LinearSolveError` only when the direct path
+    fails, its retry included.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[1] != b.shape[0]:
@@ -132,23 +132,22 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
     A = sp.csc_matrix(A)
     rhs_norm = float(np.linalg.norm(b))
 
+    cache = cache or FactorCache()
     cg_iterations = 0
-    if cache is not None and cache.lu is not None and cache.lu.shape == A.shape:
+    if cache.lu is not None and cache.lu.shape == A.shape:
         target = max(tol, rtol or 0.0) * rhs_norm
         x, cg_iterations = _pcg(A, b, cache.lu, target)
         cache.cg_iterations += cg_iterations
         res = np.inf if x is None else float(np.linalg.norm(A @ x - b))
         if res <= target:
             return x, LinearSolveReport(res, cache.lu.nnz, False, cg_iterations, False)
-    if cache is not None:
-        cache.lu = None        # the stale factor goes before the next is made
+    cache.lu = None            # the stale factor goes before the next is made
 
     res = np.inf
     for regularized in (False, True):
         M = A + sp.diags(TIKHONOV_EPS * A.diagonal()) if regularized else A
         lu = _try_factor(sp.csc_matrix(M))
-        if cache is not None:
-            cache.factorizations += 1
+        cache.factorizations += 1
         if lu is None:
             continue
         x = lu.solve(b)
@@ -157,8 +156,7 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
         # relative residual first, so the common case pays for no norm of A
         if np.isfinite(res) and (res <= tol * rhs_norm or np.linalg.norm(r, np.inf) <= tol * (
                 spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))):
-            if cache is not None:
-                cache.lu = lu
+            cache.lu = lu
             return x, LinearSolveReport(res, lu.nnz, regularized, cg_iterations, True)
 
     outcome = "factorization broke down" if lu is None else "solution missed tol"

@@ -239,8 +239,9 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
 
     The cell variable is eliminated exactly at every iterate, so the
     balance equation holds up to rounding throughout.  Without ``cache``
-    every step factors S; with one, a step may be solved by PCG on the
-    cached factor, to the relative residual min(FORCING_MAX, |r|) only.
+    each step's solve gets an empty one, so every step factors S; with one,
+    a step may be solved by PCG on the cached factor, to the relative
+    residual min(FORCING_MAX, |r|) only.
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """

@@ -68,13 +68,20 @@ def test_removed_options_are_gone():
         assert ws.kind is inspect.Parameter.KEYWORD_ONLY, op.__name__
         assert ws.default is inspect.Parameter.empty, op.__name__
     assert not hasattr(fem, "_scalar_at_quadrature")
-    # one basis table, of the two cell shapes: its size does not grow with the
-    # mesh; no centroid table, centroid values come from the mesh
+    # one basis table, of the two cell shapes, and the Jacobian's table of its
+    # products: their sizes do not grow with the mesh; no centroid table,
+    # centroid values come from the mesh
     assert [f.name for f in dataclasses.fields(fem.Workspace)] == [
-        "mesh", "rule", "areas", "centroids", "qpoints", "basis"]
+        "mesh", "rule", "areas", "centroids", "qpoints", "basis", "basis_products"]
     small, large = (fem.build_workspace(build_rect_mesh(UNIT_SQUARE, n, n)) for n in (4, 64))
     assert small.basis.shape == large.basis.shape
+    assert small.basis_products.shape == large.basis_products.shape == (36, 18)
     assert next(iter(inspect.signature(fem.rt0_at_centroids).parameters)) == "mesh"
+    # an evolution step's record is its stationary solution plus the step's
+    # own facts, declared once
+    assert issubclass(evolution.StepDiagnostics, solver.DiscreteSolution)
+    assert set(inspect.get_annotations(evolution.StepDiagnostics)) == {
+        "t", "poured", "mass", "mass_balance", "max_gradient_ratio"}
     # the mesh stores the incidence signs, not the edge normals and lengths
     assert [f.name for f in dataclasses.fields(Mesh)] == [
         "rect", "nx", "ny", "vertices", "triangles", "edges", "tri_edges",

@@ -138,6 +138,12 @@ def test_direct_path_reports_its_factorization():
     x, report = solve_spd(A, b, rtol=0.1)       # without a cache rtol is unused
     assert report.refactored and report.cg_iterations == 0
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    # no cache is an empty one: the same solve, and the factor is kept
+    cache = linalg.FactorCache()
+    x_cached, cached = solve_spd(A, b, rtol=0.1, cache=cache)
+    assert np.array_equal(x_cached, x) and cached == report
+    assert cache.lu is not None and cache.lu.nnz == report.factor_nnz
+    assert (cache.factorizations, cache.cg_iterations) == (1, 0)
 
 
 def test_cache_keeps_the_factor_and_pcg_meets_rtol():
