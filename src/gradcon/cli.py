@@ -404,7 +404,8 @@ def _run_solve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
         duality_gap=diag.duality_gap,
         extra={"max_gradient_ratio": diag.max_gradient_ratio,
                "feasibility_violation": diag.feasibility_violation,
-               "factorizations": sol.factorizations, "cg_iterations": sol.cg_iterations},
+               "factorizations": sol.factorizations, "cg_iterations": sol.cg_iterations,
+               "factor_nnz": sol.factor_nnz},
     ), f"solve finished: gap={diag.duality_gap:.3e}, |r1|={r1:.3e}"
 
 
@@ -449,7 +450,8 @@ def _run_evolve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
                "newton_steps": [sum(s.newton_iterations) for s in traj.steps],
                "discarded_newton_steps": [s.discarded_newton_steps for s in traj.steps],
                "factorizations": [s.factorizations for s in traj.steps],
-               "cg_iterations": [s.cg_iterations for s in traj.steps]},
+               "cg_iterations": [s.cg_iterations for s in traj.steps],
+               "factor_nnz": [s.factor_nnz for s in traj.steps]},
     ), f"evolution finished: {len(traj.steps)} steps"
 
 

@@ -8,6 +8,18 @@ the diagonal is taken as the pivot (no partial pivoting).  On the Schur
 matrices of the flux system this keeps the factor less than half as full as
 the default unsymmetric (COLAMD, partial pivoting) factorization.
 
+It also runs SuperLU without column panels or relaxed supernodes
+(``panel_size=1``, ``relax=1``).  Panels and relaxation pay off on wide
+supernodes; the Schur matrices of a 2-D mesh have narrow ones, on which
+scipy's defaults (``relax=10`` and a panel of several columns) cost more
+than they save: a factorization takes about a third less time, and the
+factor is slightly less full (350,218 against 352,738 entries for
+``ex1_f1_a1`` at n = 64).  Both values are passed together, and
+``relax <= panel_size`` must hold: with ``relax > panel_size`` scipy's
+bundled SuperLU is not memory safe (``relax=32, panel_size=4`` crashed the
+interpreter in 1 of 3 processes of 420 factorizations each).  Since
+scipy's default ``relax`` is 10, ``panel_size`` is never passed on its own.
+
 A direct solution x is accepted when its relative residual is small,
 ||A x - b||_2 <= tol ||b||_2, or, failing that, when it is backward stable:
 its normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) in the
@@ -22,15 +34,17 @@ A :class:`FactorCache` keeps the last accepted factor for a run of
 solves whose matrices change little, such as the Newton steps of one
 continuation.  While it holds a factor of a matrix of A's shape, A x = b is
 solved by conjugate gradients from x = 0, preconditioned by that factor,
-and x is accepted once ||b - A x||_2 <= max(rtol, tol) ||b||_2.  A is
-factored again, by the direct path above, only when PCG misses that
-within ``PCG_MAX_ITER`` iterations, breaks down (a curvature d.A d or
-r.z that is not positive) or goes non-finite; the stale factor is dropped
-first, so two factors never coexist, and the new one is kept.  PCG gives
-up before the budget is spent when, from its second iteration on, its mean
-contraction per iteration so far would leave the residual above the target
-after ``PCG_MAX_ITER`` iterations: a factor too stale to serve costs two
-or three iterations, not ten.
+and x is accepted once ||b - A x||_2 <= max(rtol, tol) ||b||_2; x = 0
+is accepted before any iteration when ||b|| meets that, so b = 0 keeps the
+factor.  A is factored again, by the direct path above, only when PCG
+misses the target within ``PCG_MAX_ITER`` iterations, breaks down (a
+curvature d.A d or r.z that is not positive) or goes non-finite; the stale
+factor is dropped first, so two factors never coexist, and the new one is
+kept.  The cache's ``factor_nnz`` is the nnz of the largest factor it has
+kept.  PCG gives up before the budget is spent when, from its second
+iteration on, its mean contraction per iteration so far would leave the
+residual above the target after ``PCG_MAX_ITER`` iterations: a factor too
+stale to serve costs two or three iterations, not ten.
 """
 
 from __future__ import annotations
@@ -69,12 +83,13 @@ class FactorCache:
     lu: object = None
     factorizations: int = 0    # splu calls, shifted retries included
     cg_iterations: int = 0
+    factor_nnz: int = 0        # of the largest factor kept
 
 
 def _try_factor(A: sp.csc_matrix):
     try:
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
+                         relax=1, panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
 
@@ -82,7 +97,8 @@ def _try_factor(A: sp.csc_matrix):
 def _pcg(A, b: np.ndarray, lu, target: float):
     """PCG from x = 0 preconditioned by ``lu.solve``; returns (x, iterations).
 
-    Stops once the recurred residual is at most ``target``.  x is None when
+    Stops once the recurred residual is at most ``target``; when ||b|| is,
+    x = 0 after no iteration.  x is None when
     a curvature is not positive (NaN included), or when from the second
     iteration on the mean contraction so far, rho = (|r_k|/|r_0|)^(1/k),
     predicts |r_k| rho^(PCG_MAX_ITER - k) > target: the budget cannot be met
@@ -90,6 +106,8 @@ def _pcg(A, b: np.ndarray, lu, target: float):
     """
     x, r = np.zeros_like(b), b.copy()
     r0 = np.linalg.norm(b)
+    if r0 <= target:
+        return x, 0
     d, rz = None, 1.0
     for k in range(1, PCG_MAX_ITER + 1):
         z = lu.solve(r)
@@ -156,7 +174,7 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
         # relative residual first, so the common case pays for no norm of A
         if np.isfinite(res) and (res <= tol * rhs_norm or np.linalg.norm(r, np.inf) <= tol * (
                 spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))):
-            cache.lu = lu
+            cache.lu, cache.factor_nnz = lu, max(cache.factor_nnz, lu.nnz)
             return x, LinearSolveReport(res, lu.nnz, regularized, cg_iterations, True)
 
     outcome = "factorization broke down" if lu is None else "solution missed tol"

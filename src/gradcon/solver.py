@@ -307,6 +307,7 @@ class DiscreteSolution:
     discarded_newton_steps: int = 0     # Newton steps of a failed warm tail
     factorizations: int = 0    # of S, by the run that gave this solution
     cg_iterations: int = 0     # PCG iterations of that run
+    factor_nnz: int = 0        # nnz of that run's largest factor of S
 
 
 def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
@@ -403,5 +404,6 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
                            residual_norms=norms, gap_history=gaps,
                            start=start, discarded_newton_steps=discarded,
                            factorizations=cache.factorizations,
-                           cg_iterations=cache.cg_iterations)
+                           cg_iterations=cache.cg_iterations,
+                           factor_nnz=cache.factor_nnz)
     return sol, diagnostics(dp, p, u, sol.tau_final)

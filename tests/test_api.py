@@ -77,6 +77,11 @@ def test_removed_options_are_gone():
     assert small.basis.shape == large.basis.shape
     assert small.basis_products.shape == large.basis_products.shape == (36, 18)
     assert next(iter(inspect.signature(fem.rt0_at_centroids).parameters)) == "mesh"
+    # what a run reports: its answer, its stages and the cost of its solves
+    assert [f.name for f in dataclasses.fields(solver.DiscreteSolution)] == [
+        "p", "u", "tau_final", "tau_values", "newton_iterations", "residual_norms",
+        "gap_history", "start", "discarded_newton_steps", "factorizations", "cg_iterations",
+        "factor_nnz"]
     # an evolution step's record is its stationary solution plus the step's
     # own facts, declared once
     assert issubclass(evolution.StepDiagnostics, solver.DiscreteSolution)

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcon import linalg
+import gradcon as gc
+from gradcon import fem, linalg, solver
 from gradcon.linalg import LinearSolveError, solve_spd
 
 
@@ -142,8 +143,30 @@ def test_direct_path_reports_its_factorization():
     cache = linalg.FactorCache()
     x_cached, cached = solve_spd(A, b, rtol=0.1, cache=cache)
     assert np.array_equal(x_cached, x) and cached == report
-    assert cache.lu is not None and cache.lu.nnz == report.factor_nnz
+    assert cache.lu is not None and cache.lu.nnz == report.factor_nnz == cache.factor_nnz
     assert (cache.factorizations, cache.cg_iterations) == (1, 0)
+
+
+def test_zero_rhs_keeps_the_factor():
+    # b = 0 is solved by x = 0 before any PCG iteration: no breakdown, so the
+    # kept factor stays and A is not factored again
+    A, b = spread_spd()
+    cache = linalg.FactorCache()
+    solve_spd(A, b, cache=cache)
+    kept = cache.lu
+    x, report = solve_spd(A, np.zeros_like(b), cache=cache, rtol=0.1)
+    assert np.array_equal(x, np.zeros_like(b)) and report.residual_norm == 0.0
+    assert not report.refactored and report.cg_iterations == 0
+    assert cache.lu is kept and (cache.factorizations, cache.cg_iterations) == (1, 0)
+
+
+def test_factor_nnz_is_the_largest_accepted_factor():
+    small, b_small = spread_spd(n=20)
+    large, b_large = spread_spd(n=60)
+    cache = linalg.FactorCache()
+    _, first = solve_spd(large, b_large, cache=cache)
+    _, second = solve_spd(small, b_small, cache=cache)     # another shape: factored again
+    assert second.refactored and second.factor_nnz < first.factor_nnz == cache.factor_nnz
 
 
 def test_cache_keeps_the_factor_and_pcg_meets_rtol():
@@ -238,3 +261,34 @@ def test_only_the_direct_path_raises():
     with pytest.raises(LinearSolveError, match="shifted solution missed tol"):
         solve_spd(A, b, tol=1e-300, cache=cache)
     assert cache.lu is None and cache.factorizations == 2
+
+
+def test_every_factorization_has_one_configuration(monkeypatch):
+    # a direct solve, and a plain attempt with its shifted retry; relax >
+    # panel_size is not memory safe in SuperLU, and scipy's default relax
+    # exceeds a panel of one, so both are always passed
+    calls, splu = [], linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda *a, **k: calls.append(k) or splu(*a, **k))
+    A, b = spread_spd()
+    solve_spd(A, b)
+    _, report = solve_spd(sp.csr_matrix(np.ones((2, 2))), np.ones(2), tol=1e-8)
+    assert report.regularized and len(calls) == 3
+    for kw in calls:
+        assert {"relax", "panel_size"} <= kw.keys() and kw["relax"] <= kw["panel_size"]
+        assert kw["permc_spec"] == "MMD_AT_PLUS_A" and kw["diag_pivot_thresh"] == 0.0
+        assert kw["options"] == {"SymmetricMode": True}
+
+
+@pytest.mark.parametrize("name", gc.SCENARIOS)
+def test_schur_factor_is_no_fuller_than_scipy_default(name):
+    dp = solver.DiscreteProblem.from_spec(gc.scenario(name, n=16))
+    sol, _ = solver.continuation_solve(dp)
+    S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, sol.p, dp.alpha_q, sol.tau_final,
+                                             ws=dp.workspace))
+    b = np.random.default_rng(17).normal(size=S.shape[0])
+    x, report = solve_spd(S, b)
+    assert report.refactored and not report.regularized
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    default = linalg.spla.splu(sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert report.factor_nnz <= default.nnz

@@ -310,6 +310,7 @@ def test_one_factorization_per_newton_step(monkeypatch):
     assert not any(r.regularized for r in reports)
     assert len(factorizations) < sum(sol.newton_iterations)
     assert sol.cg_iterations == sum(r.cg_iterations for r in reports)
+    assert sol.factor_nnz == max(r.factor_nnz for r in reports if r.refactored)
 
 
 def test_repeated_runs_repeat_exactly():
