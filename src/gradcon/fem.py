@@ -32,14 +32,24 @@ the pairs.  Built at the corner cell, the table keeps x - v_opp from
 cancelling: on the 64x64 unit square the field values lie within 1.1e-16
 of their largest value of an extended-precision closed form, where a table
 per triangle was off by 1.2e-14.  Centroid values come from the same
-builder at the two centroids.  The Huber kernels take one weight per
-point, iso = 1/max(|v|, tau), for both smoothing branches: the residual
-folds the quadrature weight into it, and the Jacobian contracts the three
-distinct entries (xx, xy, yy) of the symmetric weighted Hessian with the
-workspace's 36-row table of basis products per pair of cells, the xy and
-yx products summed in one row.  The Huber Jacobian is returned as its
-per-triangle element blocks; the solver adds them into a sparsity pattern
-it fixes once per mesh.
+builder at the two centroids.
+
+The table's columns hold the x values of the field at the points of both
+cells first, then the y values, so a field is evaluated as two contiguous
+arrays vx and vy in pair layout: one row per pair of cells, one column per
+(cell, point), which reshapes to (nt, nq) without a copy.  The workspace
+keeps the weight of each point, its cell's area times its quadrature
+weight, in the same layout, and the Huber kernels multiply it by the bound
+once per call.  They take one weight per point, iso = 1/max(|v|, tau), for
+both smoothing branches: the residual folds the point weight into it and
+contracts iso vx and iso vy with the x and y columns of the table; the
+Jacobian writes the three distinct entries (xx, xy, yy) of the symmetric
+weighted Hessian into one array and contracts it with the workspace's
+36-row table of basis products per pair of cells, whose rows run over
+(cell, point, entry) as the array does, the xy and yx products summed in
+one row.  The Huber Jacobian is returned as its per-triangle element
+blocks; the solver adds them into a sparsity pattern it fixes once per
+mesh.
 """
 
 from __future__ import annotations
@@ -89,7 +99,8 @@ class Workspace:
     areas: np.ndarray          # (nt,)
     centroids: np.ndarray      # (nt, 2)
     qpoints: np.ndarray        # (nt, nq, 2)
-    basis: np.ndarray          # (6, 2*nq*2) _pair_basis at the qpoints of triangles 0 and 1
+    point_weights: np.ndarray  # (nt/2, 2*nq) area times quadrature weight, in pair layout
+    basis: np.ndarray          # (6, 2*2*nq) _pair_basis at the qpoints of triangles 0 and 1
     basis_products: np.ndarray  # (2*nq*3, 18) its products for the Huber Jacobian
 
 
@@ -100,19 +111,20 @@ def _areas(coords: np.ndarray) -> np.ndarray:
 
 
 def _pair_basis(mesh: Mesh, points: np.ndarray) -> np.ndarray:
-    """Basis of triangles 0 and 1 at their points (2, n, 2), block-diagonal (6, 2*n*2).
+    """Basis of triangles 0 and 1 at their points (2, n, 2), block-diagonal (6, 2*2*n).
 
-    Rows are the edge slots of the two cells, columns their (point, d)
-    values, so ``p[mesh.tri_edges].reshape(-1, 6) @ table`` gives the field
-    at the translated points of both cells of every pair.
+    Rows are the edge slots of the two cells, columns their (d, cell, point)
+    values, so ``p[mesh.tri_edges].reshape(-1, 6)`` times the first or the
+    second half of the columns gives the x or the y values of the field at
+    the translated points of both cells of every pair.
     """
     coords = mesh.vertices[mesh.triangles[:2]]      # (2, 3, 2)
     # local edge slot k joins vertices k, k+1; opposite vertex is k+2
     opp = coords[:, [2, 0, 1], None]                # (2, 3, 1, 2)
     scale = mesh.tri_edge_signs[:2] / (2.0 * _areas(coords))[:, None]
     shapes = scale[..., None, None] * (points[:, None] - opp)  # (2, 3, n, 2)
-    table = np.zeros((2, 3, 2, points[0].size))     # (cell, k, cell of the points, (q, d))
-    table[0, :, 0], table[1, :, 1] = shapes.reshape(2, 3, -1)
+    table = np.zeros((2, 3, 2, 2, points.shape[1]))  # (cell, k, d, cell of the points, q)
+    table[0, :, :, 0], table[1, :, :, 1] = shapes.swapaxes(-1, -2)
     return table.reshape(6, -1)
 
 
@@ -125,15 +137,16 @@ def build_workspace(mesh: Mesh) -> Workspace:
     # across it
     qpoints = np.stack([sum(coords[:, k, d, None] * rule.points[:, k] for k in range(3))
                         for d in range(2)], axis=-1)
+    areas = _areas(coords)
     basis = _pair_basis(mesh, qpoints[:2])
     # the Jacobian's products psi_k . e_d psi_l . e_e per (cell, q) for the
     # Hessian entries xx, xy + yx and yy, block-diagonal as the basis is
-    psi = basis.reshape(2, 3, 2, -1, 2)             # (cell, k, cell of the points, q, d)
-    pp = np.einsum("skrqd,slrqe->rqdeskl", psi, psi)
-    products = np.stack([pp[:, :, 0, 0], pp[:, :, 0, 1] + pp[:, :, 1, 0], pp[:, :, 1, 1]],
-                        axis=2).reshape(-1, 18)
-    return Workspace(mesh=mesh, rule=rule, areas=_areas(coords), centroids=centroids,
-                     qpoints=qpoints, basis=basis, basis_products=products)
+    psi = basis.reshape(2, 3, 2, 2, -1)             # (cell, k, d, cell of the points, q)
+    pp = np.einsum("skdrq,slerq->derqskl", psi, psi)
+    products = np.stack([pp[0, 0], pp[0, 1] + pp[1, 0], pp[1, 1]], axis=2).reshape(-1, 18)
+    weights = (areas[:, None] * rule.weights).reshape(-1, basis.shape[1] // 2)
+    return Workspace(mesh=mesh, rule=rule, areas=areas, centroids=centroids, qpoints=qpoints,
+                     point_weights=weights, basis=basis, basis_products=products)
 
 
 def _check_mesh(mesh: Mesh, ws: Workspace) -> None:
@@ -198,27 +211,45 @@ def interpolate_rt0(mesh: Mesh, field) -> np.ndarray:
     return dofs
 
 
+def _pair_components(ws: Workspace, p: np.ndarray):
+    """(vx, vy): the RT0 field's x and y values at the quadrature points, in pair layout."""
+    pe = p[ws.mesh.tri_edges].reshape(-1, 6)
+    half = ws.basis.shape[1] // 2
+    return pe @ ws.basis[:, :half], pe @ ws.basis[:, half:]
+
+
+def rt0_components(ws: Workspace, p: np.ndarray):
+    """(vx, vy): the RT0 field's x and y values at all quadrature points, each (nt, nq)."""
+    return tuple(v.reshape(ws.qpoints.shape[:2]) for v in _pair_components(ws, p))
+
+
 def rt0_at_quadrature(ws: Workspace, p: np.ndarray) -> np.ndarray:
     """RT0 field values at all quadrature points, shape (nt, nq, 2)."""
-    return (p[ws.mesh.tri_edges].reshape(-1, 6) @ ws.basis).reshape(ws.qpoints.shape)
+    return np.stack(rt0_components(ws, p), axis=-1)
 
 
 def rt0_at_centroids(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     """RT0 field values at the cell centroids, shape (nt, 2), from the two cell shapes."""
     table = _pair_basis(mesh, mesh.vertices[mesh.triangles[:2]].mean(axis=1)[:, None])
-    return (p[mesh.tri_edges].reshape(-1, 6) @ table).reshape(-1, 2)
+    values = p[mesh.tri_edges].reshape(-1, 6) @ table    # (nt/2, (d, cell))
+    return values.reshape(-1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
 
 
 def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
                             ws: Workspace) -> np.ndarray:
     """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh."""
     _check_mesh(mesh, ws)
-    g = rt0_at_quadrature(ws, p)
-    # dphi(p_h) = iso p_h: the quadrature weight is folded into iso
-    iso = huber.isotropic_weight(g, tau)
-    iso *= ws.areas[:, None] * ws.rule.weights * aq
-    g *= iso[..., None]
-    elem = g.reshape(-1, ws.basis.shape[1]) @ ws.basis.T   # (nt/2, 6)
+    tau = huber.check_tau(tau)
+    vx, vy = _pair_components(ws, p)
+    # dphi(p_h) = iso p_h: the point weight is folded into iso
+    iso = huber.norm(vx, vy)
+    np.maximum(iso, tau, out=iso)
+    np.divide(ws.point_weights * aq.reshape(iso.shape), iso, out=iso)
+    vx *= iso
+    vy *= iso
+    half = ws.basis.shape[1] // 2
+    elem = vx @ ws.basis[:, :half].T                   # (nt/2, 6)
+    elem += vy @ ws.basis[:, half:].T
     return np.bincount(mesh.tri_edges.ravel(), elem.ravel(), minlength=mesh.num_edges)
 
 
@@ -231,24 +262,25 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     placed at those edges.
     """
     _check_mesh(mesh, ws)
-    pq = rt0_at_quadrature(ws, p)
-    iso, rank1 = huber.hessian_weights(pq, tau)
-    w = ws.areas[:, None] * ws.rule.weights * aq
-    iso *= w
-    rank1 *= w
+    vx, vy = _pair_components(ws, p)
+    w = ws.point_weights * aq.reshape(vx.shape)
+    iso, rank1 = huber.norm_weights(huber.norm(vx, vy), tau, w)
     # the distinct entries xx, xy, yy of the weighted iso I - rank1 v v^T,
     # written in place: a large temporary per entry costs as much as the
     # arithmetic
-    vx, vy = pq[..., 0], pq[..., 1]
-    h = np.empty(iso.shape + (3,))
-    xx, xy, yy = np.moveaxis(h, -1, 0)
+    h = np.empty(vx.shape + (3,))
+    xx, xy, yy = h.transpose(2, 0, 1)
     np.multiply(rank1, vx, out=xy)
-    np.subtract(iso, xy * vx, out=xx)
-    np.subtract(iso, rank1 * vy * vy, out=yy)
-    xy *= -vy
-    # blocks = sum over (q, entry) of h times the basis products of that
-    # entry at q: one product with their table
-    return (h.reshape(-1, len(ws.basis_products)) @ ws.basis_products).reshape(-1, 3, 3)
+    np.multiply(xy, vx, out=xx)
+    np.subtract(iso, xx, out=xx)
+    rank1 *= vy
+    np.multiply(rank1, vy, out=yy)
+    np.subtract(iso, yy, out=yy)
+    xy *= vy
+    np.negative(xy, out=xy)
+    # blocks = sum over (cell, q, entry) of h times the basis products of
+    # that entry at that point: one product with their table
+    return (h.reshape(len(h), -1) @ ws.basis_products).reshape(-1, 3, 3)
 
 
 def l2_error_p0(mesh: Mesh, u: np.ndarray, exact, *, ws: Workspace) -> float:

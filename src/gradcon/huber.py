@@ -2,8 +2,10 @@
 
 ``phi(v, tau)`` is quadratic for |v| <= tau and linear outside, matching the
 norm up to tau/2.  All kernels broadcast over leading axes, so ``v`` may be
-a single 2-vector or an array of shape (..., 2).  The switch case |v| = tau
-is assigned to the quadratic branch; both branches agree there.
+a single 2-vector or an array of shape (..., 2); ``norm`` and
+``norm_weights`` take the x and y values of v, or |v|, as separate arrays,
+for kernels that hold a field that way.  The switch case |v| = tau is
+assigned to the quadratic branch; both branches agree there.
 """
 
 from __future__ import annotations
@@ -11,50 +13,58 @@ from __future__ import annotations
 import numpy as np
 
 
-def _check_tau(tau: float) -> float:
+def check_tau(tau: float) -> float:
+    """tau as a float; raises ValueError unless it is positive."""
     tau = float(tau)
     if not tau > 0.0:
         raise ValueError(f"smoothing radius must be positive, got {tau}")
     return tau
 
 
+def norm(vx, vy):
+    """|v| from its x and y values: np.linalg.norm's bits, without its reduction."""
+    r = vx * vx
+    r += vy * vy
+    return np.sqrt(r)
+
+
 def _norm(v):
-    """|v| over the last axis of a (..., 2) array: np.linalg.norm's bits, without its reduction."""
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+    """|v| over the last axis of a (..., 2) array."""
+    return norm(v[..., 0], v[..., 1])
 
 
 def phi(v, tau: float):
     """Smoothed norm: |v|^2/(2 tau) inside, |v| - tau/2 outside."""
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     v = np.asarray(v, dtype=float)
     r = _norm(v)
     return np.where(r <= tau, r * r / (2.0 * tau), r - 0.5 * tau)
 
 
-def isotropic_weight(v, tau: float):
-    """iso = 1/max(|v|, tau), of shape v.shape[:-1]: 1/tau inside, 1/|v| outside.
-
-    ``dphi(v) = iso v`` and ``d2phi(v) = iso I - rank1 v v^T``; one weight
-    serves both branches, so a kernel needs no branch mask for it.
-    """
-    return 1.0 / np.maximum(_norm(v), _check_tau(tau))
-
-
 def dphi(v, tau: float):
     """Gradient of ``phi``: v/tau inside, v/|v| outside; |dphi| <= 1."""
     v = np.asarray(v, dtype=float)
-    return v * isotropic_weight(v, tau)[..., None]
+    return v * (1.0 / np.maximum(_norm(v), check_tau(tau)))[..., None]
+
+
+def norm_weights(r, tau: float, w=1.0):
+    """(iso, rank1) with ``w d2phi(v) = iso I - rank1 v v^T`` at points where |v| = r.
+
+    iso is w/max(r, tau), which also gives ``w dphi(v) = iso v``: one weight
+    serves both branches, so a kernel needs no branch mask for it.  rank1
+    is iso/|v|^2 = w/|v|^3 outside and 0 inside.
+    """
+    m = np.maximum(r, check_tau(tau))
+    iso = w / m
+    m *= m
+    rank1 = iso / m
+    rank1 *= r > tau
+    return iso, rank1
 
 
 def hessian_weights(v, tau: float):
-    """(iso, rank1) with ``d2phi(v) = iso I - rank1 v v^T``, each of shape v.shape[:-1].
-
-    rank1 is iso^3 = 1/|v|^3 outside and 0 inside.
-    """
-    tau = _check_tau(tau)
-    r = _norm(v)
-    iso = 1.0 / np.maximum(r, tau)
-    return iso, (r > tau) * (iso * iso * iso)
+    """``norm_weights`` at v, each of shape v.shape[:-1]."""
+    return norm_weights(_norm(v), tau)
 
 
 def d2phi(v, tau: float):

@@ -41,14 +41,18 @@ misses the target within ``PCG_MAX_ITER`` iterations, breaks down (a
 curvature d.A d or r.z that is not positive) or goes non-finite; the stale
 factor is dropped first, so two factors never coexist, and the new one is
 kept.  The cache's ``factor_nnz`` is the nnz of the largest factor it has
-kept.  PCG gives up before the budget is spent when, from its second
-iteration on, its mean contraction per iteration so far would leave the
-residual above the target after ``PCG_MAX_ITER`` iterations: a factor too
-stale to serve costs two or three iterations, not ten.
+kept.  Its ``matrix`` is the run's matrix, kept for the caller to refill
+in place from one solve to the next; SuperLU copies the values it
+factors, so the kept factor does not change with it.  PCG gives up before
+the budget is spent when, from its second iteration on, its mean
+contraction per iteration so far would leave the residual above the
+target after ``PCG_MAX_ITER`` iterations: a factor too stale to serve
+costs two or three iterations, not ten.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +85,7 @@ class FactorCache:
     """The last accepted factor of one run of solves, and the run's counts."""
 
     lu: object = None
+    matrix: object = None      # the run's matrix, which its owner refills in place
     factorizations: int = 0    # splu calls, shifted retries included
     cg_iterations: int = 0
     factor_nnz: int = 0        # of the largest factor kept
@@ -105,7 +110,7 @@ def _pcg(A, b: np.ndarray, lu, target: float):
     at that pace, and at k = PCG_MAX_ITER the prediction is |r_k| itself.
     """
     x, r = np.zeros_like(b), b.copy()
-    r0 = np.linalg.norm(b)
+    r0 = math.sqrt(b @ b)
     if r0 <= target:
         return x, 0
     d, rz = None, 1.0
@@ -119,7 +124,7 @@ def _pcg(A, b: np.ndarray, lu, target: float):
             return None, k
         x += (rz / dq) * d
         r -= (rz / dq) * q
-        rk = np.linalg.norm(r)
+        rk = math.sqrt(r @ r)
         if rk <= target:
             return x, k
         if k >= 2 and rk * (rk / r0) ** ((PCG_MAX_ITER - k) / k) > target:
@@ -147,7 +152,8 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} vs rhs {b.shape}")
-    A = sp.csc_matrix(A)
+    if not (sp.issparse(A) and A.format == "csc"):
+        A = sp.csc_matrix(A)
     rhs_norm = float(np.linalg.norm(b))
 
     cache = cache or FactorCache()
@@ -163,8 +169,8 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
 
     res = np.inf
     for regularized in (False, True):
-        M = A + sp.diags(TIKHONOV_EPS * A.diagonal()) if regularized else A
-        lu = _try_factor(sp.csc_matrix(M))
+        M = sp.csc_matrix(A + sp.diags(TIKHONOV_EPS * A.diagonal())) if regularized else A
+        lu = _try_factor(M)
         cache.factorizations += 1
         if lu is None:
             continue

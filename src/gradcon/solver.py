@@ -15,15 +15,18 @@ an SPD system.  Each run of stages keeps one factor of S in a
 :class:`linalg.FactorCache`: a step solves S d = -R by PCG on that factor
 to the inexact Newton forcing term eta = min(0.1, |R|) (Eisenstat &
 Walker, SIAM J. Sci. Comput. 17, 1996), and S is factored again only when
-PCG misses it.  A backtracking line search on the squared residual norm
-globalizes each step.  The smoothing radius tau follows a geometric
+PCG misses it.  The cache also holds the run's one S, whose values each
+step writes in place.  A backtracking line search on the squared residual
+norm globalizes each step.  The smoothing radius tau follows a geometric
 continuation schedule.  Without a start flux the full schedule runs from
 zero ("cold"); from a start flux near the answer only its last
 ``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
 reruns from zero ("fallback").  The first stage of a run starts from its
 start flux, the second from the first stage's solution, and every later
 stage from the secant predictor through the last two converged stages
-(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
+(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2);
+a stage that fails from the predictor runs once more from the last
+converged stage.
 Each stage records only its duality gap, from the primal and dual values
 that :func:`diagnostics` also uses; the full diagnostics, recovered
 gradient included, are computed once per run, for its last stage.
@@ -129,7 +132,8 @@ class DiscreteProblem:
       when edge k or l of triangle t is pinned;
     * ``schur_base``: the values of B^T M^{-1} B in the pattern.
 
-    :meth:`schur` then builds S from the element blocks with one scatter-add.
+    :meth:`schur` then builds S from the element blocks with one scatter-add,
+    into a matrix of that pattern that a run allocates once.
     """
 
     spec: ProblemSpec
@@ -176,16 +180,24 @@ class DiscreteProblem:
         return dataclasses.replace(self, source_q=source_q,
                                    load=fem.assemble_load(self.mesh, source_q, ws=self.workspace))
 
-    def schur(self, blocks: np.ndarray) -> sp.csc_matrix:
+    def schur(self, blocks: np.ndarray, out: sp.csc_matrix | None = None) -> sp.csc_matrix:
         """S = G + B^T M^{-1} B over the free edges, G given by its element blocks.
 
-        S is symmetric, so its CSR arrays are also its CSC arrays.
+        S is symmetric, so its CSR arrays are also its CSC arrays.  ``out``
+        is a matrix that an earlier call returned, on this problem or on a
+        copy sharing its pattern (:meth:`with_load`): S is written into its
+        data array and ``out`` is returned, so a run allocates S once.
         """
         nnz = len(self.schur_base)
+        if out is None:
+            n = len(self.schur_indptr) - 1
+            out = sp.csc_matrix((np.empty(nnz), self.schur_indices, self.schur_indptr),
+                                shape=(n, n))
+        elif out.indptr is not self.schur_indptr:
+            raise ValueError("out is not a Schur matrix of this problem's pattern")
         data = np.bincount(self.schur_scatter, blocks.ravel(), minlength=nnz + 1)[:nnz]
-        data += self.schur_base
-        n = len(self.schur_indptr) - 1
-        return sp.csc_matrix((data, self.schur_indices, self.schur_indptr), shape=(n, n))
+        np.add(data, self.schur_base, out=out.data)
+        return out
 
 
 def _schur_pattern(mesh, areas: np.ndarray, free: np.ndarray):
@@ -241,7 +253,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     balance equation holds up to rounding throughout.  Without ``cache``
     each step's solve gets an empty one, so every step factors S; with one,
     a step may be solved by PCG on the cached factor, to the relative
-    residual min(FORCING_MAX, |r|) only.
+    residual min(FORCING_MAX, |r|) only, and S is written into the cache's
+    matrix, made by the first step that needs it.
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """
@@ -250,14 +263,17 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     p[~dp.free] = 0.0
 
     r = residual(dp, p, tau)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(r @ r)
+    S = None if cache is None else cache.matrix
     iterations = 0
     while not rnorm <= config.newton_tol:      # a NaN residual is not converged
         if iterations >= config.newton_max_iter:
             raise MaxIterationsExceeded("Newton did not converge", tau,
                                         *residual_norms(dp, p, rnorm), iterations)
         S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau,
-                                                 ws=dp.workspace))
+                                                 ws=dp.workspace), out=S)
+        if cache is not None:
+            cache.matrix = S
         step = np.zeros_like(p)
         try:
             step[dp.free] = linalg.solve_spd(S, -r[dp.free], cache=cache,
@@ -280,7 +296,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
         if not accepted:
             raise LineSearchStalled("line search made no progress", tau,
                                     *residual_norms(dp, p, rnorm), iterations + 1)
-        p, r, rnorm = trial, r_trial, float(np.sqrt(m_trial))
+        p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
     return p, iterations, rnorm
 
@@ -304,7 +320,7 @@ class DiscreteSolution:
     residual_norms: list       # (|r1|, |r2|) per stage
     gap_history: list          # duality gap per stage
     start: str = "cold"        # "cold", "warm" or "fallback" (warm tail failed)
-    discarded_newton_steps: int = 0     # Newton steps of a failed warm tail
+    discarded_newton_steps: int = 0     # of failed tails and failed predictor starts
     factorizations: int = 0    # of S, by the run that gave this solution
     cg_iterations: int = 0     # PCG iterations of that run
     factor_nnz: int = 0        # nnz of that run's largest factor of S
@@ -319,7 +335,7 @@ def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.nda
 def _objectives(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     """(primal, dual): the unsmoothed flux-side objective and the sign-flipped height side."""
     ws = dp.workspace
-    pnorm = huber._norm(fem.rt0_at_quadrature(ws, p))
+    pnorm = huber.norm(*fem.rt0_components(ws, p))
     misfit = ((dp.B @ p) / dp.areas)[:, None] - dp.source_q
     primal = 0.5 * fem.integrate(ws, misfit**2)
     primal += fem.integrate(ws, dp.alpha_q, pnorm)
@@ -374,25 +390,32 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
         p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
 
     which extrapolates only between converged stages; on the geometric
-    schedule the step is (p_k - p_{k-1}) / tau_factor.  Each stage records
-    its duality gap only; the full diagnostics, recovered gradient
-    included, are computed once, for the last stage.  A failing stage raises
-    :class:`SolverError` naming its tau and counting the run's Newton steps
-    plus the ``discarded`` ones of an earlier, failed run.  The run keeps
-    one :class:`linalg.FactorCache`, made here and dropped on return.
+    schedule the step is (p_k - p_{k-1}) / tau_factor.  A stage that fails
+    from the predictor is run once more from p_k, its failed steps counted
+    as discarded.  Each stage records its duality gap only; the full
+    diagnostics, recovered gradient included, are computed once, for the
+    last stage.  A failing stage raises :class:`SolverError` naming its tau
+    and counting the run's Newton steps plus the discarded ones, those of
+    an earlier, failed run (``discarded``) included.  The run keeps one
+    :class:`linalg.FactorCache`, with its Schur matrix, made here and
+    dropped on return.
     """
     cache = linalg.FactorCache()
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
-        guess = p
+        guesses = [p]
         if k >= 2:                 # p and p_prev are both converged stages
-            guess = p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev)
+            guesses.insert(0, p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev))
         p_prev = p
-        try:
-            p, iters, r1n = newton_solve(dp, tau, guess, config, cache=cache)
-        except SolverError as exc:
-            exc.newton_steps += sum(iteration_counts) + discarded
-            raise
+        for guess in guesses:
+            try:
+                p, iters, r1n = newton_solve(dp, tau, guess, config, cache=cache)
+                break
+            except SolverError as exc:
+                discarded += exc.newton_steps
+                if guess is guesses[-1]:
+                    exc.newton_steps = sum(iteration_counts) + discarded
+                    raise
         u = recover_u(dp, p)
         primal, dual = _objectives(dp, p, u)
         iteration_counts.append(iters)

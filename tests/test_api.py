@@ -70,9 +70,10 @@ def test_removed_options_are_gone():
     assert not hasattr(fem, "_scalar_at_quadrature")
     # one basis table, of the two cell shapes, and the Jacobian's table of its
     # products: their sizes do not grow with the mesh; no centroid table,
-    # centroid values come from the mesh
+    # centroid values come from the mesh; one weight per quadrature point
     assert [f.name for f in dataclasses.fields(fem.Workspace)] == [
-        "mesh", "rule", "areas", "centroids", "qpoints", "basis", "basis_products"]
+        "mesh", "rule", "areas", "centroids", "qpoints", "point_weights", "basis",
+        "basis_products"]
     small, large = (fem.build_workspace(build_rect_mesh(UNIT_SQUARE, n, n)) for n in (4, 64))
     assert small.basis.shape == large.basis.shape
     assert small.basis_products.shape == large.basis_products.shape == (36, 18)

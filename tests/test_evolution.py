@@ -311,6 +311,30 @@ def test_random_pours_warm_match_cold(n, steps, dt, alpha, rate, a, b, c):
     assert max(np.max(np.abs(uw - uc)) for uw, uc in zip(warm.u, cold.u)) <= 1e-7
 
 
+def test_pour_whose_secant_start_stalls_finishes():
+    # an example of test_random_pours_warm_match_cold: the fallback run of
+    # step 1 stalled from the secant predictor at tau=1.457e-6 (stage 60,
+    # LineSearchStalled); that stage now reruns from the last converged flux
+    alpha, dt = 1.2816002203394372, 0.26814811804337924
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=6, ny=6, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))
+    rate = gc.HalfPlaneSource(gc.HalfPlane(-1.0, -0.4609375, -0.96875), inside=4.594128210184986)
+    spec = ev.EvolutionSpec(problem=problem, t_final=2 * dt, dt=dt, rate=rate)
+    warm = ev.run(spec)
+    assert len(warm.steps) == 2
+    for s in warm.steps:
+        assert max(max(norms) for norms in s.residual_norms) <= 1e-8
+        assert abs(s.mass_balance) <= 1e-12
+        assert s.max_gradient_ratio <= 1.0 + 1e-9
+    assert warm.steps[0].discarded_newton_steps > 0
+    full_step = ev.step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "step", lambda u, dp, spec, t0, t1, p_prev=None:
+                   full_step(u, dp, spec, t0, t1))
+        cold = ev.run(spec)
+    assert max(np.max(np.abs(uw - uc)) for uw, uc in zip(warm.u, cold.u)) <= 1e-7
+
+
 def test_failed_step_names_step_interval_and_stage(monkeypatch):
     # one Newton step per stage is too few: the first step's warm tail fails,
     # then its full-schedule fallback

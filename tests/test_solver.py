@@ -196,6 +196,54 @@ def test_schur_scatter_matches_sparse_assembly(neumann):
     assert np.max(np.abs(S.toarray() - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+def test_schur_refill_matches_a_fresh_matrix():
+    # a run allocates S once and refills its data each Newton step; the
+    # refilled matrix is the fresh one to the bit, and it refuses a matrix
+    # of another pattern
+    dp = DiscreteProblem.from_spec(gc.scenario("ex4_measure", n=8))
+    rng = np.random.default_rng(11)
+    S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, np.zeros(dp.mesh.num_edges), dp.alpha_q,
+                                             10.0, ws=dp.workspace))
+    for tau in (1.0, 0.05, 1e-4):
+        p = rng.normal(scale=0.3, size=dp.mesh.num_edges)
+        blocks = fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace)
+        fresh = dp.schur(blocks)
+        assert dp.schur(blocks, out=S) is S
+        assert np.array_equal(S.data, fresh.data)
+        assert np.array_equal(S.indices, fresh.indices)
+        assert np.array_equal(S.indptr, fresh.indptr)
+    other = DiscreteProblem.from_spec(gc.scenario("ex4_measure", n=4))
+    with pytest.raises(ValueError):
+        other.schur(np.zeros((other.mesh.num_triangles, 3, 3)), out=S)
+
+
+def test_back_to_back_runs_share_no_state(solve_cache):
+    # the run's Schur matrix and factor live in its cache: a second run on
+    # the same problem, or on a copy with the same load, repeats the first
+    dp, sol, _ = solve_cache("ex2_a15", 8)
+    copy = dp.with_load(dp.source_q)
+    for problem in (dp, dp, copy, copy):
+        again, _ = continuation_solve(problem)
+        assert again.p.tobytes() == sol.p.tobytes()
+        assert again.newton_iterations == sol.newton_iterations
+        assert (again.factorizations, again.cg_iterations) == (sol.factorizations,
+                                                              sol.cg_iterations)
+
+
+@pytest.mark.parametrize("name", sorted(gc.SCENARIOS))
+def test_stage_gap_matches_the_norm_of_the_interleaved_field(solve_cache, name):
+    # the stage objective takes |p_h| from the x and y values of the field;
+    # np.linalg.norm over the interleaved field is the reference formula
+    dp, sol, _ = solve_cache(name, 8)
+    ws = dp.workspace
+    u = recover_u(dp, sol.p)
+    misfit = ((dp.B @ sol.p) / dp.areas)[:, None] - dp.source_q
+    pnorm = np.linalg.norm(fem.rt0_at_quadrature(ws, sol.p), axis=-1)
+    primal = 0.5 * fem.integrate(ws, misfit**2) + fem.integrate(ws, dp.alpha_q, pnorm)
+    gap = primal - float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
+    assert sol.gap_history[-1] == pytest.approx(gap, rel=1e-15, abs=0.0)
+
+
 def test_factor_fill_of_schur_matrix():
     # symmetric-mode minimum-degree ordering: ~74k entries; COLAMD gives ~132k
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=32))
@@ -265,26 +313,44 @@ def newton_failing_at(monkeypatch, *calls):
 
 
 def test_failed_warm_tail_reruns_the_full_schedule(solve_cache, monkeypatch):
-    # the warm tail fails at its third stage: its two converged stages and
-    # the failed stage's 2 steps are discarded, and the full schedule reruns
-    # from zero, which is the cold solve
+    # the warm tail fails at its third stage, from the secant predictor and
+    # again from the last converged stage: its two converged stages and the
+    # failed attempts' 2 + 2 steps are discarded, and the full schedule
+    # reruns from zero, which is the cold solve
     dp, sol, _ = solve_cache("ex1_f1_a1", 8)
-    steps = newton_failing_at(monkeypatch, 2)
+    steps = newton_failing_at(monkeypatch, 2, 3)
     again, _ = continuation_solve(dp, p0=0.5 * sol.p)
     assert again.start == "fallback"
-    assert again.discarded_newton_steps == sum(steps[:2]) + 2
+    assert again.discarded_newton_steps == sum(steps[:2]) + 2 + 2
     assert again.newton_iterations == sol.newton_iterations == steps[2:]
     assert (again.factorizations, again.cg_iterations) == (sol.factorizations, sol.cg_iterations)
     assert np.array_equal(again.p, sol.p)
-    # a fallback failing at its fifth stage counts every Newton step, the
-    # discarded tail's included
+    # a fallback failing at its fifth stage, both attempts, counts every
+    # Newton step, the discarded tail's included
     monkeypatch.undo()
-    steps = newton_failing_at(monkeypatch, 2, 7)
+    steps = newton_failing_at(monkeypatch, 2, 3, 8, 9)
     with pytest.raises(LineSearchStalled) as err:
         continuation_solve(dp, p0=0.5 * sol.p)
     assert len(steps) == 2 + 4
-    assert err.value.newton_steps == sum(steps) + 2 + 2
+    assert err.value.newton_steps == sum(steps) + 4 * 2
     assert err.value.tau == tau_schedule(SolverConfig())[4]
+
+
+def test_stage_failing_from_the_predictor_reruns_from_the_last_stage(solve_cache, monkeypatch):
+    # the warm tail's third stage fails from the secant predictor and is run
+    # again from the second stage's flux; the failed attempt's 2 steps are
+    # discarded and the tail holds.  A failure in the first two stages, which
+    # have no predictor, is not retried
+    dp, sol, _ = solve_cache("ex1_f1_a1", 8)
+    steps = newton_failing_at(monkeypatch, 2)
+    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
+    assert (again.start, again.discarded_newton_steps) == ("warm", 2)
+    assert again.newton_iterations == steps and len(steps) == solver.WARM_STAGES
+    assert max(max(norms) for norms in again.residual_norms) <= 1e-8
+    monkeypatch.undo()
+    steps = newton_failing_at(monkeypatch, 1)
+    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
+    assert (again.start, again.discarded_newton_steps) == ("fallback", steps[0] + 2)
 
 
 def test_one_factorization_per_newton_step(monkeypatch):
