@@ -328,7 +328,7 @@ def export_vtk(mesh: Mesh, u: np.ndarray, p: np.ndarray, path, *,
     grad_u_mag is |alpha_c dphi_tau(p)| at the centroids.
     """
     pc = fem.rt0_at_centroids(mesh, p)
-    grad_mag = alpha_c * huber._norm(huber.dphi(pc, tau))
+    grad_mag = alpha_c * huber.norm(*huber.dphi(pc, tau).T)
 
     lines = [
         "# vtk DataFile Version 2.0",

@@ -241,7 +241,8 @@ def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     _check_mesh(mesh, ws)
     tau = huber.check_tau(tau)
     vx, vy = _pair_components(ws, p)
-    # dphi(p_h) = iso p_h: the point weight is folded into iso
+    # dphi(p_h) = iso p_h, iso the weight w/max(|p_h|, tau) of huber.norm_weights
+    # with w = point weight * alpha, computed in place
     iso = huber.norm(vx, vy)
     np.maximum(iso, tau, out=iso)
     np.divide(ws.point_weights * aq.reshape(iso.shape), iso, out=iso)

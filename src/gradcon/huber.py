@@ -44,7 +44,7 @@ def phi(v, tau: float):
 def dphi(v, tau: float):
     """Gradient of ``phi``: v/tau inside, v/|v| outside; |dphi| <= 1."""
     v = np.asarray(v, dtype=float)
-    return v * (1.0 / np.maximum(_norm(v), check_tau(tau)))[..., None]
+    return v * norm_weights(_norm(v), tau)[0][..., None]
 
 
 def norm_weights(r, tau: float, w=1.0):
@@ -52,7 +52,8 @@ def norm_weights(r, tau: float, w=1.0):
 
     iso is w/max(r, tau), which also gives ``w dphi(v) = iso v``: one weight
     serves both branches, so a kernel needs no branch mask for it.  rank1
-    is iso/|v|^2 = w/|v|^3 outside and 0 inside.
+    is iso/|v|^2 = w/|v|^3 outside and 0 inside.  ``dphi`` and ``d2phi``
+    take their weights from here.
     """
     m = np.maximum(r, check_tau(tau))
     iso = w / m
@@ -62,15 +63,10 @@ def norm_weights(r, tau: float, w=1.0):
     return iso, rank1
 
 
-def hessian_weights(v, tau: float):
-    """``norm_weights`` at v, each of shape v.shape[:-1]."""
-    return norm_weights(_norm(v), tau)
-
-
 def d2phi(v, tau: float):
     """Hessian of ``phi``: I/tau inside, (I - v v^T/|v|^2)/|v| outside."""
     v = np.asarray(v, dtype=float)
-    iso, rank1 = hessian_weights(v, tau)
+    iso, rank1 = norm_weights(_norm(v), tau)
     # entry by entry: broadcasting a (..., 2, 2) outer product is ~10x slower
     vx, vy = v[..., 0], v[..., 1]
     xy = -rank1 * (vx * vy)

@@ -20,34 +20,11 @@ bundled SuperLU is not memory safe (``relax=32, panel_size=4`` crashed the
 interpreter in 1 of 3 processes of 420 factorizations each).  Since
 scipy's default ``relax`` is 10, ``panel_size`` is never passed on its own.
 
-A direct solution x is accepted when its relative residual is small,
-||A x - b||_2 <= tol ||b||_2, or, failing that, when it is backward stable:
-its normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) in the
-infinity norm is at most tol, i.e. x solves a nearby system exactly.  The
-second test matters when ||A|| ||x|| >> ||b||, where rounding alone can
-violate the first.  Only when the factorization breaks down or x passes
-neither test is A factored again with a tiny diagonal (Tikhonov) shift
-``1e-12 * diag(A)``; the shifted solution is judged against A by the same
-rule before the solve gives up.
-
 A :class:`FactorCache` keeps the last accepted factor for a run of
 solves whose matrices change little, such as the Newton steps of one
-continuation.  While it holds a factor of a matrix of A's shape, A x = b is
-solved by conjugate gradients from x = 0, preconditioned by that factor,
-and x is accepted once ||b - A x||_2 <= max(rtol, tol) ||b||_2; x = 0
-is accepted before any iteration when ||b|| meets that, so b = 0 keeps the
-factor.  A is factored again, by the direct path above, only when PCG
-misses the target within ``PCG_MAX_ITER`` iterations, breaks down (a
-curvature d.A d or r.z that is not positive) or goes non-finite; the stale
-factor is dropped first, so two factors never coexist, and the new one is
-kept.  The cache's ``factor_nnz`` is the nnz of the largest factor it has
-kept.  Its ``matrix`` is the run's matrix, kept for the caller to refill
-in place from one solve to the next; SuperLU copies the values it
-factors, so the kept factor does not change with it.  PCG gives up before
-the budget is spent when, from its second iteration on, its mean
-contraction per iteration so far would leave the residual above the
-target after ``PCG_MAX_ITER`` iterations: a factor too stale to serve
-costs two or three iterations, not ten.
+continuation.  That factor preconditions conjugate gradients, and A is
+factored again only when PCG fails to serve.  :func:`solve_spd` states
+when a solution is accepted, and :func:`_pcg` when PCG stops.
 """
 
 from __future__ import annotations
@@ -82,10 +59,15 @@ class LinearSolveReport:
 
 @dataclass
 class FactorCache:
-    """The last accepted factor of one run of solves, and the run's counts."""
+    """The last accepted factor of one run of solves, the run's matrix and its counts.
+
+    ``matrix`` is the run's one matrix, which its owner refills in place
+    from one solve to the next.  SuperLU copies the values it factors, so
+    the kept factor ``lu`` does not change with it.
+    """
 
     lu: object = None
-    matrix: object = None      # the run's matrix, which its owner refills in place
+    matrix: object = None
     factorizations: int = 0    # splu calls, shifted retries included
     cg_iterations: int = 0
     factor_nnz: int = 0        # of the largest factor kept
@@ -103,11 +85,13 @@ def _pcg(A, b: np.ndarray, lu, target: float):
     """PCG from x = 0 preconditioned by ``lu.solve``; returns (x, iterations).
 
     Stops once the recurred residual is at most ``target``; when ||b|| is,
-    x = 0 after no iteration.  x is None when
-    a curvature is not positive (NaN included), or when from the second
-    iteration on the mean contraction so far, rho = (|r_k|/|r_0|)^(1/k),
-    predicts |r_k| rho^(PCG_MAX_ITER - k) > target: the budget cannot be met
-    at that pace, and at k = PCG_MAX_ITER the prediction is |r_k| itself.
+    x = 0 after no iteration.  x is None when a curvature d.A d or r.z is
+    not positive (NaN included), or when from the second iteration on the
+    mean contraction so far, rho = (|r_k|/|r_0|)^(1/k), predicts
+    |r_k| rho^(PCG_MAX_ITER - k) > target: the budget of ``PCG_MAX_ITER``
+    iterations cannot be met at that pace, so a factor too stale to serve
+    costs two or three iterations, not ten.  At k = PCG_MAX_ITER the
+    prediction is |r_k| itself.
     """
     x, r = np.zeros_like(b), b.copy()
     r0 = math.sqrt(b @ b)
@@ -134,19 +118,29 @@ def _pcg(A, b: np.ndarray, lu, target: float):
 
 def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None = None,
               rtol: float | None = None):
-    """Solve A x = b for symmetric positive definite A.
+    """Solve A x = b for symmetric positive definite A; returns ``(x, LinearSolveReport)``.
 
-    Returns ``(x, LinearSolveReport)``.  Without ``cache`` the solve gets
-    an empty :class:`FactorCache`, dropped on return.  A kept factor of a
-    matrix of A's shape first preconditions PCG, which must reach
-    ||b - A x|| <= max(rtol, tol) ||b||.  Otherwise (an empty cache
-    included, so ``rtol`` is then unused) the direct path runs: A is
-    factored and x has relative residual ||A x - b|| <= tol ||b|| or
-    normwise backward error <= tol (see the module docstring); the
-    diagonally shifted retry runs only when the factorization breaks down
-    or x meets neither test, and ``regularized`` says whether it did.
-    The direct path sets ``refactored`` and keeps the accepted factor in
-    the cache.  Raises :class:`LinearSolveError` only when the direct path
+    Without ``cache`` the solve gets an empty :class:`FactorCache`, dropped
+    on return.  While the cache holds a factor of a matrix of A's shape,
+    that factor preconditions PCG (:func:`_pcg`), and x is accepted once
+    ||b - A x||_2 <= max(rtol, tol) ||b||_2; x = 0 is accepted before any
+    iteration when ||b|| meets that, so b = 0 keeps the factor.
+
+    When PCG misses, or the cache holds no such factor (``rtol`` is then
+    unused), the direct path runs.  The stale factor is dropped first, so
+    two factors never coexist, and A is factored.  x is accepted when its relative
+    residual is small, ||A x - b||_2 <= tol ||b||_2, or, failing that, when
+    it is backward stable: its normwise backward error
+    ||A x - b|| / (||A|| ||x|| + ||b||) in the infinity norm is at most
+    tol, i.e. x solves a nearby system exactly.  The second test matters
+    when ||A|| ||x|| >> ||b||, where rounding alone can violate the first.
+    Only when the factorization breaks down or x passes neither test is A
+    factored again with a tiny diagonal (Tikhonov) shift
+    ``TIKHONOV_EPS * diag(A)``; the shifted solution is judged against A by
+    the same rule, and ``regularized`` says whether it was needed.  The
+    direct path sets ``refactored`` and keeps the accepted factor in the
+    cache, whose ``factor_nnz`` is the nnz of the largest factor it has
+    kept.  Raises :class:`LinearSolveError` only when the direct path
     fails, its retry included.
     """
     b = np.asarray(b, dtype=float)

@@ -11,15 +11,15 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
 
     R(P) = -B^T u(P) + H_tau(P),     dR/dP = G_tau(P) + B^T M^{-1} B =: S(P),
 
-an SPD system.  Each run of stages keeps one factor of S in a
-:class:`linalg.FactorCache`: a step solves S d = -R by PCG on that factor
-to the inexact Newton forcing term eta = min(0.1, |R|) (Eisenstat &
-Walker, SIAM J. Sci. Comput. 17, 1996), and S is factored again only when
-PCG misses it.  The cache also holds the run's one S, whose values each
-step writes in place.  A backtracking line search on the squared residual
-norm globalizes each step.  The smoothing radius tau follows a geometric
-continuation schedule.  Without a start flux the full schedule runs from
-zero ("cold"); from a start flux near the answer only its last
+an SPD system.  Every Newton step writes S and solves S d = -R by PCG on
+the factor of S that its :class:`linalg.FactorCache` keeps, to the inexact
+Newton forcing term eta = min(0.1, |R|) (Eisenstat & Walker, SIAM J. Sci.
+Comput. 17, 1996); S is factored again only when PCG misses it.  A run of
+stages shares one cache, and a lone :func:`newton_solve` makes its own.
+A backtracking line search on the squared residual norm globalizes each
+step.  The smoothing radius tau follows a geometric continuation
+schedule.  Without a start flux the full schedule runs from zero
+("cold"); from a start flux near the answer only its last
 ``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
 reruns from zero ("fallback").  The first stage of a run starts from its
 start flux, the second from the first stage's solution, and every later
@@ -132,8 +132,7 @@ class DiscreteProblem:
       when edge k or l of triangle t is pinned;
     * ``schur_base``: the values of B^T M^{-1} B in the pattern.
 
-    :meth:`schur` then builds S from the element blocks with one scatter-add,
-    into a matrix of that pattern that a run allocates once.
+    :meth:`schur` then builds S from the element blocks with one scatter-add.
     """
 
     spec: ProblemSpec
@@ -186,7 +185,9 @@ class DiscreteProblem:
         S is symmetric, so its CSR arrays are also its CSC arrays.  ``out``
         is a matrix that an earlier call returned, on this problem or on a
         copy sharing its pattern (:meth:`with_load`): S is written into its
-        data array and ``out`` is returned, so a run allocates S once.
+        data array in place and ``out`` is returned, so a run allocates S
+        once.  A factor made from ``out`` earlier does not change with it
+        (see :class:`linalg.FactorCache`).
         """
         nnz = len(self.schur_base)
         if out is None:
@@ -250,33 +251,31 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     """Damped Newton on the reduced residual; returns (p, iterations, |r|).
 
     The cell variable is eliminated exactly at every iterate, so the
-    balance equation holds up to rounding throughout.  Without ``cache``
-    each step's solve gets an empty one, so every step factors S; with one,
-    a step may be solved by PCG on the cached factor, to the relative
-    residual min(FORCING_MAX, |r|) only, and S is written into the cache's
-    matrix, made by the first step that needs it.
+    balance equation holds up to rounding throughout.  Each step writes S
+    into ``cache.matrix`` and solves for its direction with
+    :func:`linalg.solve_spd` on the cache's factor, to the relative residual
+    min(FORCING_MAX, |r|).  Without ``cache`` the call makes its own, so its
+    steps, like those of a run of stages, share one factor.
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """
     config = config or SolverConfig()
+    cache = cache or linalg.FactorCache()
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
     r = residual(dp, p, tau)
     rnorm = math.sqrt(r @ r)
-    S = None if cache is None else cache.matrix
     iterations = 0
     while not rnorm <= config.newton_tol:      # a NaN residual is not converged
         if iterations >= config.newton_max_iter:
             raise MaxIterationsExceeded("Newton did not converge", tau,
                                         *residual_norms(dp, p, rnorm), iterations)
-        S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau,
-                                                 ws=dp.workspace), out=S)
-        if cache is not None:
-            cache.matrix = S
+        cache.matrix = dp.schur(fem.assemble_huber_jacobian(
+            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace), out=cache.matrix)
         step = np.zeros_like(p)
         try:
-            step[dp.free] = linalg.solve_spd(S, -r[dp.free], cache=cache,
+            step[dp.free] = linalg.solve_spd(cache.matrix, -r[dp.free], cache=cache,
                                              rtol=min(FORCING_MAX, rnorm))[0]
         except linalg.LinearSolveError as exc:
             raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm),
@@ -284,16 +283,14 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
 
         merit0 = rnorm * rnorm
         s = 1.0
-        accepted = False
         for _ in range(LS_MAX_BACKTRACKS + 1):
             trial = p + s * step
             r_trial = residual(dp, trial, tau)
             m_trial = float(r_trial @ r_trial)
             if m_trial <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * s) * merit0:
-                accepted = True
                 break
             s *= LS_SHRINK
-        if not accepted:
+        else:
             raise LineSearchStalled("line search made no progress", tau,
                                     *residual_norms(dp, p, rnorm), iterations + 1)
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
@@ -345,7 +342,7 @@ def _objectives(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray) -> tuple[floa
 def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
     primal, dual = _objectives(dp, p, u)
     grad = recovered_gradient(dp, p, tau)
-    gnorm = huber._norm(grad)
+    gnorm = huber.norm(*grad.T)
     ratio = float(np.max(gnorm / dp.alpha_c))
     violation = float(np.sum(dp.areas * np.maximum(0.0, gnorm - dp.alpha_c)))
     return Diagnostics(primal_value=primal, dual_value=dual,
@@ -396,9 +393,8 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
     diagnostics, recovered gradient included, are computed once, for the
     last stage.  A failing stage raises :class:`SolverError` naming its tau
     and counting the run's Newton steps plus the discarded ones, those of
-    an earlier, failed run (``discarded``) included.  The run keeps one
-    :class:`linalg.FactorCache`, with its Schur matrix, made here and
-    dropped on return.
+    an earlier, failed run (``discarded``) included.  The run's steps share
+    one :class:`linalg.FactorCache`, made here and dropped on return.
     """
     cache = linalg.FactorCache()
     iteration_counts, norms, gaps = [], [], []

@@ -14,6 +14,7 @@ REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step"),
     "gradcon.linalg": ("spmv",),
     "gradcon.evolution": ("WARM_STAGES",),
+    "gradcon.huber": ("hessian_weights",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
                     "_areas_and_basis"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids",
@@ -92,10 +93,11 @@ def test_removed_options_are_gone():
     assert [f.name for f in dataclasses.fields(Mesh)] == [
         "rect", "nx", "ny", "vertices", "triangles", "edges", "tri_edges",
         "tri_edge_signs", "boundary_edges"]
-    # d2phi is built from the one weight function the Jacobian uses
+    # dphi and d2phi are built from the one weight function the Jacobian uses
     v = np.random.default_rng(0).normal(size=(50, 2))
     for tau in (0.3, 1.0, 3.0):
-        iso, rank1 = huber.hessian_weights(v, tau)
+        iso, rank1 = huber.norm_weights(huber.norm(*v.T), tau)
+        assert np.array_equal(huber.dphi(v, tau), v * iso[:, None])
         outer = v[:, :, None] * v[:, None, :]
         built = iso[:, None, None] * np.eye(2) - rank1[:, None, None] * outer
         assert np.array_equal(huber.d2phi(v, tau), built)

@@ -217,6 +217,25 @@ def test_schur_refill_matches_a_fresh_matrix():
         other.schur(np.zeros((other.mesh.num_triangles, 3, 3)), out=S)
 
 
+def test_refill_leaves_the_kept_factor_unchanged():
+    # the run's one S is refilled in place each step while the cache keeps a
+    # factor of an earlier S; SuperLU copied what it factored, so the kept
+    # factor solves exactly as before the refill
+    dp = DiscreteProblem.from_spec(gc.scenario("ex4_measure", n=8))
+    rng = np.random.default_rng(12)
+    blocks1, blocks2 = (fem.assemble_huber_jacobian(
+        dp.mesh, rng.normal(scale=0.3, size=dp.mesh.num_edges), dp.alpha_q, tau,
+        ws=dp.workspace) for tau in (1.0, 1e-3))
+    cache = linalg.FactorCache()
+    cache.matrix = dp.schur(blocks1)
+    b = rng.normal(size=cache.matrix.shape[0])
+    assert solve_spd(cache.matrix, b, cache=cache)[1].refactored
+    before, data = cache.lu.solve(b), cache.matrix.data.copy()
+    assert dp.schur(blocks2, out=cache.matrix) is cache.matrix
+    assert not np.array_equal(cache.matrix.data, data)
+    assert np.array_equal(cache.lu.solve(b), before)
+
+
 def test_back_to_back_runs_share_no_state(solve_cache):
     # the run's Schur matrix and factor live in its cache: a second run on
     # the same problem, or on a copy with the same load, repeats the first
@@ -377,6 +396,22 @@ def test_one_factorization_per_newton_step(monkeypatch):
     assert len(factorizations) < sum(sol.newton_iterations)
     assert sol.cg_iterations == sum(r.cg_iterations for r in reports)
     assert sol.factor_nnz == max(r.factor_nnz for r in reports if r.refactored)
+
+
+def test_lone_newton_solve_keeps_one_factor_across_its_steps(monkeypatch):
+    # without a cache newton_solve makes its own and runs the step the
+    # continuation runs: the factor of its first step serves the later ones
+    dp = DiscreteProblem.from_spec(gc.scenario("ex2_a15", n=16))
+    taus = tau_schedule(SolverConfig())
+    previous, _ = continuation_solve(dp, SolverConfig(tau_min=taus[-2]))
+    assert previous.tau_final == taus[-2]
+    factorizations, splu = [], linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    p, iters, rnorm = newton_solve(dp, taus[-1], previous.p)
+    assert rnorm <= SolverConfig().newton_tol
+    assert iters >= 3
+    assert 1 <= len(factorizations) < iters
 
 
 def test_repeated_runs_repeat_exactly():
