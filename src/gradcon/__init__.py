@@ -7,7 +7,7 @@ through a continuation schedule in the smoothing radius.
 """
 
 from .mesh import (ALL_DIRICHLET, ALL_NEUMANN, BoundaryPartition, Mesh, Rect,
-                   UNIT_SQUARE, build_rect_mesh, classify_boundary)
+                   UNIT_SQUARE, build_rect_mesh)
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
                        PresetSource, ProblemSpec, StudyResult,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_DIRICHLET", "ALL_NEUMANN", "BoundaryPartition", "Mesh", "Rect",
-    "UNIT_SQUARE", "build_rect_mesh", "classify_boundary",
+    "UNIT_SQUARE", "build_rect_mesh",
     "SCENARIOS", "ConstantAlpha", "ConstantSource", "HalfPlane",
     "HalfPlaneSource", "MeasureLineAlpha", "PiecewiseAlpha", "PresetSource",
     "ProblemSpec", "StudyResult", "convergence_study",

@@ -21,8 +21,7 @@ Config schema (all keys optional unless a mode needs them)::
                 "inside": 0.25, "outside": 0.0}
              | {"type": "preset", "name": "cone_valley"}
       },
-      "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6,
-                 "newton_tol": 1e-8, "newton_max_iter": 50},
+      "solver": {"tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8},
       "mesh_sizes": [8, 16, 32, 64],           # study mode; >= 2, none repeated
       "evolution": {"t_final": 0.5, "dt": 0.1,
                     "u0": {"type": "zero"} | {"type": "constant", "value": 0.1},
@@ -43,6 +42,11 @@ checks.  Errors name the key path.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure, 4 I/O failure; every solver failure is a
 ``SolverError`` naming the failing tau (and, in evolve mode, the step and
 its interval).
+
+The ``solver`` keys are the fields of ``SolverConfig``.  The start radius
+``solver.TAU_START`` and the Newton budget per stage
+``solver.NEWTON_MAX_ITER`` are constants, so ``tau_start`` and
+``newton_max_iter`` are unknown keys.
 
 In evolve mode the problem's source (``problem.f`` or the scenario's) is
 checked but has no effect: each step's load ``u_prev + dt * rate`` replaces

@@ -179,12 +179,3 @@ def build_rect_mesh(rect: Rect, nx: int, ny: int) -> Mesh:
     return Mesh(rect=rect, nx=nx, ny=ny, vertices=vertices, triangles=triangles, edges=edges,
                 tri_edges=tri_edges, tri_edge_signs=tri_edge_signs, boundary_edges=boundary_edges)
 
-
-def classify_boundary(mesh: Mesh, bp: BoundaryPartition):
-    """Split boundary edges into (dirichlet_edge_ids, neumann_edge_ids)."""
-    dirichlet, neumann = [], []
-    for side in BOUNDARY_SIDES:
-        ids = mesh.boundary_edges[side]
-        (neumann if side in bp.gamma_n_sides else dirichlet).append(ids)
-    cat = lambda parts: np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=int)
-    return cat(dirichlet), cat(neumann)

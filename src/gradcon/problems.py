@@ -232,19 +232,18 @@ def exact_solution_ex1(f_const: float, alpha_const: float):
 
 # --- named scenarios ---------------------------------------------------------
 
-# name -> (bound, source, closed-form constants (f, alpha) or None)
+# name -> (bound, source)
 _SCENARIOS = {
-    "ex1_f1_a1": (ConstantAlpha(1.0), ConstantSource(1.0), (1.0, 1.0)),
-    "ex1_f025_a1": (ConstantAlpha(1.0), ConstantSource(0.25), (0.25, 1.0)),
-    "ex1_f01_a1": (ConstantAlpha(1.0), ConstantSource(0.1), (0.1, 1.0)),
-    "ex1_f1_a05": (ConstantAlpha(0.5), ConstantSource(1.0), (1.0, 0.5)),
+    "ex1_f1_a1": (ConstantAlpha(1.0), ConstantSource(1.0)),
+    "ex1_f025_a1": (ConstantAlpha(1.0), ConstantSource(0.25)),
+    "ex1_f01_a1": (ConstantAlpha(1.0), ConstantSource(0.1)),
+    "ex1_f1_a05": (ConstantAlpha(0.5), ConstantSource(1.0)),
     "ex1_f1_ajump": (PiecewiseAlpha(regions=((HalfPlane(1.0, 1.0, 1.0), 0.75),), default=1.0),
-                     ConstantSource(1.0), None),
-    "ex2_a25": (ConstantAlpha(2.5), PresetSource("cone_valley"), None),
-    "ex2_a15": (ConstantAlpha(1.5), PresetSource("cone_valley"), None),
+                     ConstantSource(1.0)),
+    "ex2_a25": (ConstantAlpha(2.5), PresetSource("cone_valley")),
+    "ex2_a15": (ConstantAlpha(1.5), PresetSource("cone_valley")),
     "ex4_measure": (MeasureLineAlpha(line_y=0.5, weight=100.0, base=1.0),
-                    HalfPlaneSource(HalfPlane(0.0, -1.0, -0.5), inside=0.25, outside=0.0),
-                    None),
+                    HalfPlaneSource(HalfPlane(0.0, -1.0, -0.5), inside=0.25, outside=0.0)),
 }
 
 SCENARIOS = tuple(_SCENARIOS)
@@ -254,18 +253,19 @@ def scenario(name: str, n: int = 64) -> ProblemSpec:
     """Named preset problems on the unit square with zero boundary data."""
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; available: {SCENARIOS}")
-    alpha, source, _ = _SCENARIOS[name]
+    alpha, source = _SCENARIOS[name]
     return ProblemSpec(rect=UNIT_SQUARE, nx=n, ny=n, boundary=ALL_DIRICHLET,
                        alpha=alpha, source=source)
 
 
 def exact_solution_for(name: str):
+    """The closed form of a scenario whose bound and source are both constant."""
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; available: {SCENARIOS}")
-    constants = _SCENARIOS[name][2]
-    if constants is None:
+    alpha, source = _SCENARIOS[name]
+    if not (isinstance(alpha, ConstantAlpha) and isinstance(source, ConstantSource)):
         raise ValueError(f"scenario {name!r} has no closed-form solution")
-    return exact_solution_ex1(*constants)
+    return exact_solution_ex1(source.value, alpha.value)
 
 
 # --- mesh-refinement study ----------------------------------------------------

@@ -17,8 +17,11 @@ Newton forcing term eta = min(0.1, |R|) (Eisenstat & Walker, SIAM J. Sci.
 Comput. 17, 1996); S is factored again only when PCG misses it.  A run of
 stages shares one cache, and a lone :func:`newton_solve` makes its own.
 A backtracking line search on the squared residual norm globalizes each
-step.  The smoothing radius tau follows a geometric continuation
-schedule.  Without a start flux the full schedule runs from zero
+step, and a stage may take ``NEWTON_MAX_ITER`` steps.  The smoothing
+radius tau follows a geometric continuation schedule from ``TAU_START``
+down to the config's ``tau_min``; :class:`SolverConfig` holds the only
+three settable values, that floor, the factor between stages and the
+Newton tolerance.  Without a start flux the full schedule runs from zero
 ("cold"); from a start flux near the answer only its last
 ``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
 reruns from zero ("fallback").  The first stage of a run starts from its
@@ -44,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, huber, linalg
-from .mesh import build_rect_mesh, classify_boundary
+from .mesh import build_rect_mesh
 from .problems import ProblemSpec
 
 
@@ -54,38 +57,36 @@ LS_SUFFICIENT_DECREASE = 1e-4
 LS_MAX_BACKTRACKS = 30
 
 FORCING_MAX = 0.1                  # largest inexact Newton forcing term eta
+NEWTON_MAX_ITER = 50               # Newton steps a stage may take
+TAU_START = 10.0                   # first smoothing radius of every schedule
 MAX_STAGES = 2**16                 # longest continuation schedule accepted
 WARM_STAGES = 12                   # schedule tail run from a given start flux
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tau_start: float = 10.0
     tau_factor: float = 1.30
     tau_min: float = 1e-6
     newton_tol: float = 1e-8          # absolute residual norms
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if not 1.0 < self.tau_factor < math.inf:
             raise ValueError("continuation factor must exceed 1 and be finite")
-        for name in ("tau_start", "tau_min", "newton_tol"):
+        for name in ("tau_min", "newton_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.tau_start < self.tau_min:
-            raise ValueError("tau_start must be at least tau_min")
-        if not 1 <= self.newton_max_iter < math.inf:
-            raise ValueError("newton_max_iter must be at least 1 and finite")
+        if self.tau_min > TAU_START:
+            raise ValueError(f"tau_min must be at most TAU_START = {TAU_START}")
         tau_schedule(self)
 
 
 def tau_schedule(config: SolverConfig) -> np.ndarray:
-    """Geometric schedule from tau_start down to the first value <= tau_min.
+    """Geometric schedule from ``TAU_START`` down to the first value <= tau_min.
 
     Raises ValueError, without building the rest, once it would pass
     ``MAX_STAGES`` stages.
     """
-    taus = [config.tau_start]
+    taus = [TAU_START]
     while taus[-1] > config.tau_min:
         if len(taus) == MAX_STAGES:
             raise ValueError(f"continuation schedule exceeds MAX_STAGES = {MAX_STAGES} stages")
@@ -119,18 +120,20 @@ class DiscreteProblem:
     """Assembled, immutable view of a problem on one mesh.
 
     ``free`` is always a boolean mask over the edges, False on the edges of
-    flux-pinned (Neumann) sides and all True when there are none.
+    flux-pinned (Neumann) sides and all True when there are none.  ``Bt``
+    is ``B.T``, a CSC view of B's arrays.
 
     Every Newton step solves a system in the Schur matrix
     S = G_tau + B^T M^{-1} B over the free edges.  Its sparsity never
-    changes: edges e and f are coupled exactly when they share a triangle.
-    ``from_spec`` fixes it once:
+    changes: edges e and f are coupled exactly when they share a triangle,
+    which is also the sparsity of B_f^T M^{-1} B_f.  ``from_spec`` fixes it
+    once:
 
-    * ``schur_indptr``, ``schur_indices``: the CSR pattern of S;
+    * ``schur_base``: B_f^T M^{-1} B_f as a CSC matrix, whose index arrays
+      are the pattern of S;
     * ``schur_scatter``: for each entry (t, k, l) of the Jacobian's element
       blocks, flattened, its slot in the data array, or ``nnz`` (dropped)
-      when edge k or l of triangle t is pinned;
-    * ``schur_base``: the values of B^T M^{-1} B in the pattern.
+      when edge k or l of triangle t is pinned.
 
     :meth:`schur` then builds S from the element blocks with one scatter-add.
     """
@@ -139,17 +142,15 @@ class DiscreteProblem:
     mesh: object
     workspace: fem.Workspace
     B: sp.csr_matrix
-    Bt: sp.csr_matrix
+    Bt: sp.csc_matrix
     areas: np.ndarray
     load: np.ndarray               # F
     source_q: np.ndarray           # source at quadrature points (nt, nq), read-only
     alpha_q: np.ndarray            # bound at quadrature points (nt, nq), read-only
     alpha_c: np.ndarray            # bound at centroids (nt,)
     free: np.ndarray               # bool mask over edges, False where the flux is pinned
-    schur_indptr: np.ndarray       # CSR pattern of S over the free edges
-    schur_indices: np.ndarray
     schur_scatter: np.ndarray      # (nt*9,) slot of each element-block entry
-    schur_base: np.ndarray         # B^T M^{-1} B in the pattern
+    schur_base: sp.csc_matrix      # B^T M^{-1} B over the free edges, the pattern of S
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec) -> "DiscreteProblem":
@@ -164,13 +165,13 @@ class DiscreteProblem:
         if np.any(alpha_q <= 0.0) or np.any(alpha_c <= 0.0):
             raise ValueError("constraint bound must be positive throughout the domain")
         free = np.ones(mesh.num_edges, dtype=bool)
-        free[classify_boundary(mesh, spec.boundary)[1]] = False
+        for side in spec.boundary.gamma_n_sides:
+            free[mesh.boundary_edges[side]] = False
 
-        indptr, indices, scatter, base = _schur_pattern(mesh, areas, free)
-        return cls(spec=spec, mesh=mesh, workspace=ws, B=B, Bt=B.T.tocsr(), areas=areas,
+        scatter, base = _schur_pattern(mesh, areas, free)
+        return cls(spec=spec, mesh=mesh, workspace=ws, B=B, Bt=B.T, areas=areas,
                    load=fem.assemble_load(mesh, source_q, ws=ws), source_q=source_q,
                    alpha_q=alpha_q, alpha_c=alpha_c, free=free,
-                   schur_indptr=indptr, schur_indices=indices,
                    schur_scatter=scatter, schur_base=base)
 
     def with_load(self, source_q: np.ndarray) -> "DiscreteProblem":
@@ -182,27 +183,25 @@ class DiscreteProblem:
     def schur(self, blocks: np.ndarray, out: sp.csc_matrix | None = None) -> sp.csc_matrix:
         """S = G + B^T M^{-1} B over the free edges, G given by its element blocks.
 
-        S is symmetric, so its CSR arrays are also its CSC arrays.  ``out``
-        is a matrix that an earlier call returned, on this problem or on a
-        copy sharing its pattern (:meth:`with_load`): S is written into its
-        data array in place and ``out`` is returned, so a run allocates S
-        once.  A factor made from ``out`` earlier does not change with it
-        (see :class:`linalg.FactorCache`).
+        ``out`` is a matrix that an earlier call returned, on this problem
+        or on a copy sharing its pattern (:meth:`with_load`): S is written
+        into its data array in place and ``out`` is returned, so a run
+        allocates S once.  A factor made from ``out`` earlier does not change
+        with it (see :class:`linalg.FactorCache`).
         """
-        nnz = len(self.schur_base)
+        base = self.schur_base
+        nnz = len(base.data)
         if out is None:
-            n = len(self.schur_indptr) - 1
-            out = sp.csc_matrix((np.empty(nnz), self.schur_indices, self.schur_indptr),
-                                shape=(n, n))
-        elif out.indptr is not self.schur_indptr:
+            out = sp.csc_matrix((np.empty(nnz), base.indices, base.indptr), shape=base.shape)
+        elif out.indptr is not base.indptr:
             raise ValueError("out is not a Schur matrix of this problem's pattern")
         data = np.bincount(self.schur_scatter, blocks.ravel(), minlength=nnz + 1)[:nnz]
-        np.add(data, self.schur_base, out=out.data)
+        np.add(data, base.data, out=out.data)
         return out
 
 
 def _schur_pattern(mesh, areas: np.ndarray, free: np.ndarray):
-    """(indptr, indices, scatter, base) of S over the free edges; see DiscreteProblem."""
+    """(scatter, base) of S over the free edges; see DiscreteProblem."""
     index = np.where(free, np.cumsum(free) - 1, -1)     # free edges numbered, pinned -1
     nf = int(free.sum())
     te = index[mesh.tri_edges]
@@ -215,11 +214,12 @@ def _schur_pattern(mesh, areas: np.ndarray, free: np.ndarray):
     scatter[kept] = slots
     indptr = np.zeros(nf + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // nf, minlength=nf), out=indptr[1:])
-    # B^T M^{-1} B is the sum over triangles of s s^T / |T|, s the incidence signs
+    # B^T M^{-1} B is the sum over triangles of s s^T / |T|, s the incidence
+    # signs; it is symmetric, so its CSR arrays are also its CSC arrays
     signs = mesh.tri_edge_signs.astype(float)
     base = signs[:, :, None] * signs[:, None, :] / areas[:, None, None]
     base = np.bincount(scatter, base.ravel(), minlength=nnz + 1)[:nnz]
-    return indptr, (keys % nf).astype(np.int32), scatter, base
+    return scatter, sp.csc_matrix((base, (keys % nf).astype(np.int32), indptr), shape=(nf, nf))
 
 
 def recover_u(dp: DiscreteProblem, p: np.ndarray) -> np.ndarray:
@@ -268,7 +268,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     rnorm = math.sqrt(r @ r)
     iterations = 0
     while not rnorm <= config.newton_tol:      # a NaN residual is not converged
-        if iterations >= config.newton_max_iter:
+        if iterations >= NEWTON_MAX_ITER:
             raise MaxIterationsExceeded("Newton did not converge", tau,
                                         *residual_norms(dp, p, rnorm), iterations)
         cache.matrix = dp.schur(fem.assemble_huber_jacobian(

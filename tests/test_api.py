@@ -11,16 +11,19 @@ from gradcon.mesh import UNIT_SQUARE, Mesh, build_rect_mesh
 # names deleted from the package (a dotted name is a class attribute); a stale
 # import or export of one should fail here
 REMOVED = {
-    "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step"),
+    "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step",
+                "classify_boundary"),
     "gradcon.linalg": ("spmv",),
     "gradcon.evolution": ("WARM_STAGES",),
     "gradcon.huber": ("hessian_weights",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
                     "_areas_and_basis"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids",
-                     "Mesh.edge_normals", "Mesh.edge_lengths"),
+                     "Mesh.edge_normals", "Mesh.edge_lengths", "classify_boundary"),
     "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS"),
-    "gradcon.solver": ("LineSearchConfig",),
+    "gradcon.solver": ("LineSearchConfig", "SolverConfig.tau_start",
+                       "SolverConfig.newton_max_iter", "DiscreteProblem.schur_indptr",
+                       "DiscreteProblem.schur_indices"),
 }
 
 
@@ -57,8 +60,9 @@ def test_removed_options_are_gone():
     assert not hasattr(solver.Diagnostics, "as_dict")
     assert "rhs_norm" not in {f.name for f in dataclasses.fields(linalg.LinearSolveReport)}
     assert "neumann_edges" not in inspect.signature(fem.assemble_huber_residual).parameters
-    solver_fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert not {"linesearch", "linear_tol"} & solver_fields
+    # three settable values; the start radius and the Newton budget are constants
+    assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == [
+        "tau_factor", "tau_min", "newton_tol"]
     assert "rule" not in inspect.signature(fem.build_workspace).parameters
     vtk = inspect.signature(cli.export_vtk).parameters
     assert vtk["alpha_c"].default is vtk["tau"].default is inspect.Parameter.empty

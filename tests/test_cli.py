@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcon import cli
+from gradcon import cli, solver
 from gradcon.cli import (ConfigError, export_study_csv, export_summary_json,
                          export_vtk, main, parse_config)
 from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
@@ -25,7 +25,6 @@ def test_parse_minimal_scenario_config(tmp_path):
     cfg = parse_config(path)
     assert cfg.mode == "solve"
     assert cfg.scenario_name == "ex1_f1_a1"
-    assert cfg.solver.tau_start == 10.0
     assert cfg.solver.tau_factor == 1.30
     assert cfg.solver.tau_min == 1e-6
     assert cfg.solver.newton_tol == 1e-8
@@ -282,8 +281,11 @@ CONFIG_ERRORS = {
     # t_final / dt overflows to inf; it used to end in an OverflowError, exit 1
     "steps-overflow": evolve_config(t_final=1e300, dt=1e-300),
     "u0-not-a-number": evolve_config(u0={"type": "constant", "value": "x"}),
-    "max-iter-not-a-number": {"mode": "solve", "scenario": "ex1_f1_a1",
-                              "solver": {"newton_max_iter": "abc"}},
+    # the start radius and the Newton budget are constants of gradcon.solver
+    "removed-newton-max-iter": {"mode": "solve", "scenario": "ex1_f1_a1",
+                                "solver": {"newton_max_iter": 5}},
+    "removed-tau-start": {"mode": "solve", "scenario": "ex1_f1_a1",
+                          "solver": {"tau_start": 10.0}},
     "infinite-linear-tol": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
                             "solver": {"linear_tol": float("inf")}},
     # 1.6e13 stages; the solve used to hang building the schedule
@@ -362,6 +364,8 @@ CONFIG_ERROR_KEYS = {
     "mesh-sizes-single": "config.mesh_sizes:",
     "mesh-sizes-repeated": "config.mesh_sizes:",
     "study-no-closed-form": "config.scenario: scenario 'ex2_a25' has no closed-form solution",
+    "removed-newton-max-iter": "config.solver: unknown key 'newton_max_iter'",
+    "removed-tau-start": "config.solver: unknown key 'tau_start'",
 }
 
 
@@ -398,8 +402,7 @@ VALID_CONFIG = {
                           "regions": [{"halfplane": [1, 1, 1], "value": 0.75}]},
                 "f": {"type": "halfplane", "halfplane": [0, -1, -0.5],
                       "inside": 0.25, "outside": 0.0}},
-    "solver": {"tau_start": 10.0, "tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8,
-               "newton_max_iter": 50},
+    "solver": {"tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8},
     "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "constant", "value": 0.1},
                   "rate": {"type": "preset", "name": "cone_valley"}},
 }
@@ -470,8 +473,8 @@ FULL_CONFIGS = (
 REQUIRED_KEYS = {"mode", "type", "value", "default", "halfplane", "inside", "name",
                  "nx", "ny", "alpha", "f", "evolution", "t_final", "dt"}
 OPTIONAL_KEYS = {"regions", "outside", "line_y", "weight", "base", "rect", "neumann_sides",
-                 "u0", "rate", "out_dir", "formats", "solver", "tau_start", "tau_factor",
-                 "tau_min", "newton_tol", "newton_max_iter"}
+                 "u0", "rate", "out_dir", "formats", "solver", "tau_factor", "tau_min",
+                 "newton_tol"}
 
 
 def key_paths(node, path=()):
@@ -525,13 +528,11 @@ def test_evolve_ignores_the_problem_source(tmp_path):
 
 def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # every failure, a failed linear solve included, exits 3 with one message
-    # that names its tau, and in evolve mode the step and its interval; no
-    # linear solve meets tol=1e-300
+    # that names its tau, and in evolve mode the step and its interval; one
+    # Newton step per stage is too few, and no linear solve meets tol=1e-300
     failing = {
-        "solve": {"mode": "solve", "scenario": "ex1_f1_a1",
-                  "solver": {"newton_max_iter": 1}},
+        "solve": {"mode": "solve", "scenario": "ex1_f1_a1"},
         "evolve": {"mode": "evolve", "scenario": "ex1_f1_a1", "n": 4,
-                   "solver": {"newton_max_iter": 1},
                    "evolution": {"t_final": 0.1, "dt": 0.1,
                                  "rate": {"type": "constant", "value": 5.0}}},
         "linear": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4},
@@ -540,9 +541,13 @@ def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     for name, payload in failing.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
         out = tmp_path / name
-        if name == "linear":
-            force_linear_tol(monkeypatch, 1e-300)
-        assert main([payload["mode"], "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER, name
+        with monkeypatch.context() as mp:
+            if name == "linear":
+                force_linear_tol(mp, 1e-300)
+            else:
+                mp.setattr(solver, "NEWTON_MAX_ITER", 1)
+            code = main([payload["mode"], "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_SOLVER, name
         err = capsys.readouterr().err
         assert err.count("tau=") == 1 and named[name] in err, err
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import gradcon as gc
 from gradcon import evolution as ev
 from gradcon import fem, huber, linalg, solver
-from gradcon.solver import (DiscreteProblem, MaxIterationsExceeded, SolverConfig,
-                            newton_solve, recover_u)
+from gradcon.solver import DiscreteProblem, MaxIterationsExceeded, newton_solve, recover_u
 
 
 def make_spec(nx=8, ny=8, boundary=gc.ALL_NEUMANN, alpha=1.0, rate=0.0,
@@ -339,7 +338,8 @@ def test_failed_step_names_step_interval_and_stage(monkeypatch):
     # one Newton step per stage is too few: the first step's warm tail fails,
     # then its full-schedule fallback
     spec = ev.EvolutionSpec(problem=gc.scenario("ex1_f1_a1", n=4), rate=gc.ConstantSource(5.0),
-                            t_final=0.1, dt=0.1, config=SolverConfig(newton_max_iter=1))
+                            t_final=0.1, dt=0.1)
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
     solves = []
     real = linalg.solve_spd
     monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: solves.append(1) or real(A, b, **kw))

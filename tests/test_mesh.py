@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from gradcon.fem import build_workspace
 from gradcon.mesh import (ALL_DIRICHLET, ALL_NEUMANN, BOUNDARY_SIDES,
                           BoundaryPartition, Rect, UNIT_SQUARE,
-                          build_rect_mesh, classify_boundary)
+                          build_rect_mesh)
+from gradcon.problems import ConstantAlpha, ConstantSource, ProblemSpec
+from gradcon.solver import DiscreteProblem
 
 
 def edge_count(nx, ny):
@@ -97,32 +99,43 @@ def test_edges_run_lower_vertex_first():
     assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
 
 
+def free_edges(nx, ny, bp):
+    """The mesh and ``DiscreteProblem.free``, which classifies the boundary:
+    False exactly on the edges of the flux-pinned sides."""
+    spec = ProblemSpec(rect=UNIT_SQUARE, nx=nx, ny=ny, boundary=bp,
+                       alpha=ConstantAlpha(1.0), source=ConstantSource(1.0))
+    dp = DiscreteProblem.from_spec(spec)
+    assert dp.free.dtype == bool and dp.free.shape == (dp.mesh.num_edges,)
+    return dp.mesh, dp.free
+
+
 def test_classify_boundary_all_dirichlet():
-    mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
-    dirichlet, neumann = classify_boundary(mesh, ALL_DIRICHLET)
-    assert len(dirichlet) == 4 and len(neumann) == 0
+    _, free = free_edges(1, 1, ALL_DIRICHLET)
+    assert free.all() and len(free) == 5
 
 
 def test_classify_boundary_all_neumann():
-    mesh = build_rect_mesh(UNIT_SQUARE, 1, 1)
-    dirichlet, neumann = classify_boundary(mesh, ALL_NEUMANN)
-    assert len(dirichlet) == 0 and len(neumann) == 4
+    mesh, free = free_edges(1, 1, ALL_NEUMANN)
+    assert np.flatnonzero(~free).tolist() == sorted(
+        np.concatenate(list(mesh.boundary_edges.values())))
+    assert free.sum() == 1                  # the diagonal
 
 
 def test_classify_boundary_top_only():
-    mesh = build_rect_mesh(UNIT_SQUARE, 2, 2)
-    dirichlet, neumann = classify_boundary(mesh, BoundaryPartition(frozenset({"top"})))
-    assert len(neumann) == 2 and len(dirichlet) == 6
-    assert set(neumann) == set(mesh.boundary_edges["top"])
-    assert not set(dirichlet) & set(neumann)
+    mesh, free = free_edges(2, 2, BoundaryPartition(frozenset({"top"})))
+    assert np.flatnonzero(~free).tolist() == sorted(mesh.boundary_edges["top"])
+    assert len(mesh.boundary_edges["top"]) == 2
+    for side in ("left", "right", "bottom"):
+        assert free[mesh.boundary_edges[side]].all()
 
 
 def test_classify_boundary_partitions_exactly():
-    mesh = build_rect_mesh(UNIT_SQUARE, 3, 2)
     bp = BoundaryPartition(frozenset({"left", "bottom"}))
-    dirichlet, neumann = classify_boundary(mesh, bp)
-    boundary = np.concatenate(list(mesh.boundary_edges.values()))
-    assert sorted(np.concatenate([dirichlet, neumann])) == sorted(boundary)
+    mesh, free = free_edges(3, 2, bp)
+    pinned = np.concatenate([mesh.boundary_edges[side] for side in bp.gamma_n_sides])
+    assert np.flatnonzero(~free).tolist() == sorted(pinned)
+    dirichlet = np.concatenate([mesh.boundary_edges[side] for side in bp.gamma_d_sides])
+    assert len(pinned) + len(dirichlet) == 2 * (3 + 2) and free[dirichlet].all()
 
 
 def test_boundary_partition_rejects_unknown_side():

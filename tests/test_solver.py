@@ -42,33 +42,33 @@ def test_config_validation():
         SolverConfig(tau_factor=1.0)
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tau_start=1e-8, tau_min=1e-6)
-    # non-finite numbers, e.g. NaN/Infinity read from JSON; an infinite
-    # tau_start would make tau_schedule grow without end, so only construct
-    for bad in ({"tau_start": float("inf")}, {"tau_factor": float("inf")},
-                {"tau_min": float("nan")}, {"newton_tol": float("inf")},
-                {"newton_max_iter": float("inf")}):
+    with pytest.raises(ValueError, match="TAU_START"):
+        SolverConfig(tau_min=1.5 * solver.TAU_START)
+    assert tau_schedule(SolverConfig(tau_min=solver.TAU_START)).tolist() == [solver.TAU_START]
+    # non-finite numbers, e.g. NaN/Infinity read from JSON
+    for bad in ({"tau_factor": float("inf")}, {"tau_min": float("nan")},
+                {"tau_min": float("inf")}, {"newton_tol": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # the stage count is capped, and the schedule is built no further than the
-    # cap: 1.6e13 stages here, and tau_start / tau_min overflows below
+    # cap: 1.6e13 stages here, and TAU_START / tau_min overflows below
     with pytest.raises(ValueError, match="MAX_STAGES"):
         SolverConfig(tau_factor=1.000000000001)
     with pytest.raises(ValueError, match="MAX_STAGES"):
-        SolverConfig(tau_start=1e300, tau_min=1e-300, tau_factor=1.01)
-    assert len(tau_schedule(SolverConfig(tau_start=1e300, tau_min=1e-300))) == 5267
-    # at the cap: MAX_STAGES - 1.5 factors from tau_start down to tau_min make
+        SolverConfig(tau_min=1e-300, tau_factor=1.01)
+    assert math.isinf(solver.TAU_START / 2.3e-308)
+    assert len(tau_schedule(SolverConfig(tau_min=2.3e-308))) == 2710
+    # at the cap: MAX_STAGES - 1.5 factors from TAU_START down to tau_min make
     # MAX_STAGES stages, one factor more is rejected
     def near_cap(factors):
-        return SolverConfig(tau_start=1.0, tau_factor=1.0001, tau_min=1.0001**-factors)
+        return SolverConfig(tau_factor=1.0001, tau_min=solver.TAU_START * 1.0001**-factors)
     assert len(tau_schedule(near_cap(solver.MAX_STAGES - 1.5))) == solver.MAX_STAGES
     with pytest.raises(ValueError, match="MAX_STAGES"):
         near_cap(solver.MAX_STAGES - 0.5)
-    # tau_min on a schedule point: a count taken in logarithms read MAX_STAGES
-    # here, while the schedule has one stage more
+    # tau_min on a schedule point: a count taken in logarithms and rounded
+    # down read MAX_STAGES here, while the schedule has one stage more
     with pytest.raises(ValueError, match="MAX_STAGES"):
-        SolverConfig(tau_start=1.0, tau_factor=1.0001, tau_min=0.0014255859641889993)
+        SolverConfig(tau_factor=1.0001, tau_min=0.014254434198470396)
 
 
 def test_residual_zero_state_zero_source():
@@ -127,11 +127,11 @@ def test_newton_quadratic_branch_contraction():
     assert r1 / r0**2 <= 1.0
 
 
-def test_newton_max_iterations_error():
+def test_newton_max_iterations_error(monkeypatch):
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
-    cfg = SolverConfig(newton_max_iter=1)
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
     with pytest.raises(MaxIterationsExceeded) as err:
-        newton_solve(dp, 1e-6, np.zeros(dp.mesh.num_edges), cfg)
+        newton_solve(dp, 1e-6, np.zeros(dp.mesh.num_edges))
     assert err.value.tau == 1e-6
     assert err.value.r1_norm > 0.0
     assert err.value.newton_steps == 1
@@ -194,6 +194,16 @@ def test_schur_scatter_matches_sparse_assembly(neumann):
     S = dp.schur(blocks)
     assert S.format == "csc" and S.shape == reference.shape
     assert np.max(np.abs(S.toarray() - reference)) <= 1e-13 * np.max(np.abs(reference))
+    # B^T is a view of B's arrays, and the base of S is B_f^T M^{-1} B_f to the
+    # bit, its index arrays the pattern of S
+    assert dp.Bt.format == "csc" and np.shares_memory(dp.Bt.data, dp.B.data)
+    base = (dp.B.T @ sp.diags(1.0 / dp.areas) @ dp.B).tocsc()[dp.free][:, dp.free]
+    base.sort_indices()
+    assert dp.schur_base.format == "csc" and dp.schur_base.shape == base.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(dp.schur_base, name), getattr(base, name)), name
+    assert S.indptr is dp.schur_base.indptr
+    assert np.array_equal(S.indices, dp.schur_base.indices)
 
 
 def test_schur_refill_matches_a_fresh_matrix():
@@ -564,7 +574,8 @@ def test_recovered_gradient_active_and_plateau(solve_cache):
 
 def test_continuation_annotates_failing_stage(monkeypatch):
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
-    cfg = SolverConfig(newton_max_iter=1)
+    cfg = SolverConfig()
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
     solves = []
     real = linalg.solve_spd
     monkeypatch.setattr(linalg, "solve_spd", lambda A, b, **kw: solves.append(1) or real(A, b, **kw))
