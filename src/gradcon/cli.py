@@ -23,11 +23,8 @@ Config schema (all keys optional unless a mode needs them)::
       },
       "solver": {"tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8},
       "mesh_sizes": [8, 16, 32, 64],           # study mode; >= 2, none repeated
-      "evolution": {"t_final": 0.5, "dt": 0.1,
-                    "u0": {"type": "zero"} | {"type": "constant", "value": 0.1},
-                    "rate": <source spec>},
-      "out_dir": "out",
-      "formats": ["vtk", "json", "csv"]
+      "evolution": {"t_final": 0.5, "dt": 0.1, "u0": <source spec>},
+      "out_dir": "out"
     }
 
 Every value present is checked, used by the mode or not: booleans are not
@@ -36,12 +33,12 @@ numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
 (n = 2048), a continuation schedule at most ``solver.MAX_STAGES`` stages
 and an evolution at most ``evolution.MAX_STEPS`` steps, ``mesh_sizes``
 has at least two sizes and none twice, lists are arrays (``rect`` of 4,
-``halfplane`` of 3) and unknown keys are rejected at every depth.  Flags
-replace the file's values (``--out`` is ``out_dir``) and pass the same
-checks.  Errors name the key path.  Exit codes: 0 success, 2 configuration
-error, 3 solver failure, 4 I/O failure; every solver failure is a
-``SolverError`` naming the failing tau (and, in evolve mode, the step and
-its interval).
+``halfplane`` of 3) and unknown keys are rejected at every depth.  The
+flags ``--scenario``, ``--n`` and ``--out`` (``out_dir``) replace the file's
+values and pass the same checks.  Errors name the key path.  Exit codes:
+0 success, 2 configuration error, 3 solver failure, 4 I/O failure; every
+solver failure is a ``SolverError`` naming the failing tau (and, in evolve
+mode, the step and its interval).
 
 The ``solver`` keys are the fields of ``SolverConfig``.  The start radius
 ``solver.TAU_START`` and the Newton budget per stage
@@ -49,11 +46,13 @@ The ``solver`` keys are the fields of ``SolverConfig``.  The start radius
 ``newton_max_iter`` are unknown keys.
 
 In evolve mode the problem's source (``problem.f`` or the scenario's) is
-checked but has no effect: each step's load ``u_prev + dt * rate`` replaces
-it (``DiscreteProblem.with_load``).
+the pour rate, and ``u0``, a source spec like it, the start state (zero
+when absent).
 
-The VTK and CSV files are byte-stable for a fixed config, the JSON summary
-except for its wall time; its nx/ny name the grid solved (a study's finest).
+Solve writes ``solution.vtk``, study ``study.csv``, evolve ``step_*.vtk``,
+and every mode ``summary.json``.  The VTK and CSV files are byte-stable for
+a fixed config, the JSON summary except for its wall time; its nx/ny name
+the grid solved (a study's finest).
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ class RunConfig:
     mesh_sizes: list | None = None
     evolution: EvolutionSpec | None = None
     out_dir: str = "out"
-    formats: tuple = ("vtk", "csv", "json")
 
 
 @dataclass
@@ -223,13 +221,8 @@ _SOURCE_TYPES = {
                   ("halfplane", "inside")),
     "preset": (PresetSource, {"name": str}, ("name",)),
 }
-# EvolutionSpec.u0: None for a zero start, else the constant's evaluator
-_U0_TYPES = {
-    "zero": (lambda: None, {}, ()),
-    "constant": (lambda value: ConstantSource(value).evaluate, {"value": float}, ("value",)),
-}
-_alpha, _source, _u0 = (functools.partial(_tagged, types=types)
-                        for types in (_ALPHA_TYPES, _SOURCE_TYPES, _U0_TYPES))
+_alpha, _source = (functools.partial(_tagged, types=types)
+                   for types in (_ALPHA_TYPES, _SOURCE_TYPES))
 
 
 def _problem(raw, where: str) -> ProblemSpec:
@@ -250,9 +243,13 @@ def _solver(raw, where: str) -> SolverConfig:
 
 
 def _evolution(raw, where: str) -> dict:
-    """The evolution's fields; its spec is built once the problem and solver are known."""
-    return _section(raw, where, {"rate": _source, "t_final": float, "dt": float, "u0": _u0},
-                    required=("t_final", "dt"))
+    """The evolution's fields, ``u0`` as its source's evaluator.
+
+    The spec is built once the problem and solver are known; its rate is the
+    problem's source.
+    """
+    kinds = {"t_final": float, "dt": float, "u0": lambda raw, w: _source(raw, w).evaluate}
+    return _section(raw, where, kinds, required=("t_final", "dt"))
 
 
 def _load(path: str) -> dict:
@@ -266,24 +263,17 @@ def _load(path: str) -> dict:
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a validated RunConfig from a JSON file and/or override flags.
 
-    The set flags (mode, scenario, n, out, tau_min, newton_tol) replace the
-    file's values before anything is read, so both pass the same checks.
+    The set flags (mode, scenario, n, out_dir) replace the file's values
+    before anything is read, so both pass the same checks.
     """
     raw = _load(path) if path is not None else {}
-    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
-    solver_flags = {k: flags.pop(k) for k in ("tau_min", "newton_tol") if k in flags}
-    if "out" in flags:
-        flags["out_dir"] = flags.pop("out")
     if isinstance(raw, dict):
-        raw = {**raw, **flags}
-        if solver_flags and isinstance(raw.get("solver", {}), dict):
-            raw["solver"] = {**raw.get("solver", {}), **solver_flags}
+        raw |= {k: v for k, v in (overrides or {}).items() if v is not None}
 
     fields = _section(raw, "config", {
         "mode": frozenset(_MODES), "scenario": frozenset(SCENARIOS), "n": int,
         "problem": _problem, "solver": _solver, "mesh_sizes": (int, None),
-        "evolution": _evolution, "out_dir": str,
-        "formats": (frozenset(("vtk", "csv", "json")), None)}, required=("mode",))
+        "evolution": _evolution, "out_dir": str}, required=("mode",))
     mode, name, n = fields["mode"], fields.pop("scenario", None), fields.pop("n", None)
     problem = fields.pop("problem", None)
     if name is not None and problem is not None:
@@ -314,7 +304,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     cfg = RunConfig(problem=problem, scenario_name=name, mesh_sizes=mesh_sizes, **fields)
     if evolution is not None:
         cfg.evolution = _build(EvolutionSpec, "config.evolution", problem=problem,
-                               config=cfg.solver, **{"rate": ConstantSource(0.0), **evolution})
+                               rate=problem.source, config=cfg.solver, **evolution)
     return cfg
 
 
@@ -395,9 +385,8 @@ def _run_solve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     dp = DiscreteProblem.from_spec(cfg.problem)
     sol, diag = continuation_solve(dp, cfg.solver)
     wall = time.perf_counter() - start
-    if "vtk" in cfg.formats:
-        export_vtk(dp.mesh, sol.u, sol.p, out / "solution.vtk",
-                   alpha_c=dp.alpha_c, tau=sol.tau_final)
+    export_vtk(dp.mesh, sol.u, sol.p, out / "solution.vtk",
+               alpha_c=dp.alpha_c, tau=sol.tau_final)
     r1, r2 = sol.residual_norms[-1]
     return RunSummary(
         mode="solve", scenario=cfg.scenario_name,
@@ -417,8 +406,7 @@ def _run_study(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     start = time.perf_counter()
     study = convergence_study(cfg.scenario_name, cfg.mesh_sizes, cfg.solver)
     wall = time.perf_counter() - start
-    if "csv" in cfg.formats:
-        export_study_csv(study, out / "study.csv")
+    export_study_csv(study, out / "study.csv")
     n = max(study.mesh_sizes)
     return RunSummary(
         mode="study", scenario=cfg.scenario_name, nx=n, ny=n, wall_time_s=wall,
@@ -433,12 +421,10 @@ def _run_evolve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     traj = run_evolution(cfg.evolution)
     balances = conservation_report(traj) if not cfg.problem.boundary.gamma_d_sides else None
     wall = time.perf_counter() - start
-    if "vtk" in cfg.formats:
-        dp = traj.problem
-        for i, (u, p) in enumerate(zip(traj.u, traj.p)):
-            export_vtk(dp.mesh, u, p, out / f"step_{i:03d}.vtk",
-                       alpha_c=dp.alpha_c,
-                       tau=traj.steps[i - 1].tau_final if i else cfg.solver.tau_min)
+    dp = traj.problem
+    for i, (u, p) in enumerate(zip(traj.u, traj.p)):
+        export_vtk(dp.mesh, u, p, out / f"step_{i:03d}.vtk", alpha_c=dp.alpha_c,
+                   tau=traj.steps[i - 1].tau_final if i else cfg.solver.tau_min)
     last = traj.steps[-1]
     return RunSummary(
         mode="evolve", scenario=cfg.scenario_name,
@@ -476,11 +462,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--scenario", help=f"named scenario, one of {', '.join(SCENARIOS)}")
         cmd.add_argument("--n", type=int, help="cells per direction override")
-        cmd.add_argument("--out", help="output directory (default: out)")
-        cmd.add_argument("--tau-min", type=float, dest="tau_min",
-                         help="continuation floor override")
-        cmd.add_argument("--newton-tol", type=float, dest="newton_tol",
-                         help="Newton residual tolerance override")
+        cmd.add_argument("--out", dest="out_dir", help="output directory (default: out)")
     return parser
 
 
@@ -496,8 +478,7 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         summary, message = _MODES[cfg.mode][0](cfg, out)
-        if "json" in cfg.formats:
-            export_summary_json(summary, out / "summary.json")
+        export_summary_json(summary, out / "summary.json")
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -84,13 +84,17 @@ def tau_schedule(config: SolverConfig) -> np.ndarray:
     """Geometric schedule from ``TAU_START`` down to the first value <= tau_min.
 
     Raises ValueError, without building the rest, once it would pass
-    ``MAX_STAGES`` stages.
+    ``MAX_STAGES`` stages or once a division leaves tau unchanged (a
+    subnormal ``tau_min`` below the last radius the factor can shrink).
     """
     taus = [TAU_START]
     while taus[-1] > config.tau_min:
         if len(taus) == MAX_STAGES:
             raise ValueError(f"continuation schedule exceeds MAX_STAGES = {MAX_STAGES} stages")
         taus.append(taus[-1] / config.tau_factor)
+        if taus[-1] == taus[-2]:
+            raise ValueError(f"tau_min = {config.tau_min:.3g} is never reached: the schedule "
+                             f"stops shrinking at tau = {taus[-1]:.3g}")
     return np.array(taus)
 
 

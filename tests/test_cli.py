@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcon import cli, solver
+from gradcon import cli, fem, solver
 from gradcon.cli import (ConfigError, export_study_csv, export_summary_json,
                          export_vtk, main, parse_config)
-from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
-from gradcon.problems import StudyResult
+from gradcon.evolution import EvolutionSpec, run as run_evolution
+from gradcon.mesh import ALL_NEUMANN, UNIT_SQUARE, build_rect_mesh
+from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane, HalfPlaneSource,
+                              PresetSource, ProblemSpec, StudyResult)
 from test_solver import force_linear_tol
 
 
@@ -105,11 +107,9 @@ TAGGED_TYPES = {
     "source": {"constant": {"value": 1.0},
                "halfplane": {"halfplane": [0, -1, -0.5], "inside": 0.25, "outside": 0.0},
                "preset": {"name": "cone_valley"}},
-    "u0": {"zero": {}, "constant": {"value": 0.1}},
 }
 TAGGED_AT = {"alpha": [("problem", "alpha")],
-             "source": [("problem", "f"), ("evolution", "rate")],
-             "u0": [("evolution", "u0")]}
+             "source": [("problem", "f"), ("evolution", "u0")]}
 
 
 def test_parse_rejects_keys_foreign_to_the_type(tmp_path):
@@ -127,15 +127,16 @@ def test_parse_rejects_keys_foreign_to_the_type(tmp_path):
                         parse_config(write_config(tmp_path, payload))
                     assert str(err.value) == f"config.{outer}.{inner}: unknown key {key!r}"
                     checked += 1
-    assert checked == 33
+    assert checked == 32
 
 
 def test_overrides_win(tmp_path):
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1",
-                                   "solver": {"tau_min": 1e-4}})
-    cfg = parse_config(path, overrides={"tau_min": 1e-3, "newton_tol": 1e-6})
-    assert cfg.solver.tau_min == 1e-3
-    assert cfg.solver.newton_tol == 1e-6
+    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4})
+    cfg = parse_config(path, overrides={"scenario": "ex1_f025_a1", "n": 8,
+                                        "out_dir": "elsewhere"})
+    assert cfg.scenario_name == "ex1_f025_a1"
+    assert cfg.problem.nx == cfg.problem.ny == 8
+    assert cfg.out_dir == "elsewhere"
 
 
 def test_export_vtk_unit_mesh_zero_fields(tmp_path):
@@ -247,9 +248,8 @@ def test_main_evolve_end_to_end(tmp_path):
         "problem": {"rect": [0, 0, 1, 1], "nx": 4, "ny": 4,
                     "neumann_sides": ["left", "right", "bottom", "top"],
                     "alpha": {"type": "constant", "value": 1.0},
-                    "f": {"type": "constant", "value": 0.0}},
-        "evolution": {"t_final": 0.2, "dt": 0.1,
-                      "rate": {"type": "constant", "value": 1.0}},
+                    "f": {"type": "constant", "value": 1.0}},
+        "evolution": {"t_final": 0.2, "dt": 0.1},
     })
     code = main(["evolve", "--config", cfg, "--out", str(out)])
     assert code == 0
@@ -281,6 +281,11 @@ CONFIG_ERRORS = {
     # t_final / dt overflows to inf; it used to end in an OverflowError, exit 1
     "steps-overflow": evolve_config(t_final=1e300, dt=1e-300),
     "u0-not-a-number": evolve_config(u0={"type": "constant", "value": "x"}),
+    # problem.f is the pour rate, an absent u0 the zero start, and every mode
+    # writes all of its files
+    "removed-rate": evolve_config(rate={"type": "constant", "value": 1.0}),
+    "removed-u0-zero": evolve_config(u0={"type": "zero"}),
+    "removed-formats": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "formats": ["vtk"]},
     # the start radius and the Newton budget are constants of gradcon.solver
     "removed-newton-max-iter": {"mode": "solve", "scenario": "ex1_f1_a1",
                                 "solver": {"newton_max_iter": 5}},
@@ -312,7 +317,18 @@ CONFIG_ERRORS = {
                     "problem": {"nx": float("inf"), "ny": 2,
                                 "alpha": {"type": "constant", "value": 1.0},
                                 "f": {"type": "constant", "value": 1.0}}},
-    "formats-not-a-list": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "formats": 5},
+    # a float past the float range; JSON reads it as an int
+    "tau-min-400-digits": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+                           "solver": {"tau_min": 10**400}},
+    # from 1e-323 on, tau / 1.3 rounds back to tau; it was blamed on MAX_STAGES
+    "tau-min-subnormal": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+                          "solver": {"tau_min": 5e-324}},
+    "section-not-an-object": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "solver": 5},
+    "no-problem": {"mode": "solve", "n": 2},
+    "study-inline-problem": {"mode": "study", "mesh_sizes": [2, 4],
+                             "problem": {"nx": 2, "ny": 2,
+                                         "alpha": {"type": "constant", "value": 1.0},
+                                         "f": {"type": "constant", "value": 1.0}}},
     "mesh-size-zero": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [0, 4]},
     "nan-halfplane": {"mode": "solve",
                       "problem": {"nx": 2, "ny": 2,
@@ -366,6 +382,14 @@ CONFIG_ERROR_KEYS = {
     "study-no-closed-form": "config.scenario: scenario 'ex2_a25' has no closed-form solution",
     "removed-newton-max-iter": "config.solver: unknown key 'newton_max_iter'",
     "removed-tau-start": "config.solver: unknown key 'tau_start'",
+    "removed-rate": "config.evolution: unknown key 'rate'",
+    "removed-u0-zero": "config.evolution.u0.type: expected one of",
+    "removed-formats": "config: unknown key 'formats'",
+    "tau-min-400-digits": "config.solver.tau_min: must be finite",
+    "tau-min-subnormal": "config.solver: tau_min = 4.94e-324 is never reached",
+    "section-not-an-object": "config.solver: expected an object",
+    "no-problem": "config: either 'scenario' or 'problem' is required",
+    "study-inline-problem": "config.scenario: study mode needs a named scenario",
 }
 
 
@@ -379,10 +403,17 @@ def test_main_config_error_exit_code(tmp_path, capsys):
         assert code == cli.EXIT_CONFIG, name
         assert CONFIG_ERROR_KEYS.get(name, "") in capsys.readouterr().err, name
     # flags pass the same checks; a zero mesh override is not "unset"
-    for flag, value in (("--n", "0"), ("--tau-min", "nan"), ("--newton-tol", "-1")):
-        code = main(["solve", "--scenario", "ex1_f1_a1", flag, value,
-                     "--out", str(tmp_path / "flags")])
-        assert code == cli.EXIT_CONFIG, flag
+    for flags, key in ((["--scenario", "ex1_f1_a1", "--n", "0"], "config.n:"),
+                       (["--scenario", "bogus"], "config.scenario:")):
+        code = main(["solve", *flags, "--out", str(tmp_path / "flags")])
+        assert code == cli.EXIT_CONFIG, flags
+        assert key in capsys.readouterr().err, flags
+    # the solver settings have one way in, the config's solver section
+    for flag in ("--tau-min", "--newton-tol"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--scenario", "ex1_f1_a1", flag, "1e-3"])
+        assert exit_.value.code == cli.EXIT_CONFIG, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, flag
 
 
 def test_main_study_without_closed_form_exit_code(tmp_path, capsys):
@@ -395,16 +426,14 @@ def test_main_study_without_closed_form_exit_code(tmp_path, capsys):
 
 
 VALID_CONFIG = {
-    "mode": "evolve", "n": 4, "out_dir": "out",
-    "formats": ["vtk", "json"], "mesh_sizes": [4, 8],
+    "mode": "evolve", "n": 4, "out_dir": "out", "mesh_sizes": [4, 8],
     "problem": {"rect": [0, 0, 1, 1], "nx": 2, "ny": 2, "neumann_sides": ["left"],
                 "alpha": {"type": "piecewise", "default": 1.0,
                           "regions": [{"halfplane": [1, 1, 1], "value": 0.75}]},
                 "f": {"type": "halfplane", "halfplane": [0, -1, -0.5],
                       "inside": 0.25, "outside": 0.0}},
     "solver": {"tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8},
-    "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "constant", "value": 0.1},
-                  "rate": {"type": "preset", "name": "cone_valley"}},
+    "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "constant", "value": 0.1}},
 }
 
 
@@ -418,7 +447,7 @@ def scalar_paths(node, path=()):
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-                | st.sampled_from(["solve", "evolve", "vtk", "left", "constant", "ex1_f1_a1"])
+                | st.sampled_from(["solve", "evolve", "preset", "left", "constant", "ex1_f1_a1"])
                 | st.text(max_size=4))
 
 
@@ -463,18 +492,17 @@ FULL_CONFIGS = (
      "problem": {"nx": 2, "ny": 2,
                  "alpha": {"type": "measure_line", "line_y": 0.5, "weight": 100.0, "base": 1.0},
                  "f": {"type": "preset", "name": "cone_valley"}},
-     "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "zero"},
-                   "rate": {"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 2.0}}},
+     "evolution": {"t_final": 0.2, "dt": 0.1,
+                   "u0": {"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 2.0}}},
     {"mode": "evolve",
      "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
                  "f": {"type": "constant", "value": 1.0}},
-     "evolution": {"t_final": 0.2, "dt": 0.1, "rate": {"type": "constant", "value": 1.0}}},
+     "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "preset", "name": "cone_valley"}}},
 )
 REQUIRED_KEYS = {"mode", "type", "value", "default", "halfplane", "inside", "name",
                  "nx", "ny", "alpha", "f", "evolution", "t_final", "dt"}
 OPTIONAL_KEYS = {"regions", "outside", "line_y", "weight", "base", "rect", "neumann_sides",
-                 "u0", "rate", "out_dir", "formats", "solver", "tau_factor", "tau_min",
-                 "newton_tol"}
+                 "u0", "out_dir", "solver", "tau_factor", "tau_min", "newton_tol"}
 
 
 def key_paths(node, path=()):
@@ -509,12 +537,11 @@ def test_missing_key_is_located_or_optional(tmp_path, index, path):
     assert str(err.value) == f"{where}: required"
 
 
-def test_evolve_ignores_the_problem_source(tmp_path):
-    # each step's load is u_prev + dt * rate: problem.f is checked, then unused
+def test_evolve_pours_the_problem_source(tmp_path):
+    # each step's load is u_prev + dt * f: problem.f was once checked, then unused
     runs = []
     for f in (0.0, 5.0):
-        payload = evolve_config(rate={"type": "halfplane", "halfplane": [1, 1, 0.5],
-                                      "inside": 2.0})
+        payload = evolve_config()
         payload["problem"] |= {"nx": 4, "ny": 4, "f": {"type": "constant", "value": f}}
         out = tmp_path / f"f{f}"
         assert main(["evolve", "--config", write_config(tmp_path, payload),
@@ -522,8 +549,49 @@ def test_evolve_ignores_the_problem_source(tmp_path):
         runs.append(out)
     steps = sorted(p.name for p in runs[0].glob("step_*.vtk"))
     assert steps == ["step_000.vtk", "step_001.vtk", "step_002.vtk"]
-    for name in steps:
-        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    assert (runs[0] / "step_000.vtk").read_bytes() == (runs[1] / "step_000.vtk").read_bytes()
+    assert (runs[0] / "step_001.vtk").read_bytes() != (runs[1] / "step_001.vtk").read_bytes()
+    masses = [json.loads((out / "summary.json").read_text())["extra"]["masses"] for out in runs]
+    assert masses[0] == [0.0, 0.0, 0.0] and masses[1][-1] > 0.0
+
+
+def test_inline_evolve_equals_the_library_pour(tmp_path):
+    payload = {"mode": "evolve",
+               "problem": {"nx": 4, "ny": 4, "neumann_sides": ["left", "right", "bottom", "top"],
+                           "alpha": {"type": "constant", "value": 1.0},
+                           "f": {"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 2.0}},
+               "evolution": {"t_final": 0.2, "dt": 0.1,
+                             "u0": {"type": "constant", "value": 0.1}}}
+    out = tmp_path / "cli"
+    assert main(["evolve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    problem = ProblemSpec(rect=UNIT_SQUARE, nx=4, ny=4, boundary=ALL_NEUMANN,
+                          alpha=ConstantAlpha(1.0),
+                          source=HalfPlaneSource(HalfPlane(1, 1, 0.5), inside=2.0))
+    traj = run_evolution(EvolutionSpec(problem, rate=problem.source, t_final=0.2, dt=0.1,
+                                       u0=ConstantSource(0.1).evaluate))
+    assert len(traj.u) == 3
+    for i, (u, p) in enumerate(zip(traj.u, traj.p)):
+        path = tmp_path / f"lib_{i:03d}.vtk"
+        export_vtk(traj.problem.mesh, u, p, path, alpha_c=traj.problem.alpha_c,
+                   tau=traj.steps[i - 1].tau_final if i else solver.SolverConfig().tau_min)
+        assert path.read_bytes() == (out / f"step_{i:03d}.vtk").read_bytes(), i
+
+
+@pytest.mark.parametrize("u0, source", [
+    ({"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 0.2},
+     HalfPlaneSource(HalfPlane(1, 1, 0.5), inside=0.2)),
+    ({"type": "preset", "name": "cone_valley"}, PresetSource("cone_valley")),
+], ids=["halfplane", "preset"])
+def test_evolve_starts_from_a_source_u0(tmp_path, u0, source):
+    payload = evolve_config(u0=u0)
+    payload["problem"] |= {"nx": 4, "ny": 4}
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert (out / "step_002.vtk").exists()
+    dp = solver.DiscreteProblem.from_spec(parse_config(write_config(tmp_path, payload)).problem)
+    start = fem.project_p0(dp.mesh, source.evaluate, ws=dp.workspace)
+    masses = json.loads((out / "summary.json").read_text())["extra"]["masses"]
+    assert masses[0] == float(np.sum(dp.areas * start)) > 0.0
 
 
 def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -532,9 +600,10 @@ def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # Newton step per stage is too few, and no linear solve meets tol=1e-300
     failing = {
         "solve": {"mode": "solve", "scenario": "ex1_f1_a1"},
-        "evolve": {"mode": "evolve", "scenario": "ex1_f1_a1", "n": 4,
-                   "evolution": {"t_final": 0.1, "dt": 0.1,
-                                 "rate": {"type": "constant", "value": 5.0}}},
+        "evolve": {"mode": "evolve",
+                   "problem": {"nx": 4, "ny": 4, "alpha": {"type": "constant", "value": 1.0},
+                               "f": {"type": "constant", "value": 5.0}},
+                   "evolution": {"t_final": 0.1, "dt": 0.1}},
         "linear": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4},
     }
     named = {"solve": "tau=", "evolve": "step 1 over [0, 0.1]", "linear": "tau=1.000e+01"}

@@ -61,6 +61,13 @@ def test_solve_zero_rhs():
     assert report.residual_norm == 0.0
 
 
+def test_shape_mismatch_is_rejected():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_spd(sp.identity(3, format="csc"), np.ones(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_spd(sp.csc_matrix(np.ones((2, 3))), np.ones(3))
+
+
 def test_singular_matrix_raises_with_residual():
     # a zero diagonal entry stays zero under the shift: both factorizations break down
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))

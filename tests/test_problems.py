@@ -52,6 +52,11 @@ def test_measure_line_density():
     assert float(spec.evaluate(mesh, 0.3, 0.501)) == pytest.approx(1.0)
 
 
+def test_measure_line_needs_a_mesh():
+    with pytest.raises(ValueError, match="needs a mesh"):
+        MeasureLineAlpha(line_y=0.5, weight=100.0, base=1.0).evaluate(None, 0.3, 0.3)
+
+
 def test_measure_line_mass():
     # total mollified mass above the base equals weight * line length
     spec = MeasureLineAlpha(line_y=0.5, weight=100.0, base=1.0)

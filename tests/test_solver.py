@@ -71,6 +71,28 @@ def test_config_validation():
         SolverConfig(tau_factor=1.0001, tau_min=0.014254434198470396)
 
 
+def test_subnormal_tau_min_names_where_the_schedule_stops():
+    # from 1e-323 on, tau / 1.3 rounds back to tau: the schedule never passes
+    # 5e-324, and the cap on its length used to be named as the cause
+    with pytest.raises(ValueError) as err:
+        SolverConfig(tau_min=5e-324)
+    assert str(err.value) == ("tau_min = 4.94e-324 is never reached: "
+                              "the schedule stops shrinking at tau = 9.88e-324")
+    assert len(tau_schedule(SolverConfig(tau_min=1e-320))) == 2819
+
+
+def test_bound_vanishing_on_part_of_the_domain_is_rejected():
+    # a duck-typed bound skips the constructors' checks; from_spec checks its values
+    class HalfZero:
+        def evaluate(self, mesh, x, y):
+            return np.where(np.asarray(x) < 0.5, 0.0, 1.0)
+
+    with pytest.raises(ValueError, match="bound must be positive throughout"):
+        DiscreteProblem.from_spec(gc.ProblemSpec(
+            rect=gc.UNIT_SQUARE, nx=4, ny=4, boundary=gc.ALL_DIRICHLET,
+            alpha=HalfZero(), source=gc.ConstantSource(1.0)))
+
+
 def test_residual_zero_state_zero_source():
     dp = DiscreteProblem.from_spec(gc.ProblemSpec(
         rect=gc.UNIT_SQUARE, nx=2, ny=2, boundary=gc.ALL_DIRICHLET,
