@@ -10,12 +10,12 @@ from .mesh import (ALL_DIRICHLET, ALL_NEUMANN, BoundaryPartition, Mesh, Rect,
                    UNIT_SQUARE, build_rect_mesh)
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
-                       PresetSource, ProblemSpec, StudyResult,
-                       convergence_study, exact_solution_ex1, scenario)
+                       PresetSource, ProblemSpec, exact_solution_ex1, scenario)
 from .solver import (Diagnostics, DiscreteProblem, DiscreteSolution,
                      LineSearchStalled, MaxIterationsExceeded, SolverConfig,
-                     SolverError, continuation_solve, diagnostics, newton_solve,
-                     recover_u, recovered_gradient, residual, tau_schedule)
+                     SolverError, StudyResult, continuation_solve, convergence_study,
+                     diagnostics, newton_solve, recover_u, recovered_gradient, residual,
+                     tau_schedule)
 from .evolution import EvolutionSpec, Trajectory, conservation_report, run as run_evolution
 
 __version__ = "0.1.0"
@@ -25,11 +25,10 @@ __all__ = [
     "UNIT_SQUARE", "build_rect_mesh",
     "SCENARIOS", "ConstantAlpha", "ConstantSource", "HalfPlane",
     "HalfPlaneSource", "MeasureLineAlpha", "PiecewiseAlpha", "PresetSource",
-    "ProblemSpec", "StudyResult", "convergence_study",
-    "exact_solution_ex1", "scenario",
+    "ProblemSpec", "exact_solution_ex1", "scenario",
     "Diagnostics", "DiscreteProblem", "DiscreteSolution", "LineSearchStalled",
-    "MaxIterationsExceeded", "SolverConfig",
-    "SolverError", "continuation_solve", "diagnostics", "newton_solve",
+    "MaxIterationsExceeded", "SolverConfig", "SolverError", "StudyResult",
+    "continuation_solve", "convergence_study", "diagnostics", "newton_solve",
     "recover_u", "recovered_gradient", "residual", "tau_schedule",
     "EvolutionSpec", "Trajectory", "conservation_report", "run_evolution",
 ]

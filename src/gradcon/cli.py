@@ -3,7 +3,6 @@
 Config schema (all keys optional unless a mode needs them)::
 
     {
-      "mode": "solve" | "study" | "evolve",
       "scenario": "ex1_f1_a1",                 # or an inline "problem", not both
       "n": 64,                                 # mesh override, cells per direction
       "problem": {
@@ -21,29 +20,31 @@ Config schema (all keys optional unless a mode needs them)::
                 "inside": 0.25, "outside": 0.0}
              | {"type": "preset", "name": "cone_valley"}
       },
-      "solver": {"tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8},
+      "solver": {"tau_factor": 1.3, "tau_min": 1e-6},
       "mesh_sizes": [8, 16, 32, 64],           # study mode; >= 2, none repeated
       "evolution": {"t_final": 0.5, "dt": 0.1, "u0": <source spec>},
       "out_dir": "out"
     }
 
-Every value present is checked, used by the mode or not: booleans are not
-numbers, numbers are finite, counts are integral (``4.0`` reads as 4,
-``2.7`` is an error), a grid has at most ``problems.MAX_CELLS`` cells
-(n = 2048), a continuation schedule at most ``solver.MAX_STAGES`` stages
-and an evolution at most ``evolution.MAX_STEPS`` steps, ``mesh_sizes``
-has at least two sizes and none twice, lists are arrays (``rect`` of 4,
-``halfplane`` of 3) and unknown keys are rejected at every depth.  The
-flags ``--scenario``, ``--n`` and ``--out`` (``out_dir``) replace the file's
-values and pass the same checks.  Errors name the key path.  Exit codes:
-0 success, 2 configuration error, 3 solver failure, 4 I/O failure; every
-solver failure is a ``SolverError`` naming the failing tau (and, in evolve
-mode, the step and its interval).
+The subcommand (``solve``, ``study`` or ``evolve``) is the mode, so a
+config has no ``mode`` key.  Every value present is checked, used by the
+mode or not: booleans are not numbers, numbers are finite, counts are
+integral (``4.0`` reads as 4, ``2.7`` is an error), a grid has at most
+``problems.MAX_CELLS`` cells (n = 2048), a continuation schedule at most
+``solver.MAX_STAGES`` stages and an evolution at most
+``evolution.MAX_STEPS`` steps, ``mesh_sizes`` has at least two sizes and
+none twice, lists are arrays (``rect`` of 4, ``halfplane`` of 3) and
+unknown keys are rejected at every depth.  The flags ``--scenario``,
+``--n`` and ``--out`` (``out_dir``) replace the file's values and pass the
+same checks.  Errors name the key path.  Exit codes: 0 success, 2
+configuration error, 3 solver failure, 4 I/O failure; every solver failure
+is a ``SolverError`` naming the failing tau (and, in evolve mode, the step
+and its interval).
 
 The ``solver`` keys are the fields of ``SolverConfig``.  The start radius
-``solver.TAU_START`` and the Newton budget per stage
-``solver.NEWTON_MAX_ITER`` are constants, so ``tau_start`` and
-``newton_max_iter`` are unknown keys.
+``solver.TAU_START``, the Newton budget per stage ``solver.NEWTON_MAX_ITER``
+and the Newton stop ``solver.NEWTON_TOL`` are constants, so ``tau_start``,
+``newton_max_iter`` and ``newton_tol`` are unknown keys.
 
 In evolve mode the problem's source (``problem.f`` or the scenario's) is
 the pour rate, and ``u0``, a source spec like it, the start state (zero
@@ -75,9 +76,9 @@ from .evolution import EvolutionSpec, conservation_report, run as run_evolution
 from .mesh import BOUNDARY_SIDES, UNIT_SQUARE, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
-                       PresetSource, ProblemSpec, check_mesh_sizes, convergence_study,
-                       exact_solution_for, scenario)
-from .solver import DiscreteProblem, SolverConfig, SolverError, continuation_solve
+                       PresetSource, ProblemSpec, exact_solution_for, scenario)
+from .solver import (DiscreteProblem, SolverConfig, SolverError, check_mesh_sizes,
+                     continuation_solve, convergence_study)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -260,21 +261,22 @@ def _load(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a validated RunConfig from a JSON file and/or override flags.
+def parse_config(mode: str, path: str | None = None, overrides: dict | None = None) -> RunConfig:
+    """Build a validated RunConfig for ``mode`` from a JSON file and/or override flags.
 
-    The set flags (mode, scenario, n, out_dir) replace the file's values
-    before anything is read, so both pass the same checks.
+    ``mode`` is the subcommand, a key of ``_MODES``.  The set flags
+    (scenario, n, out_dir) replace the file's values before anything is
+    read, so both pass the same checks.
     """
+    mode = _value(mode, frozenset(_MODES), "mode")
     raw = _load(path) if path is not None else {}
     if isinstance(raw, dict):
         raw |= {k: v for k, v in (overrides or {}).items() if v is not None}
 
     fields = _section(raw, "config", {
-        "mode": frozenset(_MODES), "scenario": frozenset(SCENARIOS), "n": int,
-        "problem": _problem, "solver": _solver, "mesh_sizes": (int, None),
-        "evolution": _evolution, "out_dir": str}, required=("mode",))
-    mode, name, n = fields["mode"], fields.pop("scenario", None), fields.pop("n", None)
+        "scenario": frozenset(SCENARIOS), "n": int, "problem": _problem, "solver": _solver,
+        "mesh_sizes": (int, None), "evolution": _evolution, "out_dir": str})
+    name, n = fields.pop("scenario", None), fields.pop("n", None)
     problem = fields.pop("problem", None)
     if name is not None and problem is not None:
         raise ConfigError("config: 'scenario' and 'problem' both given; keep one")
@@ -301,7 +303,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     evolution = fields.pop("evolution", None)
     if evolution is None and mode == "evolve":
         raise ConfigError("config.evolution: required")
-    cfg = RunConfig(problem=problem, scenario_name=name, mesh_sizes=mesh_sizes, **fields)
+    cfg = RunConfig(mode, problem, scenario_name=name, mesh_sizes=mesh_sizes, **fields)
     if evolution is not None:
         cfg.evolution = _build(EvolutionSpec, "config.evolution", problem=problem,
                                rate=problem.source, config=cfg.solver, **evolution)
@@ -469,7 +471,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     flags = vars(build_arg_parser().parse_args(argv))
     try:
-        cfg = parse_config(flags.pop("config"), overrides=flags)
+        cfg = parse_config(flags.pop("mode"), flags.pop("config"), overrides=flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

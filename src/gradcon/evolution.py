@@ -44,7 +44,7 @@ class EvolutionSpec:
     rate: object                    # SourceSpec, or callable t -> SourceSpec
     t_final: float
     dt: float
-    u0: object = None               # None (zero), cell array, or callback
+    u0: object = None               # field u0(x, y), or None for the zero start
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -90,12 +90,7 @@ def _rate_at(rate, t: float):
 def _initial_state(spec: EvolutionSpec, dp: DiscreteProblem) -> np.ndarray:
     if spec.u0 is None:
         return np.zeros(dp.mesh.num_triangles)
-    if callable(spec.u0):
-        u0 = fem.project_p0(dp.mesh, spec.u0, ws=dp.workspace)
-    else:
-        u0 = np.asarray(spec.u0, dtype=float)
-        if u0.shape != (dp.mesh.num_triangles,):
-            raise ValueError(f"initial state must have one value per cell, got {u0.shape}")
+    u0 = fem.project_p0(dp.mesh, spec.u0, ws=dp.workspace)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial state must be finite")
     return u0

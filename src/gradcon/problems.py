@@ -266,59 +266,3 @@ def exact_solution_for(name: str):
     if not (isinstance(alpha, ConstantAlpha) and isinstance(source, ConstantSource)):
         raise ValueError(f"scenario {name!r} has no closed-form solution")
     return exact_solution_ex1(source.value, alpha.value)
-
-
-# --- mesh-refinement study ----------------------------------------------------
-
-@dataclass(frozen=True)
-class StudyResult:
-    mesh_sizes: tuple
-    h: tuple
-    err_u: tuple
-    err_p: tuple
-    rate_u: float        # least-squares slope of log err vs log h
-    rate_p: float
-    step_rates_u: tuple  # pairwise rates, one fewer than meshes
-    step_rates_p: tuple
-
-
-def check_mesh_sizes(mesh_sizes) -> tuple:
-    """The mesh sizes of a study: at least two, none repeated, so every rate is defined."""
-    sizes = tuple(mesh_sizes)
-    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
-        raise ValueError(f"a study needs at least two distinct mesh sizes, got {list(sizes)}")
-    return sizes
-
-
-def convergence_study(name: str, mesh_sizes, config=None) -> StudyResult:
-    """One continuation solve per mesh against the closed-form solution."""
-    from . import fem
-    from .solver import DiscreteProblem, SolverConfig, continuation_solve
-
-    mesh_sizes = check_mesh_sizes(mesh_sizes)
-    u_exact, p_exact = exact_solution_for(name)
-    config = config or SolverConfig()
-    hs, eus, eps = [], [], []
-    for n in mesh_sizes:
-        spec = scenario(name, n=n)
-        dp = DiscreteProblem.from_spec(spec)
-        sol, _ = continuation_solve(dp, config)
-        hs.append(dp.mesh.h)
-        eus.append(fem.l2_error_p0(dp.mesh, sol.u, u_exact, ws=dp.workspace))
-        eps.append(fem.l2_error_rt0(dp.mesh, sol.p, p_exact, ws=dp.workspace))
-
-    def steps(errs):
-        return tuple(
-            math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1])
-            for i in range(len(errs) - 1)
-        )
-
-    def fit(errs):
-        return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-
-    return StudyResult(
-        mesh_sizes=mesh_sizes, h=tuple(hs),
-        err_u=tuple(eus), err_p=tuple(eps),
-        rate_u=fit(eus), rate_p=fit(eps),
-        step_rates_u=steps(eus), step_rates_p=steps(eps),
-    )

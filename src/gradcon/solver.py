@@ -17,12 +17,12 @@ Newton forcing term eta = min(0.1, |R|) (Eisenstat & Walker, SIAM J. Sci.
 Comput. 17, 1996); S is factored again only when PCG misses it.  A run of
 stages shares one cache, and a lone :func:`newton_solve` makes its own.
 A backtracking line search on the squared residual norm globalizes each
-step, and a stage may take ``NEWTON_MAX_ITER`` steps.  The smoothing
-radius tau follows a geometric continuation schedule from ``TAU_START``
-down to the config's ``tau_min``; :class:`SolverConfig` holds the only
-three settable values, that floor, the factor between stages and the
-Newton tolerance.  Without a start flux the full schedule runs from zero
-("cold"); from a start flux near the answer only its last
+step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
+``NEWTON_MAX_ITER`` steps.  The smoothing radius tau follows a geometric
+continuation schedule from ``TAU_START`` down to the config's ``tau_min``;
+:class:`SolverConfig` holds the only two settable values, that floor and
+the factor between stages.  Without a start flux the full schedule runs
+from zero ("cold"); from a start flux near the answer only its last
 ``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
 reruns from zero ("fallback").  The first stage of a run starts from its
 start flux, the second from the first stage's solution, and every later
@@ -35,6 +35,8 @@ that :func:`diagnostics` also uses; the full diagnostics, recovered
 gradient included, are computed once per run, for its last stage.
 Every failure, a failed linear solve included, is a :class:`SolverError`
 naming the failing tau and the residual norms there.
+:func:`convergence_study` runs one continuation per mesh of a refinement
+study and measures it against a scenario's closed-form solution.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import scipy.sparse as sp
 
 from . import fem, huber, linalg
 from .mesh import build_rect_mesh
-from .problems import ProblemSpec
+from .problems import ProblemSpec, exact_solution_for, scenario
 
 
 # Armijo backtracking on the squared residual norm
@@ -58,6 +60,7 @@ LS_MAX_BACKTRACKS = 30
 
 FORCING_MAX = 0.1                  # largest inexact Newton forcing term eta
 NEWTON_MAX_ITER = 50               # Newton steps a stage may take
+NEWTON_TOL = 1e-8                  # absolute residual norm that ends a stage
 TAU_START = 10.0                   # first smoothing radius of every schedule
 MAX_STAGES = 2**16                 # longest continuation schedule accepted
 WARM_STAGES = 12                   # schedule tail run from a given start flux
@@ -67,14 +70,12 @@ WARM_STAGES = 12                   # schedule tail run from a given start flux
 class SolverConfig:
     tau_factor: float = 1.30
     tau_min: float = 1e-6
-    newton_tol: float = 1e-8          # absolute residual norms
 
     def __post_init__(self):
         if not 1.0 < self.tau_factor < math.inf:
             raise ValueError("continuation factor must exceed 1 and be finite")
-        for name in ("tau_min", "newton_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.tau_min < math.inf:
+            raise ValueError("tau_min must be positive and finite")
         if self.tau_min > TAU_START:
             raise ValueError(f"tau_min must be at most TAU_START = {TAU_START}")
         tau_schedule(self)
@@ -250,12 +251,13 @@ def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[
     return float(r1_norm), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
 
 
-def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
-                 config: SolverConfig | None = None, *, cache: linalg.FactorCache | None = None):
+def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
+                 cache: linalg.FactorCache | None = None):
     """Damped Newton on the reduced residual; returns (p, iterations, |r|).
 
-    The cell variable is eliminated exactly at every iterate, so the
-    balance equation holds up to rounding throughout.  Each step writes S
+    It stops once |r| <= ``NEWTON_TOL``.  The cell variable is eliminated
+    exactly at every iterate, so the balance equation holds up to rounding
+    throughout.  Each step writes S
     into ``cache.matrix`` and solves for its direction with
     :func:`linalg.solve_spd` on the cache's factor, to the relative residual
     min(FORCING_MAX, |r|).  Without ``cache`` the call makes its own, so its
@@ -263,7 +265,6 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """
-    config = config or SolverConfig()
     cache = cache or linalg.FactorCache()
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
@@ -271,7 +272,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray,
     r = residual(dp, p, tau)
     rnorm = math.sqrt(r @ r)
     iterations = 0
-    while not rnorm <= config.newton_tol:      # a NaN residual is not converged
+    while not rnorm <= NEWTON_TOL:      # a NaN residual is not converged
         if iterations >= NEWTON_MAX_ITER:
             raise MaxIterationsExceeded("Newton did not converge", tau,
                                         *residual_norms(dp, p, rnorm), iterations)
@@ -369,21 +370,21 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     taus = tau_schedule(config)
     zero = np.zeros(dp.mesh.num_edges)
     if p0 is None:
-        return _stages(dp, config, taus, zero, "cold")
+        return _stages(dp, taus, zero, "cold")
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != zero.shape:
         raise ValueError(f"initial flux must have one value per edge, got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("initial flux must be finite")
     try:
-        return _stages(dp, config, taus[-WARM_STAGES:], p0, "warm")
+        return _stages(dp, taus[-WARM_STAGES:], p0, "warm")
     except SolverError as exc:
         discarded = exc.newton_steps
-    return _stages(dp, config, taus, zero, "fallback", discarded)
+    return _stages(dp, taus, zero, "fallback", discarded)
 
 
-def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.ndarray,
-            start: str, discarded: int = 0):
+def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str,
+            discarded: int = 0):
     """Run the stages ``taus`` from flux ``p``; see :func:`continuation_solve`.
 
     From the third stage on, Newton starts at the secant predictor
@@ -409,7 +410,7 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
         p_prev = p
         for guess in guesses:
             try:
-                p, iters, r1n = newton_solve(dp, tau, guess, config, cache=cache)
+                p, iters, r1n = newton_solve(dp, tau, guess, cache=cache)
                 break
             except SolverError as exc:
                 discarded += exc.newton_steps
@@ -430,3 +431,55 @@ def _stages(dp: DiscreteProblem, config: SolverConfig, taus: np.ndarray, p: np.n
                            cg_iterations=cache.cg_iterations,
                            factor_nnz=cache.factor_nnz)
     return sol, diagnostics(dp, p, u, sol.tau_final)
+
+
+# --- mesh-refinement study ----------------------------------------------------
+
+@dataclass(frozen=True)
+class StudyResult:
+    mesh_sizes: tuple
+    h: tuple
+    err_u: tuple
+    err_p: tuple
+    rate_u: float        # least-squares slope of log err vs log h
+    rate_p: float
+    step_rates_u: tuple  # pairwise rates, one fewer than meshes
+    step_rates_p: tuple
+
+
+def check_mesh_sizes(mesh_sizes) -> tuple:
+    """The mesh sizes of a study: at least two, none repeated, so every rate is defined."""
+    sizes = tuple(mesh_sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ValueError(f"a study needs at least two distinct mesh sizes, got {list(sizes)}")
+    return sizes
+
+
+def convergence_study(name: str, mesh_sizes, config: SolverConfig | None = None) -> StudyResult:
+    """One continuation solve per mesh against the closed-form solution."""
+    mesh_sizes = check_mesh_sizes(mesh_sizes)
+    u_exact, p_exact = exact_solution_for(name)
+    hs, eus, eps = [], [], []
+    for n in mesh_sizes:
+        spec = scenario(name, n=n)
+        dp = DiscreteProblem.from_spec(spec)
+        sol, _ = continuation_solve(dp, config)
+        hs.append(dp.mesh.h)
+        eus.append(fem.l2_error_p0(dp.mesh, sol.u, u_exact, ws=dp.workspace))
+        eps.append(fem.l2_error_rt0(dp.mesh, sol.p, p_exact, ws=dp.workspace))
+
+    def steps(errs):
+        return tuple(
+            math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1])
+            for i in range(len(errs) - 1)
+        )
+
+    def fit(errs):
+        return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+    return StudyResult(
+        mesh_sizes=mesh_sizes, h=tuple(hs),
+        err_u=tuple(eus), err_p=tuple(eps),
+        rate_u=fit(eus), rate_p=fit(eps),
+        step_rates_u=steps(eus), step_rates_p=steps(eps),
+    )

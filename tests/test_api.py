@@ -20,10 +20,11 @@ REMOVED = {
                     "_areas_and_basis"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids",
                      "Mesh.edge_normals", "Mesh.edge_lengths", "classify_boundary"),
-    "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS"),
+    "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS",
+                         "convergence_study", "StudyResult", "check_mesh_sizes"),
     "gradcon.solver": ("LineSearchConfig", "SolverConfig.tau_start",
-                       "SolverConfig.newton_max_iter", "DiscreteProblem.schur_indptr",
-                       "DiscreteProblem.schur_indices"),
+                       "SolverConfig.newton_max_iter", "SolverConfig.newton_tol",
+                       "DiscreteProblem.schur_indptr", "DiscreteProblem.schur_indices"),
 }
 
 
@@ -47,7 +48,11 @@ def test_removed_names_are_gone():
     present = [f"{module}.{name}" for module, names in REMOVED.items()
                for name in names if _has(importlib.import_module(module), name)]
     assert present == []
-    assert not set(gradcon.__all__) & {n for names in REMOVED.values() for n in names}
+    exported = set(gradcon.__all__)
+    assert not exported & set(REMOVED["gradcon"])
+    # a name removed from a module is exported only from its new home
+    assert [f"{module}.{name}" for module, names in REMOVED.items() for name in names
+            if name in exported and getattr(gradcon, name).__module__ == module] == []
 
 
 def test_removed_options_are_gone():
@@ -60,9 +65,10 @@ def test_removed_options_are_gone():
     assert not hasattr(solver.Diagnostics, "as_dict")
     assert "rhs_norm" not in {f.name for f in dataclasses.fields(linalg.LinearSolveReport)}
     assert "neumann_edges" not in inspect.signature(fem.assemble_huber_residual).parameters
-    # three settable values; the start radius and the Newton budget are constants
-    assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == [
-        "tau_factor", "tau_min", "newton_tol"]
+    # two settable values; the start radius, the Newton budget and the Newton
+    # stop are constants
+    assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["tau_factor", "tau_min"]
+    assert "config" not in inspect.signature(solver.newton_solve).parameters
     assert "rule" not in inspect.signature(fem.build_workspace).parameters
     vtk = inspect.signature(cli.export_vtk).parameters
     assert vtk["alpha_c"].default is vtk["tau"].default is inspect.Parameter.empty

@@ -12,7 +12,8 @@ from gradcon.cli import (ConfigError, export_study_csv, export_summary_json,
 from gradcon.evolution import EvolutionSpec, run as run_evolution
 from gradcon.mesh import ALL_NEUMANN, UNIT_SQUARE, build_rect_mesh
 from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane, HalfPlaneSource,
-                              PresetSource, ProblemSpec, StudyResult)
+                              PresetSource, ProblemSpec)
+from gradcon.solver import StudyResult
 from test_solver import force_linear_tol
 
 
@@ -23,18 +24,16 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def test_parse_minimal_scenario_config(tmp_path):
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1"})
-    cfg = parse_config(path)
+    path = write_config(tmp_path, {"scenario": "ex1_f1_a1"})
+    cfg = parse_config("solve", path)
     assert cfg.mode == "solve"
     assert cfg.scenario_name == "ex1_f1_a1"
     assert cfg.solver.tau_factor == 1.30
     assert cfg.solver.tau_min == 1e-6
-    assert cfg.solver.newton_tol == 1e-8
 
 
 def test_parse_inline_problem(tmp_path):
     path = write_config(tmp_path, {
-        "mode": "solve",
         "problem": {
             "rect": [0, 0, 1, 1], "nx": 4, "ny": 4,
             "alpha": {"type": "piecewise",
@@ -43,49 +42,45 @@ def test_parse_inline_problem(tmp_path):
             "f": {"type": "constant", "value": 1.0},
         },
     })
-    cfg = parse_config(path)
+    cfg = parse_config("solve", path)
     assert cfg.problem.nx == 4
     assert cfg.problem.alpha.default == 1.0
 
 
 def test_parse_rejects_negative_alpha(tmp_path):
     path = write_config(tmp_path, {
-        "mode": "solve",
         "problem": {"rect": [0, 0, 1, 1], "nx": 2, "ny": 2,
                     "alpha": {"type": "constant", "value": -1.0},
                     "f": {"type": "constant", "value": 1.0}},
     })
     with pytest.raises(ConfigError):
-        parse_config(path)
+        parse_config("solve", path)
 
 
 def test_parse_rejects_study_without_mesh_sizes(tmp_path):
-    path = write_config(tmp_path, {"mode": "study", "scenario": "ex1_f1_a1"})
+    path = write_config(tmp_path, {"scenario": "ex1_f1_a1"})
     with pytest.raises(ConfigError, match="mesh_sizes"):
-        parse_config(path)
+        parse_config("study", path)
 
 
 def test_parse_rejects_unknown_keys_with_location(tmp_path):
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1",
-                                   "solver": {"tau_sart": 1.0}})
+    path = write_config(tmp_path, {"scenario": "ex1_f1_a1", "solver": {"tau_sart": 1.0}})
     with pytest.raises(ConfigError, match=r"config\.solver.*tau_sart"):
-        parse_config(path)
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1",
-                                   "frobnicate": True})
+        parse_config("solve", path)
+    path = write_config(tmp_path, {"scenario": "ex1_f1_a1", "frobnicate": True})
     with pytest.raises(ConfigError, match="frobnicate"):
-        parse_config(path)
+        parse_config("solve", path)
 
 
 def test_parse_rejects_scenario_with_inline_problem(tmp_path, capsys):
     # the problem used to be checked and dropped, and the scenario solved
     inline = {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
               "f": {"type": "constant", "value": 1.0}}
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1",
-                                   "problem": inline})
+    path = write_config(tmp_path, {"scenario": "ex1_f1_a1", "problem": inline})
     with pytest.raises(ConfigError, match="'scenario' and 'problem' both given"):
-        parse_config(path)
+        parse_config("solve", path)
     # a --scenario flag merges into a file that has a problem before the check
-    path = write_config(tmp_path, {"mode": "solve", "problem": inline}, name="inline.json")
+    path = write_config(tmp_path, {"problem": inline}, name="inline.json")
     assert main(["solve", "--config", path, "--scenario", "ex1_f1_a1",
                  "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert "'scenario' and 'problem' both given" in capsys.readouterr().err
@@ -93,9 +88,13 @@ def test_parse_rejects_scenario_with_inline_problem(tmp_path, capsys):
 
 
 def test_parse_rejects_unknown_scenario(tmp_path):
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "nope"})
+    path = write_config(tmp_path, {"scenario": "nope"})
     with pytest.raises(ConfigError, match="scenario"):
-        parse_config(path)
+        parse_config("solve", path)
+    # the mode, the subcommand's name, is checked like a scenario's
+    with pytest.raises(ConfigError) as err:
+        parse_config("bogus", write_config(tmp_path, {"scenario": "ex1_f1_a1"}))
+    assert str(err.value) == "mode: expected one of ['evolve', 'solve', 'study'], got 'bogus'"
 
 
 # one valid object of each tagged type, and where each kind of section sits
@@ -124,16 +123,16 @@ def test_parse_rejects_keys_foreign_to_the_type(tmp_path):
                     payload = evolve_config()
                     payload[outer][inner] = {"type": kind, **fields, key: value}
                     with pytest.raises(ConfigError) as err:
-                        parse_config(write_config(tmp_path, payload))
+                        parse_config("evolve", write_config(tmp_path, payload))
                     assert str(err.value) == f"config.{outer}.{inner}: unknown key {key!r}"
                     checked += 1
     assert checked == 32
 
 
 def test_overrides_win(tmp_path):
-    path = write_config(tmp_path, {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4})
-    cfg = parse_config(path, overrides={"scenario": "ex1_f025_a1", "n": 8,
-                                        "out_dir": "elsewhere"})
+    path = write_config(tmp_path, {"scenario": "ex1_f1_a1", "n": 4})
+    cfg = parse_config("solve", path, overrides={"scenario": "ex1_f025_a1", "n": 8,
+                                                 "out_dir": "elsewhere"})
     assert cfg.scenario_name == "ex1_f025_a1"
     assert cfg.problem.nx == cfg.problem.ny == 8
     assert cfg.out_dir == "elsewhere"
@@ -229,8 +228,7 @@ def test_main_is_reproducible_modulo_wall_time(tmp_path):
 
 def test_main_study_end_to_end(tmp_path):
     out = tmp_path / "study"
-    cfg = write_config(tmp_path, {"mode": "study", "scenario": "ex1_f1_a1",
-                                  "mesh_sizes": [4, 8]})
+    cfg = write_config(tmp_path, {"scenario": "ex1_f1_a1", "mesh_sizes": [4, 8]})
     code = main(["study", "--config", cfg, "--out", str(out)])
     assert code == 0
     lines = (out / "study.csv").read_text().splitlines()
@@ -244,7 +242,6 @@ def test_main_study_end_to_end(tmp_path):
 def test_main_evolve_end_to_end(tmp_path):
     out = tmp_path / "evolve"
     cfg = write_config(tmp_path, {
-        "mode": "evolve",
         "problem": {"rect": [0, 0, 1, 1], "nx": 4, "ny": 4,
                     "neumann_sides": ["left", "right", "bottom", "top"],
                     "alpha": {"type": "constant", "value": 1.0},
@@ -267,14 +264,13 @@ def test_main_evolve_end_to_end(tmp_path):
 
 
 def evolve_config(**evolution):
-    return {"mode": "evolve",
-            "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+    return {"problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
                         "f": {"type": "constant", "value": 0.0}},
             "evolution": {"t_final": 0.2, "dt": 0.1, **evolution}}
 
 
 CONFIG_ERRORS = {
-    "unknown-scenario": {"mode": "solve", "scenario": "bogus"},
+    "unknown-scenario": {"scenario": "bogus"},
     "missing-file": None,
     "negative-dt": evolve_config(dt=-1),
     "nan-t-final": evolve_config(t_final=float("nan")),
@@ -285,82 +281,77 @@ CONFIG_ERRORS = {
     # writes all of its files
     "removed-rate": evolve_config(rate={"type": "constant", "value": 1.0}),
     "removed-u0-zero": evolve_config(u0={"type": "zero"}),
-    "removed-formats": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "formats": ["vtk"]},
-    # the start radius and the Newton budget are constants of gradcon.solver
-    "removed-newton-max-iter": {"mode": "solve", "scenario": "ex1_f1_a1",
-                                "solver": {"newton_max_iter": 5}},
-    "removed-tau-start": {"mode": "solve", "scenario": "ex1_f1_a1",
-                          "solver": {"tau_start": 10.0}},
-    "infinite-linear-tol": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+    "removed-formats": {"scenario": "ex1_f1_a1", "n": 2, "formats": ["vtk"]},
+    # the subcommand is the mode; this file was run as a plain solve
+    "removed-mode": {"mode": "study", "scenario": "ex1_f1_a1", "n": 2},
+    # the start radius, the Newton budget and the Newton stop are constants
+    # of gradcon.solver
+    "removed-newton-max-iter": {"scenario": "ex1_f1_a1", "solver": {"newton_max_iter": 5}},
+    "removed-tau-start": {"scenario": "ex1_f1_a1", "solver": {"tau_start": 10.0}},
+    "removed-newton-tol": {"scenario": "ex1_f1_a1", "solver": {"newton_tol": 1e-6}},
+    "infinite-linear-tol": {"scenario": "ex1_f1_a1", "n": 2,
                             "solver": {"linear_tol": float("inf")}},
     # 1.6e13 stages; the solve used to hang building the schedule
-    "stages-too-many": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+    "stages-too-many": {"scenario": "ex1_f1_a1", "n": 2,
                         "solver": {"tau_factor": 1.000000000001}},
-    "nan-source": {"mode": "solve",
-                   "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+    "nan-source": {"problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
                                "f": {"type": "constant", "value": float("nan")}}},
-    "mesh-size-not-a-number": {"mode": "study", "scenario": "ex1_f1_a1",
-                               "mesh_sizes": ["abc"]},
-    "infinite-rect": {"mode": "solve",
-                      "problem": {"rect": [0, 0, float("inf"), 1], "nx": 2, "ny": 2,
+    "mesh-size-not-a-number": {"scenario": "ex1_f1_a1", "mesh_sizes": ["abc"]},
+    "infinite-rect": {"problem": {"rect": [0, 0, float("inf"), 1], "nx": 2, "ny": 2,
                                   "alpha": {"type": "constant", "value": 1.0},
                                   "f": {"type": "constant", "value": 1.0}}},
     # JSON reads 1e400 as inf
-    "n-list": {"mode": "solve", "scenario": "ex1_f1_a1", "n": [4]},
-    "n-overflow": {"mode": "solve", "scenario": "ex1_f1_a1", "n": float("inf")},
-    "n-zero": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 0},
-    "n-not-a-number-inline": {"mode": "solve", "n": "abc",
+    "n-list": {"scenario": "ex1_f1_a1", "n": [4]},
+    "n-overflow": {"scenario": "ex1_f1_a1", "n": float("inf")},
+    "n-zero": {"scenario": "ex1_f1_a1", "n": 0},
+    "n-not-a-number-inline": {"n": "abc",
                               "problem": {"nx": 2, "ny": 2,
                                           "alpha": {"type": "constant", "value": 1.0},
                                           "f": {"type": "constant", "value": 1.0}}},
-    "nx-overflow": {"mode": "solve",
-                    "problem": {"nx": float("inf"), "ny": 2,
+    "nx-overflow": {"problem": {"nx": float("inf"), "ny": 2,
                                 "alpha": {"type": "constant", "value": 1.0},
                                 "f": {"type": "constant", "value": 1.0}}},
     # a float past the float range; JSON reads it as an int
-    "tau-min-400-digits": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+    "tau-min-400-digits": {"scenario": "ex1_f1_a1", "n": 2,
                            "solver": {"tau_min": 10**400}},
     # from 1e-323 on, tau / 1.3 rounds back to tau; it was blamed on MAX_STAGES
-    "tau-min-subnormal": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+    "tau-min-subnormal": {"scenario": "ex1_f1_a1", "n": 2,
                           "solver": {"tau_min": 5e-324}},
-    "section-not-an-object": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "solver": 5},
-    "no-problem": {"mode": "solve", "n": 2},
-    "study-inline-problem": {"mode": "study", "mesh_sizes": [2, 4],
+    "section-not-an-object": {"scenario": "ex1_f1_a1", "n": 2, "solver": 5},
+    "no-problem": {"n": 2},
+    "study-inline-problem": {"mesh_sizes": [2, 4],
                              "problem": {"nx": 2, "ny": 2,
                                          "alpha": {"type": "constant", "value": 1.0},
                                          "f": {"type": "constant", "value": 1.0}}},
-    "mesh-size-zero": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [0, 4]},
-    "nan-halfplane": {"mode": "solve",
-                      "problem": {"nx": 2, "ny": 2,
+    "mesh-size-zero": {"scenario": "ex1_f1_a1", "mesh_sizes": [0, 4]},
+    "nan-halfplane": {"problem": {"nx": 2, "ny": 2,
                                   "alpha": {"type": "constant", "value": 1.0},
                                   "f": {"type": "halfplane", "halfplane": [float("nan"), 0, 0],
                                         "inside": 1.0}}},
     # each of these ran on a silently converted value before the strict reader
-    "n-not-integral": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2.7},
-    "n-boolean": {"mode": "solve", "scenario": "ex1_f1_a1", "n": True},
-    "mesh-sizes-string": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": "24"},
-    "max-backtracks-not-integral": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2,
+    "n-not-integral": {"scenario": "ex1_f1_a1", "n": 2.7},
+    "n-boolean": {"scenario": "ex1_f1_a1", "n": True},
+    "mesh-sizes-string": {"scenario": "ex1_f1_a1", "mesh_sizes": "24"},
+    "max-backtracks-not-integral": {"scenario": "ex1_f1_a1", "n": 2,
                                     "solver": {"linesearch": {"max_backtracks": 2.5}}},
-    "alpha-boolean": {"mode": "solve",
-                      "problem": {"nx": 2, "ny": 2,
+    "alpha-boolean": {"problem": {"nx": 2, "ny": 2,
                                   "alpha": {"type": "constant", "value": True},
                                   "f": {"type": "constant", "value": 1.0}}},
-    "region-misspelled-key": {"mode": "solve",
-                              "problem": {"nx": 2, "ny": 2,
+    "region-misspelled-key": {"problem": {"nx": 2, "ny": 2,
                                           "alpha": {"type": "piecewise", "default": 1.0,
                                                     "regions": [{"halfplane": [1, 1, 1],
                                                                  "vlaue": 0.75}]},
                                           "f": {"type": "constant", "value": 1.0}}},
     # run without --out, so the config's own out_dir is used
-    "out-dir-not-a-string": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 2, "out_dir": 5},
+    "out-dir-not-a-string": {"scenario": "ex1_f1_a1", "n": 2, "out_dir": 5},
     # integral floats past ProblemSpec's cell cap
-    "n-too-large": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 1e300},
-    "mesh-size-too-large": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4, 1e300]},
+    "n-too-large": {"scenario": "ex1_f1_a1", "n": 1e300},
+    "mesh-size-too-large": {"scenario": "ex1_f1_a1", "mesh_sizes": [4, 1e300]},
     # one size wrote "rate_u": NaN into summary.json; a repeated one divided by zero, exit 1
-    "mesh-sizes-single": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4]},
-    "mesh-sizes-repeated": {"mode": "study", "scenario": "ex1_f1_a1", "mesh_sizes": [4, 4]},
+    "mesh-sizes-single": {"scenario": "ex1_f1_a1", "mesh_sizes": [4]},
+    "mesh-sizes-repeated": {"scenario": "ex1_f1_a1", "mesh_sizes": [4, 4]},
     # a study needs a closed form; this one ended in a ValueError traceback, exit 1
-    "study-no-closed-form": {"mode": "study", "scenario": "ex2_a25", "mesh_sizes": [2, 4]},
+    "study-no-closed-form": {"scenario": "ex2_a25", "mesh_sizes": [2, 4]},
 }
 
 # where the message of each strict-reader case must point
@@ -382,6 +373,8 @@ CONFIG_ERROR_KEYS = {
     "study-no-closed-form": "config.scenario: scenario 'ex2_a25' has no closed-form solution",
     "removed-newton-max-iter": "config.solver: unknown key 'newton_max_iter'",
     "removed-tau-start": "config.solver: unknown key 'tau_start'",
+    "removed-newton-tol": "config.solver: unknown key 'newton_tol'",
+    "removed-mode": "config: unknown key 'mode'",
     "removed-rate": "config.evolution: unknown key 'rate'",
     "removed-u0-zero": "config.evolution.u0.type: expected one of",
     "removed-formats": "config: unknown key 'formats'",
@@ -393,15 +386,27 @@ CONFIG_ERROR_KEYS = {
 }
 
 
+def mode_of(payload) -> str:
+    """The subcommand that runs a test config: evolve, study or solve."""
+    return ("evolve" if "evolution" in payload else "study" if "mesh_sizes" in payload
+            else "solve")
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     for name, payload in CONFIG_ERRORS.items():
         cfg = (str(tmp_path / "missing.json") if payload is None
                else write_config(tmp_path, payload, name=f"{name}.json"))
-        mode = (payload or {}).get("mode", "solve")
         out = [] if "out_dir" in (payload or {}) else ["--out", str(tmp_path / name)]
-        code = main([mode, "--config", cfg, *out])
+        code = main([mode_of(payload or {}), "--config", cfg, *out])
         assert code == cli.EXIT_CONFIG, name
         assert CONFIG_ERROR_KEYS.get(name, "") in capsys.readouterr().err, name
+    # a config that names a mode exits 2, whichever subcommand runs it
+    for mode in cli._MODES:
+        cfg = write_config(tmp_path, {"mode": mode, "scenario": "ex1_f1_a1", "n": 2},
+                           name=f"mode-{mode}.json")
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / mode)]) == cli.EXIT_CONFIG
+        assert "config: unknown key 'mode'" in capsys.readouterr().err, mode
+        assert not (tmp_path / mode).exists()
     # flags pass the same checks; a zero mesh override is not "unset"
     for flags, key in ((["--scenario", "ex1_f1_a1", "--n", "0"], "config.n:"),
                        (["--scenario", "bogus"], "config.scenario:")):
@@ -418,7 +423,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_study_without_closed_form_exit_code(tmp_path, capsys):
     for name in ("ex1_f1_ajump", "ex2_a25", "ex2_a15", "ex4_measure"):
-        cfg = write_config(tmp_path, {"mode": "study", "scenario": name, "mesh_sizes": [2, 4]},
+        cfg = write_config(tmp_path, {"scenario": name, "mesh_sizes": [2, 4]},
                            name=f"{name}.json")
         assert main(["study", "--config", cfg, "--out", str(tmp_path / name)]) == cli.EXIT_CONFIG
         assert f"config.scenario: scenario {name!r} has no closed-form" in capsys.readouterr().err
@@ -426,13 +431,13 @@ def test_main_study_without_closed_form_exit_code(tmp_path, capsys):
 
 
 VALID_CONFIG = {
-    "mode": "evolve", "n": 4, "out_dir": "out", "mesh_sizes": [4, 8],
+    "n": 4, "out_dir": "out", "mesh_sizes": [4, 8],
     "problem": {"rect": [0, 0, 1, 1], "nx": 2, "ny": 2, "neumann_sides": ["left"],
                 "alpha": {"type": "piecewise", "default": 1.0,
                           "regions": [{"halfplane": [1, 1, 1], "value": 0.75}]},
                 "f": {"type": "halfplane", "halfplane": [0, -1, -0.5],
                       "inside": 0.25, "outside": 0.0}},
-    "solver": {"tau_factor": 1.3, "tau_min": 1e-6, "newton_tol": 1e-8},
+    "solver": {"tau_factor": 1.3, "tau_min": 1e-6},
     "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "constant", "value": 0.1}},
 }
 
@@ -459,7 +464,7 @@ FUZZ_BASES = (VALID_CONFIG,
 
 def test_fuzz_bases_parse(tmp_path):
     for i, base in enumerate(FUZZ_BASES):
-        cfg = parse_config(write_config(tmp_path, base, name=f"base{i}.json"))
+        cfg = parse_config("evolve", write_config(tmp_path, base, name=f"base{i}.json"))
         assert cfg.evolution is not None and cfg.problem.nx == 4
 
 
@@ -476,7 +481,7 @@ def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, case, value
     config = tmp_path_factory.getbasetemp() / "property.json"
     config.write_text(json.dumps(payload))
     try:
-        cfg = parse_config(str(config))
+        cfg = parse_config("evolve", str(config))
     except ConfigError:
         return
     if path == ("n",):
@@ -488,21 +493,19 @@ def test_parse_config_accepts_or_locates_any_value(tmp_path_factory, case, value
 # between them every key of the schema, every tagged type included
 FULL_CONFIGS = (
     VALID_CONFIG | {"n": None, "mesh_sizes": None},
-    {"mode": "evolve",
-     "problem": {"nx": 2, "ny": 2,
+    {"problem": {"nx": 2, "ny": 2,
                  "alpha": {"type": "measure_line", "line_y": 0.5, "weight": 100.0, "base": 1.0},
                  "f": {"type": "preset", "name": "cone_valley"}},
      "evolution": {"t_final": 0.2, "dt": 0.1,
                    "u0": {"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 2.0}}},
-    {"mode": "evolve",
-     "problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
+    {"problem": {"nx": 2, "ny": 2, "alpha": {"type": "constant", "value": 1.0},
                  "f": {"type": "constant", "value": 1.0}},
      "evolution": {"t_final": 0.2, "dt": 0.1, "u0": {"type": "preset", "name": "cone_valley"}}},
 )
-REQUIRED_KEYS = {"mode", "type", "value", "default", "halfplane", "inside", "name",
+REQUIRED_KEYS = {"type", "value", "default", "halfplane", "inside", "name",
                  "nx", "ny", "alpha", "f", "evolution", "t_final", "dt"}
 OPTIONAL_KEYS = {"regions", "outside", "line_y", "weight", "base", "rect", "neumann_sides",
-                 "u0", "out_dir", "solver", "tau_factor", "tau_min", "newton_tol"}
+                 "u0", "out_dir", "solver", "tau_factor", "tau_min"}
 
 
 def key_paths(node, path=()):
@@ -529,11 +532,11 @@ def test_missing_key_is_located_or_optional(tmp_path, index, path):
     config = write_config(tmp_path, payload)
     assert path[-1] in REQUIRED_KEYS | OPTIONAL_KEYS
     if path[-1] in OPTIONAL_KEYS:
-        parse_config(config)
+        parse_config("evolve", config)
         return
     where = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
     with pytest.raises(ConfigError) as err:
-        parse_config(config)
+        parse_config("evolve", config)
     assert str(err.value) == f"{where}: required"
 
 
@@ -556,8 +559,7 @@ def test_evolve_pours_the_problem_source(tmp_path):
 
 
 def test_inline_evolve_equals_the_library_pour(tmp_path):
-    payload = {"mode": "evolve",
-               "problem": {"nx": 4, "ny": 4, "neumann_sides": ["left", "right", "bottom", "top"],
+    payload = {"problem": {"nx": 4, "ny": 4, "neumann_sides": ["left", "right", "bottom", "top"],
                            "alpha": {"type": "constant", "value": 1.0},
                            "f": {"type": "halfplane", "halfplane": [1, 1, 0.5], "inside": 2.0}},
                "evolution": {"t_final": 0.2, "dt": 0.1,
@@ -588,7 +590,8 @@ def test_evolve_starts_from_a_source_u0(tmp_path, u0, source):
     out = tmp_path / "run"
     assert main(["evolve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
     assert (out / "step_002.vtk").exists()
-    dp = solver.DiscreteProblem.from_spec(parse_config(write_config(tmp_path, payload)).problem)
+    cfg = parse_config("evolve", write_config(tmp_path, payload))
+    dp = solver.DiscreteProblem.from_spec(cfg.problem)
     start = fem.project_p0(dp.mesh, source.evaluate, ws=dp.workspace)
     masses = json.loads((out / "summary.json").read_text())["extra"]["masses"]
     assert masses[0] == float(np.sum(dp.areas * start)) > 0.0
@@ -599,12 +602,11 @@ def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # that names its tau, and in evolve mode the step and its interval; one
     # Newton step per stage is too few, and no linear solve meets tol=1e-300
     failing = {
-        "solve": {"mode": "solve", "scenario": "ex1_f1_a1"},
-        "evolve": {"mode": "evolve",
-                   "problem": {"nx": 4, "ny": 4, "alpha": {"type": "constant", "value": 1.0},
+        "solve": {"scenario": "ex1_f1_a1"},
+        "evolve": {"problem": {"nx": 4, "ny": 4, "alpha": {"type": "constant", "value": 1.0},
                                "f": {"type": "constant", "value": 5.0}},
                    "evolution": {"t_final": 0.1, "dt": 0.1}},
-        "linear": {"mode": "solve", "scenario": "ex1_f1_a1", "n": 4},
+        "linear": {"scenario": "ex1_f1_a1", "n": 4},
     }
     named = {"solve": "tau=", "evolve": "step 1 over [0, 0.1]", "linear": "tau=1.000e+01"}
     for name, payload in failing.items():
@@ -615,7 +617,7 @@ def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
                 force_linear_tol(mp, 1e-300)
             else:
                 mp.setattr(solver, "NEWTON_MAX_ITER", 1)
-            code = main([payload["mode"], "--config", cfg, "--out", str(out)])
+            code = main([mode_of(payload), "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_SOLVER, name
         err = capsys.readouterr().err
         assert err.count("tau=") == 1 and named[name] in err, err

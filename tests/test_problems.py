@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gradcon as gc
-from gradcon import fem
+from gradcon import fem, solver
 from gradcon.mesh import UNIT_SQUARE, build_rect_mesh
 from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane,
                               HalfPlaneSource, MeasureLineAlpha,
@@ -242,7 +242,7 @@ def test_study_needs_two_distinct_mesh_sizes():
     # are rejected before any solve
     for sizes in ([4], [4, 4], [], [4, 8, 4]):
         with pytest.raises(ValueError, match="two distinct mesh sizes"):
-            gc.convergence_study("ex1_f1_a1", sizes)
+            solver.convergence_study("ex1_f1_a1", sizes)
 
 
 def test_discrete_fields_measured_against_themselves():

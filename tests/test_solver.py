@@ -41,13 +41,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau_factor=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(newton_tol=0.0)
+        SolverConfig(tau_min=0.0)
     with pytest.raises(ValueError, match="TAU_START"):
         SolverConfig(tau_min=1.5 * solver.TAU_START)
     assert tau_schedule(SolverConfig(tau_min=solver.TAU_START)).tolist() == [solver.TAU_START]
     # non-finite numbers, e.g. NaN/Infinity read from JSON
     for bad in ({"tau_factor": float("inf")}, {"tau_min": float("nan")},
-                {"tau_min": float("inf")}, {"newton_tol": float("inf")}):
+                {"tau_min": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # the stage count is capped, and the schedule is built no further than the
@@ -352,10 +352,10 @@ def newton_failing_at(monkeypatch, *calls):
     """
     real, steps, call = solver.newton_solve, [], itertools.count()
 
-    def newton(dp, tau, p0, config=None, *, cache=None):
+    def newton(dp, tau, p0, *, cache=None):
         if next(call) in calls:
             raise LineSearchStalled("injected failure", tau, 1.0, 0.0, 2)
-        result = real(dp, tau, p0, config, cache=cache)
+        result = real(dp, tau, p0, cache=cache)
         steps.append(result[1])
         return result
 
@@ -441,7 +441,7 @@ def test_lone_newton_solve_keeps_one_factor_across_its_steps(monkeypatch):
     monkeypatch.setattr(linalg.spla, "splu",
                         lambda *a, **k: factorizations.append(1) or splu(*a, **k))
     p, iters, rnorm = newton_solve(dp, taus[-1], previous.p)
-    assert rnorm <= SolverConfig().newton_tol
+    assert rnorm <= solver.NEWTON_TOL
     assert iters >= 3
     assert 1 <= len(factorizations) < iters
 
@@ -461,7 +461,7 @@ def test_repeated_runs_repeat_exactly():
 
 @pytest.mark.parametrize("name", ["ex1_f1_a1", "ex4_measure", "ex2_a15"])
 def test_lagged_factor_matches_factoring_every_step(name, monkeypatch):
-    # both runs stop at |r| <= newton_tol, not at rounding, so u agrees to
+    # both runs stop at |r| <= NEWTON_TOL, not at rounding, so u agrees to
     # what that stop leaves: 3.6e-15, 1.6e-12 and 1.9e-15 here
     dp = DiscreteProblem.from_spec(gc.scenario(name, n=16))
     lagged, _ = continuation_solve(dp)
@@ -625,7 +625,7 @@ def test_random_problems_meet_their_certificates(regions, default, source, n, ne
         alpha=gc.PiecewiseAlpha(regions=regions, default=default), source=source))
     sol, diag = continuation_solve(dp)
     # the gap is a sum of nonnegative terms plus r . p, r the flux residual
-    # that Newton leaves below newton_tol; on the example above both the gap
+    # that Newton leaves below NEWTON_TOL; on the example above both the gap
     # and r . p are -5.8e-10
     r = residual(dp, sol.p, sol.tau_final)
     assert diag.duality_gap - r @ sol.p >= -1e-10
