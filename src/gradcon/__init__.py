@@ -12,7 +12,7 @@ from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
                        PresetSource, ProblemSpec, exact_solution_ex1, scenario)
 from .solver import (Diagnostics, DiscreteProblem, DiscreteSolution,
-                     LineSearchStalled, MaxIterationsExceeded, SolverConfig,
+                     LineSearchStalled, MaxIterationsExceeded, NewtonRun, SolverConfig,
                      SolverError, StudyResult, continuation_solve, convergence_study,
                      diagnostics, newton_solve, recover_u, recovered_gradient, residual,
                      tau_schedule)
@@ -27,7 +27,7 @@ __all__ = [
     "HalfPlaneSource", "MeasureLineAlpha", "PiecewiseAlpha", "PresetSource",
     "ProblemSpec", "exact_solution_ex1", "scenario",
     "Diagnostics", "DiscreteProblem", "DiscreteSolution", "LineSearchStalled",
-    "MaxIterationsExceeded", "SolverConfig", "SolverError", "StudyResult",
+    "MaxIterationsExceeded", "NewtonRun", "SolverConfig", "SolverError", "StudyResult",
     "continuation_solve", "convergence_study", "diagnostics", "newton_solve",
     "recover_u", "recovered_gradient", "residual", "tau_schedule",
     "EvolutionSpec", "Trajectory", "conservation_report", "run_evolution",

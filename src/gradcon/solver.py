@@ -15,7 +15,8 @@ an SPD system.  Every Newton step writes S and solves S d = -R by PCG on
 the factor of S that its :class:`linalg.FactorCache` keeps, to the inexact
 Newton forcing term eta = min(0.1, |R|) (Eisenstat & Walker, SIAM J. Sci.
 Comput. 17, 1996); S is factored again only when PCG misses it.  A run of
-stages shares one cache, and a lone :func:`newton_solve` makes its own.
+stages shares one :class:`NewtonRun`, which holds that cache, and a lone
+:func:`newton_solve` makes its own.
 A backtracking line search on the squared residual norm globalizes each
 step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
 ``NEWTON_MAX_ITER`` steps.  The smoothing radius tau follows a geometric
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -251,21 +252,34 @@ def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[
     return float(r1_norm), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
 
 
+@dataclass
+class NewtonRun:
+    """What the Newton steps of one run of stages share.
+
+    ``cache`` keeps the run's Schur matrix, its factor and the counts of its
+    linear solves; ``last_stage`` says whether the stage being solved is the
+    run's last.
+    """
+
+    cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
+    last_stage: bool = True
+
+
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
-                 cache: linalg.FactorCache | None = None):
+                 run: NewtonRun | None = None):
     """Damped Newton on the reduced residual; returns (p, iterations, |r|).
 
     It stops once |r| <= ``NEWTON_TOL``.  The cell variable is eliminated
     exactly at every iterate, so the balance equation holds up to rounding
     throughout.  Each step writes S
-    into ``cache.matrix`` and solves for its direction with
+    into ``run.cache.matrix`` and solves for its direction with
     :func:`linalg.solve_spd` on the cache's factor, to the relative residual
-    min(FORCING_MAX, |r|).  Without ``cache`` the call makes its own, so its
+    min(FORCING_MAX, |r|).  Without ``run`` the call makes its own, so its
     steps, like those of a run of stages, share one factor.
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """
-    cache = cache or linalg.FactorCache()
+    cache = (run or NewtonRun()).cache
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
@@ -399,18 +413,19 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str,
     last stage.  A failing stage raises :class:`SolverError` naming its tau
     and counting the run's Newton steps plus the discarded ones, those of
     an earlier, failed run (``discarded``) included.  The run's steps share
-    one :class:`linalg.FactorCache`, made here and dropped on return.
+    one :class:`NewtonRun`, made here and dropped on return.
     """
-    cache = linalg.FactorCache()
+    run = NewtonRun()
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
         guesses = [p]
         if k >= 2:                 # p and p_prev are both converged stages
             guesses.insert(0, p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev))
         p_prev = p
+        run.last_stage = k == len(taus) - 1
         for guess in guesses:
             try:
-                p, iters, r1n = newton_solve(dp, tau, guess, cache=cache)
+                p, iters, r1n = newton_solve(dp, tau, guess, run=run)
                 break
             except SolverError as exc:
                 discarded += exc.newton_steps
@@ -427,9 +442,9 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str,
                            newton_iterations=iteration_counts,
                            residual_norms=norms, gap_history=gaps,
                            start=start, discarded_newton_steps=discarded,
-                           factorizations=cache.factorizations,
-                           cg_iterations=cache.cg_iterations,
-                           factor_nnz=cache.factor_nnz)
+                           factorizations=run.cache.factorizations,
+                           cg_iterations=run.cache.cg_iterations,
+                           factor_nnz=run.cache.factor_nnz)
     return sol, diagnostics(dp, p, u, sol.tau_final)
 
 

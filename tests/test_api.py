@@ -69,6 +69,9 @@ def test_removed_options_are_gone():
     # stop are constants
     assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["tau_factor", "tau_min"]
     assert "config" not in inspect.signature(solver.newton_solve).parameters
+    # a run's shared Newton state travels in one object
+    assert [name for name, param in inspect.signature(solver.newton_solve).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY] == ["run"]
     assert "rule" not in inspect.signature(fem.build_workspace).parameters
     vtk = inspect.signature(cli.export_vtk).parameters
     assert vtk["alpha_c"].default is vtk["tau"].default is inspect.Parameter.empty

@@ -268,17 +268,31 @@ def test_refill_leaves_the_kept_factor_unchanged():
     assert np.array_equal(cache.lu.solve(b), before)
 
 
-def test_back_to_back_runs_share_no_state(solve_cache):
-    # the run's Schur matrix and factor live in its cache: a second run on
-    # the same problem, or on a copy with the same load, repeats the first
+def test_back_to_back_runs_share_no_state(solve_cache, monkeypatch):
+    # the run's Schur matrix and factor live in its NewtonRun, which every
+    # stage of the run gets and no other run sees: a second run on the same
+    # problem, or on a copy with the same load, repeats the first
     dp, sol, _ = solve_cache("ex2_a15", 8)
+    passed, real = [], solver.newton_solve
+
+    def newton(dp, tau, p0, *, run=None):
+        passed.append(run)
+        return real(dp, tau, p0, run=run)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
     copy = dp.with_load(dp.source_q)
+    earlier = []
     for problem in (dp, dp, copy, copy):
+        passed.clear()
         again, _ = continuation_solve(problem)
         assert again.p.tobytes() == sol.p.tobytes()
         assert again.newton_iterations == sol.newton_iterations
         assert (again.factorizations, again.cg_iterations) == (sol.factorizations,
                                                               sol.cg_iterations)
+        run = passed[0]
+        assert isinstance(run, solver.NewtonRun) and all(r is run for r in passed)
+        assert not any(run is r or run.cache is r.cache for r in earlier)
+        earlier.append(run)
 
 
 @pytest.mark.parametrize("name", sorted(gc.SCENARIOS))
@@ -352,10 +366,10 @@ def newton_failing_at(monkeypatch, *calls):
     """
     real, steps, call = solver.newton_solve, [], itertools.count()
 
-    def newton(dp, tau, p0, *, cache=None):
+    def newton(dp, tau, p0, *, run=None):
         if next(call) in calls:
             raise LineSearchStalled("injected failure", tau, 1.0, 0.0, 2)
-        result = real(dp, tau, p0, cache=cache)
+        result = real(dp, tau, p0, run=run)
         steps.append(result[1])
         return result
 
