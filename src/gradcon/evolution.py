@@ -57,6 +57,9 @@ class EvolutionSpec:
         if self.t_final / self.dt > MAX_STEPS:      # also an overflow to inf
             raise ValueError(f"t_final / dt = {self.t_final / self.dt:.3g} steps "
                              f"exceeds MAX_STEPS = {MAX_STEPS}")
+        if not (self.u0 is None or callable(self.u0)):
+            raise ValueError(f"u0 must be a field u0(x, y) or None, "
+                             f"got {type(self.u0).__name__}")
 
 
 @dataclass(kw_only=True)

@@ -12,11 +12,17 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
     R(P) = -B^T u(P) + H_tau(P),     dR/dP = G_tau(P) + B^T M^{-1} B =: S(P),
 
 an SPD system.  Every Newton step writes S and solves S d = -R by PCG on
-the factor of S that its :class:`linalg.FactorCache` keeps, to the inexact
-Newton forcing term eta = min(0.1, |R|) (Eisenstat & Walker, SIAM J. Sci.
-Comput. 17, 1996); S is factored again only when PCG misses it.  A run of
-stages shares one :class:`NewtonRun`, which holds that cache, and a lone
-:func:`newton_solve` makes its own.
+the factor of S that its :class:`linalg.FactorCache` keeps, to a relative
+residual min(0.1, eta) (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996);
+S is factored again only when PCG misses it.  On the last stage of a run
+eta = |R|, so the returned answer is the one a solve to that forcing gives.
+On every earlier stage eta = max(|R|, 0.5 NEWTON_TOL / |R|), Kelley's
+safeguard (Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+sec. 6.3): near the stop a step need not be solved more finely than it takes
+to bring |R| below NEWTON_TOL, and fewer PCG misses mean fewer
+factorizations.  A run of stages shares one :class:`NewtonRun`, which holds
+that cache and says which stage is the last, and a lone
+:func:`newton_solve` makes its own, in which its one stage is the last.
 A backtracking line search on the squared residual norm globalizes each
 step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
 ``NEWTON_MAX_ITER`` steps.  The smoothing radius tau follows a geometric
@@ -60,6 +66,7 @@ LS_SUFFICIENT_DECREASE = 1e-4
 LS_MAX_BACKTRACKS = 30
 
 FORCING_MAX = 0.1                  # largest inexact Newton forcing term eta
+FORCING_SAFETY = 0.5               # Kelley's gamma in the forcing floor of intermediate stages
 NEWTON_MAX_ITER = 50               # Newton steps a stage may take
 NEWTON_TOL = 1e-8                  # absolute residual norm that ends a stage
 TAU_START = 10.0                   # first smoothing radius of every schedule
@@ -274,12 +281,17 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     throughout.  Each step writes S
     into ``run.cache.matrix`` and solves for its direction with
     :func:`linalg.solve_spd` on the cache's factor, to the relative residual
-    min(FORCING_MAX, |r|).  Without ``run`` the call makes its own, so its
-    steps, like those of a run of stages, share one factor.
+    min(FORCING_MAX, eta).  On the run's last stage eta = |r|; on an earlier
+    one eta = max(|r|, FORCING_SAFETY * NEWTON_TOL / |r|), which spares the
+    last steps of a stage the solve beyond what reaching ``NEWTON_TOL`` needs
+    while the answer the run returns keeps the finer forcing.  The stop test
+    is the same on every stage.  Without ``run`` the call makes its own, a
+    last stage, so its steps, like those of a run of stages, share one factor.
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """
-    cache = (run or NewtonRun()).cache
+    run = run or NewtonRun()
+    cache = run.cache
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
@@ -292,10 +304,11 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
                                         *residual_norms(dp, p, rnorm), iterations)
         cache.matrix = dp.schur(fem.assemble_huber_jacobian(
             dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace), out=cache.matrix)
+        eta = rnorm if run.last_stage else max(rnorm, FORCING_SAFETY * NEWTON_TOL / rnorm)
         step = np.zeros_like(p)
         try:
             step[dp.free] = linalg.solve_spd(cache.matrix, -r[dp.free], cache=cache,
-                                             rtol=min(FORCING_MAX, rnorm))[0]
+                                             rtol=min(FORCING_MAX, eta))[0]
         except linalg.LinearSolveError as exc:
             raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm),
                               iterations + 1) from exc

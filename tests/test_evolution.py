@@ -182,6 +182,14 @@ def test_initial_state_validation(u0, match):
         ev.run(spec)
 
 
+def test_initial_state_must_be_a_field():
+    # a cell array is not a start state: the spec names u0 at construction,
+    # not a TypeError from the first projection
+    for u0 in (np.zeros(8), 0.0):
+        with pytest.raises(ValueError, match="u0 must be a field"):
+            make_spec(nx=2, ny=2, u0=u0)
+
+
 def pour_to_the_bound():
     # the pour of test_acceptance::test_pour_reaching_the_bound
     problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=16, ny=16, boundary=gc.ALL_NEUMANN,

@@ -460,6 +460,44 @@ def test_lone_newton_solve_keeps_one_factor_across_its_steps(monkeypatch):
     assert 1 <= len(factorizations) < iters
 
 
+def test_intermediate_stages_solve_to_the_forcing_floor(monkeypatch):
+    # an intermediate stage asks PCG for no more than its step needs to reach
+    # NEWTON_TOL, max(|r|, FORCING_SAFETY * NEWTON_TOL / |r|); the last stage,
+    # whose answer the run returns, keeps eta = |r|
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=16))
+    taus = tau_schedule(SolverConfig())
+    stage, asked = [None], []
+    newton, solve = solver.newton_solve, linalg.solve_spd
+
+    def stage_newton(dp, tau, p0, *, run=None):
+        stage[0] = tau
+        return newton(dp, tau, p0, run=run)
+
+    def recording_solve(A, b, **kw):
+        asked.append((stage[0], kw["rtol"], float(np.linalg.norm(b))))
+        return solve(A, b, **kw)
+
+    monkeypatch.setattr(solver, "newton_solve", stage_newton)
+    monkeypatch.setattr(linalg, "solve_spd", recording_solve)
+    continuation_solve(dp)
+    assert {tau for tau, _, _ in asked} == set(taus)
+    floored = 0
+    for tau, rtol, bnorm in asked:
+        if tau == taus[-1]:
+            assert rtol == pytest.approx(min(0.1, bnorm), rel=1e-12)
+        else:
+            assert rtol == pytest.approx(min(0.1, max(bnorm, 0.5e-8 / bnorm)), rel=1e-12)
+            floored += 0.5e-8 / bnorm > bnorm
+    assert floored > 0          # the floor binds on some intermediate step
+
+
+def test_scenarios_at_n16_factor_at_most_100_times(solve_cache):
+    # the forcing floor lets the kept factor serve the loose steps of the
+    # intermediate stages: 78 factorizations, against 126 with eta = |r| on
+    # every stage
+    assert sum(solve_cache(name, 16)[1].factorizations for name in gc.SCENARIOS) <= 100
+
+
 def test_repeated_runs_repeat_exactly():
     # the kept factor lives for one run, so a second solve of the same
     # problem makes the same steps, factorizations and flux
@@ -476,7 +514,7 @@ def test_repeated_runs_repeat_exactly():
 @pytest.mark.parametrize("name", ["ex1_f1_a1", "ex4_measure", "ex2_a15"])
 def test_lagged_factor_matches_factoring_every_step(name, monkeypatch):
     # both runs stop at |r| <= NEWTON_TOL, not at rounding, so u agrees to
-    # what that stop leaves: 3.6e-15, 1.6e-12 and 1.9e-15 here
+    # what that stop leaves: 3.6e-15, 7.8e-12 and 3.4e-15 here
     dp = DiscreteProblem.from_spec(gc.scenario(name, n=16))
     lagged, _ = continuation_solve(dp)
     real = linalg.solve_spd
