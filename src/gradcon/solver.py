@@ -12,17 +12,18 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
     R(P) = -B^T u(P) + H_tau(P),     dR/dP = G_tau(P) + B^T M^{-1} B =: S(P),
 
 an SPD system.  Every Newton step writes S and solves S d = -R by PCG on
-the factor of S that its :class:`linalg.FactorCache` keeps, to a relative
-residual min(0.1, eta) (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996);
-S is factored again only when PCG misses it.  On the last stage of a run
-eta = |R|, so the returned answer is the one a solve to that forcing gives.
-On every earlier stage eta = max(|R|, 0.5 NEWTON_TOL / |R|), Kelley's
+the factor of S that its :class:`linalg.FactorCache` keeps, to the relative
+residual min(0.1, eta); S is factored again only when PCG misses it.  On
+every stage but the last eta = max(|R|, 0.5 NEWTON_TOL / |R|), Kelley's
 safeguard (Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-sec. 6.3): near the stop a step need not be solved more finely than it takes
-to bring |R| below NEWTON_TOL, and fewer PCG misses mean fewer
-factorizations.  A run of stages shares one :class:`NewtonRun`, which holds
-that cache and says which stage is the last, and a lone
-:func:`newton_solve` makes its own, in which its one stage is the last.
+sec. 6.3): a stage's last step asks only for what brings |R| below
+NEWTON_TOL, so PCG misses, and factorizations, are fewer.  On the last
+stage, whose answer the run returns, eta = |R|, the inexact Newton forcing
+term (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): that answer then
+agrees with one solved on a fresh factor every step up to what the stop
+test leaves, where the floor would move it by more.  A run of stages shares
+one :class:`NewtonRun`, which holds that cache and says which stage is the
+last; a lone :func:`newton_solve` makes its own, whose one stage is the last.
 A backtracking line search on the squared residual norm globalizes each
 step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
 ``NEWTON_MAX_ITER`` steps.  The smoothing radius tau follows a geometric
@@ -281,12 +282,13 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     throughout.  Each step writes S
     into ``run.cache.matrix`` and solves for its direction with
     :func:`linalg.solve_spd` on the cache's factor, to the relative residual
-    min(FORCING_MAX, eta).  On the run's last stage eta = |r|; on an earlier
-    one eta = max(|r|, FORCING_SAFETY * NEWTON_TOL / |r|), which spares the
-    last steps of a stage the solve beyond what reaching ``NEWTON_TOL`` needs
-    while the answer the run returns keeps the finer forcing.  The stop test
-    is the same on every stage.  Without ``run`` the call makes its own, a
-    last stage, so its steps, like those of a run of stages, share one factor.
+    min(FORCING_MAX, eta).  On the run's last stage eta = |r|, so the answer
+    the run returns is solved as finely as that forcing asks; on an earlier
+    one eta = max(|r|, FORCING_SAFETY * NEWTON_TOL / |r|), which asks a step
+    near the stop for no more than reaching ``NEWTON_TOL`` needs.  The stop
+    test is the same on every stage.  Without ``run`` the call makes its
+    own, whose one stage is the last, so its steps, like those of a run of
+    stages, share one factor.
     Every failure raises :class:`SolverError`; a failed linear solve is
     chained as its cause.
     """
