@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Exact work counts of cold continuation solves.
+"""Exact work counts of cold continuation solves and of a pour.
 
 Prints the Newton steps, factorizations of the Schur matrix and PCG
 iterations of ``ex1_f1_a1`` at ``--solve-n``, then of every named scenario
-at ``--sweep-n`` and their total.  The counts do not depend on the machine,
-so they show a change in the work of a solve where its timings cannot.
+at ``--sweep-n`` and their total.  With ``--pour-n N`` it then prints one
+row per step of a pour at n = N: the all-Neumann unit square, alpha = 1,
+x + y <= 0.5 poured at rate 2, dt = 0.1 to t = 0.5 (the pour-n32
+benchmark workload at N = 32).  Each row gives the step's start, Newton
+steps, discarded Newton steps, factorizations and PCG iterations.  The
+counts do not depend on the machine, so they show a change in the work of
+a solve where its timings cannot.
 """
 
 import argparse
@@ -14,6 +19,7 @@ import gradcon as gc
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--solve-n", type=int, default=32)
 parser.add_argument("--sweep-n", type=int, default=16)
+parser.add_argument("--pour-n", type=int, default=None)
 args = parser.parse_args()
 
 
@@ -32,3 +38,16 @@ sweep = [counts(name, args.sweep_n) for name in sorted(gc.SCENARIOS)]
 for name, work in zip(sorted(gc.SCENARIOS), sweep):
     row(name, args.sweep_n, work)
 row("all scenarios", args.sweep_n, tuple(map(sum, zip(*sweep))))
+
+if args.pour_n is not None:
+    n = args.pour_n
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=n, ny=n, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(0.0))
+    rate = gc.HalfPlaneSource(gc.HalfPlane(1.0, 1.0, 0.5), inside=2.0)
+    traj = gc.run_evolution(gc.EvolutionSpec(problem=problem, rate=rate, t_final=0.5, dt=0.1))
+    print()
+    print(f"{'pour step':<10} {'n':>5} {'start':>9} {'newton':>7} {'discarded':>10} "
+          f"{'factorizations':>15} {'pcg':>6}")
+    for i, st in enumerate(traj.steps, start=1):
+        print(f"{i:<10d} {n:5d} {st.start:>9} {sum(st.newton_iterations):7d} "
+              f"{st.discarded_newton_steps:10d} {st.factorizations:15d} {st.cg_iterations:6d}")

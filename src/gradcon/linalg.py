@@ -59,15 +59,13 @@ class LinearSolveReport:
 
 @dataclass
 class FactorCache:
-    """The last accepted factor of one run of solves, the run's matrix and its counts.
+    """The last accepted factor ``lu`` of one run of solves and the run's counts.
 
-    ``matrix`` is the run's one matrix, which its owner refills in place
-    from one solve to the next.  SuperLU copies the values it factors, so
-    the kept factor ``lu`` does not change with it.
+    SuperLU copies the values it factors, so ``lu`` does not change when the
+    matrix it was made from is refilled in place.
     """
 
     lu: object = None
-    matrix: object = None
     factorizations: int = 0    # splu calls, shifted retries included
     cg_iterations: int = 0
     factor_nnz: int = 0        # of the largest factor kept

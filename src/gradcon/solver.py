@@ -12,23 +12,28 @@ exactly, u(P) = M^{-1}(F - B P), and Newton runs on the reduced residual
     R(P) = -B^T u(P) + H_tau(P),     dR/dP = G_tau(P) + B^T M^{-1} B =: S(P),
 
 an SPD system.  Every Newton step writes S and solves S d = -R by PCG on
-the factor of S that its :class:`linalg.FactorCache` keeps, to the relative
-residual min(0.1, eta); S is factored again only when PCG misses it.  On
-every stage but the last eta = max(|R|, 0.5 NEWTON_TOL / |R|), Kelley's
-safeguard (Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-sec. 6.3): a stage's last step asks only for what brings |R| below
-NEWTON_TOL, so PCG misses, and factorizations, are fewer.  On the last
-stage, whose answer the run returns, eta = |R|, the inexact Newton forcing
-term (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): that answer then
-agrees with one solved on a fresh factor every step up to what the stop
-test leaves, where the floor would move it by more.  A run of stages shares
-one :class:`NewtonRun`, which holds that cache and says which stage is the
-last; a lone :func:`newton_solve` makes its own, whose one stage is the last.
+the kept factor of S, to the relative residual min(0.1, eta) with
+
+    eta = max(|R|, floor / |R|),
+
+and S is factored again only when PCG misses it.  The floor is 0 on the
+last stage, whose answer the run returns, so there eta = |R|, the inexact
+Newton forcing term (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996):
+that answer then agrees with one solved on a fresh factor every step up to
+what the stop test leaves, where a floor would move it by more.  On every
+other stage the floor is 0.5 NEWTON_TOL, Kelley's safeguard (Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 6.3): a stage's
+last step asks only for what brings |R| below NEWTON_TOL, so PCG misses,
+and factorizations, are fewer.  One :class:`NewtonRun` per
+:func:`continuation_solve` call holds S, its kept factor, the floor and the
+Newton steps taken, so the counts a solution reports cover the whole call,
+a failed warm tail included; a lone :func:`newton_solve` makes its own, with
+floor 0.
 A backtracking line search on the squared residual norm globalizes each
 step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
 ``NEWTON_MAX_ITER`` steps.  The smoothing radius tau follows a geometric
 continuation schedule from ``TAU_START`` down to the config's ``tau_min``;
-:class:`SolverConfig` holds the only two settable values, that floor and
+:class:`SolverConfig` holds the only two settable values, ``tau_min`` and
 the factor between stages.  Without a start flux the full schedule runs
 from zero ("cold"); from a start flux near the answer only its last
 ``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
@@ -118,7 +123,7 @@ class SolverError(RuntimeError):
         self.tau = tau
         self.r1_norm = r1_norm
         self.r2_norm = r2_norm
-        self.newton_steps = newton_steps        # linear solves the failed schedule made
+        self.newton_steps = newton_steps        # NewtonRun.steps of the failed call
 
 
 class MaxIterationsExceeded(SolverError):
@@ -262,15 +267,21 @@ def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[
 
 @dataclass
 class NewtonRun:
-    """What the Newton steps of one run of stages share.
+    """The Newton state of one :func:`continuation_solve` call.
 
-    ``cache`` keeps the run's Schur matrix, its factor and the counts of its
-    linear solves; ``last_stage`` says whether the stage being solved is the
-    run's last.
+    ``cache`` holds the kept factor of S and the counts of the call's linear
+    solves; ``matrix`` is the call's one S, refilled in place at every step.
+    ``forcing_floor`` is the floor of the forcing term eta =
+    max(|r|, forcing_floor / |r|): 0 on the last stage, so eta = |r|.
+    ``steps`` counts the Newton steps that reached a linear solve, those of
+    failed attempts included.  A warm tail and its fallback share one run,
+    so the counts of a record cover the whole call.
     """
 
     cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
-    last_stage: bool = True
+    matrix: sp.csc_matrix | None = None
+    forcing_floor: float = 0.0
+    steps: int = 0
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
@@ -279,21 +290,16 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
 
     It stops once |r| <= ``NEWTON_TOL``.  The cell variable is eliminated
     exactly at every iterate, so the balance equation holds up to rounding
-    throughout.  Each step writes S
-    into ``run.cache.matrix`` and solves for its direction with
-    :func:`linalg.solve_spd` on the cache's factor, to the relative residual
-    min(FORCING_MAX, eta).  On the run's last stage eta = |r|, so the answer
-    the run returns is solved as finely as that forcing asks; on an earlier
-    one eta = max(|r|, FORCING_SAFETY * NEWTON_TOL / |r|), which asks a step
-    near the stop for no more than reaching ``NEWTON_TOL`` needs.  The stop
-    test is the same on every stage.  Without ``run`` the call makes its
-    own, whose one stage is the last, so its steps, like those of a run of
-    stages, share one factor.
-    Every failure raises :class:`SolverError`; a failed linear solve is
-    chained as its cause.
+    throughout.  Each step writes S into ``run.matrix``, adds one to
+    ``run.steps`` and solves for its direction with :func:`linalg.solve_spd`
+    on the run's kept factor, to the relative residual min(FORCING_MAX, eta)
+    with eta = max(|r|, run.forcing_floor / |r|).  Without ``run`` the call
+    makes its own, with floor 0, so its steps, like those of a
+    continuation, share one factor.
+    Every failure raises :class:`SolverError` with ``newton_steps`` =
+    ``run.steps``; a failed linear solve is chained as its cause.
     """
     run = run or NewtonRun()
-    cache = run.cache
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
@@ -303,17 +309,17 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     while not rnorm <= NEWTON_TOL:      # a NaN residual is not converged
         if iterations >= NEWTON_MAX_ITER:
             raise MaxIterationsExceeded("Newton did not converge", tau,
-                                        *residual_norms(dp, p, rnorm), iterations)
-        cache.matrix = dp.schur(fem.assemble_huber_jacobian(
-            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace), out=cache.matrix)
-        eta = rnorm if run.last_stage else max(rnorm, FORCING_SAFETY * NEWTON_TOL / rnorm)
+                                        *residual_norms(dp, p, rnorm), run.steps)
+        run.matrix = dp.schur(fem.assemble_huber_jacobian(
+            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace), out=run.matrix)
+        run.steps += 1
+        eta = max(rnorm, run.forcing_floor / rnorm)
         step = np.zeros_like(p)
         try:
-            step[dp.free] = linalg.solve_spd(cache.matrix, -r[dp.free], cache=cache,
+            step[dp.free] = linalg.solve_spd(run.matrix, -r[dp.free], cache=run.cache,
                                              rtol=min(FORCING_MAX, eta))[0]
         except linalg.LinearSolveError as exc:
-            raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm),
-                              iterations + 1) from exc
+            raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm), run.steps) from exc
 
         merit0 = rnorm * rnorm
         s = 1.0
@@ -326,7 +332,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
             s *= LS_SHRINK
         else:
             raise LineSearchStalled("line search made no progress", tau,
-                                    *residual_norms(dp, p, rnorm), iterations + 1)
+                                    *residual_norms(dp, p, rnorm), run.steps)
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
     return p, iterations, rnorm
@@ -350,11 +356,14 @@ class DiscreteSolution:
     newton_iterations: list
     residual_norms: list       # (|r1|, |r2|) per stage
     gap_history: list          # duality gap per stage
+    # the counts below cover the whole continuation_solve call, a failed warm
+    # tail included; its steps were solved to eta = max(|r|, floor / |r|),
+    # floor 0 on the last stage
     start: str = "cold"        # "cold", "warm" or "fallback" (warm tail failed)
-    discarded_newton_steps: int = 0     # of failed tails and failed predictor starts
-    factorizations: int = 0    # of S, by the run that gave this solution
-    cg_iterations: int = 0     # PCG iterations of that run
-    factor_nnz: int = 0        # nnz of that run's largest factor of S
+    discarded_newton_steps: int = 0     # of a failed tail and failed predictor starts
+    factorizations: int = 0    # of S
+    cg_iterations: int = 0     # PCG iterations on a kept factor
+    factor_nnz: int = 0        # nnz of the largest factor of S
 
 
 def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
@@ -393,28 +402,30 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     ("cold").  With ``p0``, one finite value per edge, its last
     ``WARM_STAGES`` stages run from ``p0`` ("warm"); if they raise
     :class:`SolverError` the full schedule reruns from zero ("fallback").
-    ``DiscreteSolution.start`` names the run that gave the solution.
+    ``DiscreteSolution.start`` names the run that gave the solution.  The
+    call makes one :class:`NewtonRun`; the fallback runs on it with the
+    tail's factor dropped, so the solution's counts include the tail's work.
     """
     config = config or SolverConfig()
     taus = tau_schedule(config)
     zero = np.zeros(dp.mesh.num_edges)
+    run = NewtonRun()
     if p0 is None:
-        return _stages(dp, taus, zero, "cold")
+        return _stages(dp, taus, zero, "cold", run)
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != zero.shape:
         raise ValueError(f"initial flux must have one value per edge, got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("initial flux must be finite")
     try:
-        return _stages(dp, taus[-WARM_STAGES:], p0, "warm")
-    except SolverError as exc:
-        discarded = exc.newton_steps
-    return _stages(dp, taus, zero, "fallback", discarded)
+        return _stages(dp, taus[-WARM_STAGES:], p0, "warm", run)
+    except SolverError:
+        run.cache.lu = None        # the fallback factors afresh, as a cold solve does
+    return _stages(dp, taus, zero, "fallback", run)
 
 
-def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str,
-            discarded: int = 0):
-    """Run the stages ``taus`` from flux ``p``; see :func:`continuation_solve`.
+def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, run: NewtonRun):
+    """Run the stages ``taus`` from flux ``p`` on ``run``; see :func:`continuation_solve`.
 
     From the third stage on, Newton starts at the secant predictor
 
@@ -422,30 +433,28 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str,
 
     which extrapolates only between converged stages; on the geometric
     schedule the step is (p_k - p_{k-1}) / tau_factor.  A stage that fails
-    from the predictor is run once more from p_k, its failed steps counted
-    as discarded.  Each stage records its duality gap only; the full
+    from the predictor is run once more from p_k.  Every stage but the last
+    sets ``run.forcing_floor`` to ``FORCING_SAFETY * NEWTON_TOL``; the last
+    sets it to 0.  Each stage records its duality gap only; the full
     diagnostics, recovered gradient included, are computed once, for the
-    last stage.  A failing stage raises :class:`SolverError` naming its tau
-    and counting the run's Newton steps plus the discarded ones, those of
-    an earlier, failed run (``discarded``) included.  The run's steps share
-    one :class:`NewtonRun`, made here and dropped on return.
+    last stage.  A failing stage raises the :class:`SolverError` of its
+    last attempt.  The run's steps that no returned stage took, failed
+    attempts and an earlier failed tail on the same run included, are the
+    record's ``discarded_newton_steps``.
     """
-    run = NewtonRun()
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
         guesses = [p]
         if k >= 2:                 # p and p_prev are both converged stages
             guesses.insert(0, p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev))
         p_prev = p
-        run.last_stage = k == len(taus) - 1
+        run.forcing_floor = 0.0 if k == len(taus) - 1 else FORCING_SAFETY * NEWTON_TOL
         for guess in guesses:
             try:
                 p, iters, r1n = newton_solve(dp, tau, guess, run=run)
                 break
-            except SolverError as exc:
-                discarded += exc.newton_steps
+            except SolverError:
                 if guess is guesses[-1]:
-                    exc.newton_steps = sum(iteration_counts) + discarded
                     raise
         u = recover_u(dp, p)
         primal, dual = _objectives(dp, p, u)
@@ -455,8 +464,8 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str,
 
     sol = DiscreteSolution(p=p, u=u, tau_final=float(taus[-1]), tau_values=taus,
                            newton_iterations=iteration_counts,
-                           residual_norms=norms, gap_history=gaps,
-                           start=start, discarded_newton_steps=discarded,
+                           residual_norms=norms, gap_history=gaps, start=start,
+                           discarded_newton_steps=run.steps - sum(iteration_counts),
                            factorizations=run.cache.factorizations,
                            cg_iterations=run.cache.cg_iterations,
                            factor_nnz=run.cache.factor_nnz)

@@ -13,7 +13,7 @@ from gradcon.mesh import UNIT_SQUARE, Mesh, build_rect_mesh
 REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step",
                 "classify_boundary"),
-    "gradcon.linalg": ("spmv",),
+    "gradcon.linalg": ("spmv", "FactorCache.matrix"),
     "gradcon.evolution": ("WARM_STAGES",),
     "gradcon.huber": ("hessian_weights",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
@@ -24,7 +24,8 @@ REMOVED = {
                          "convergence_study", "StudyResult", "check_mesh_sizes"),
     "gradcon.solver": ("LineSearchConfig", "SolverConfig.tau_start",
                        "SolverConfig.newton_max_iter", "SolverConfig.newton_tol",
-                       "DiscreteProblem.schur_indptr", "DiscreteProblem.schur_indices"),
+                       "DiscreteProblem.schur_indptr", "DiscreteProblem.schur_indices",
+                       "NewtonRun.last_stage"),
 }
 
 
@@ -72,6 +73,13 @@ def test_removed_options_are_gone():
     # a run's shared Newton state travels in one object
     assert [name for name, param in inspect.signature(solver.newton_solve).parameters.items()
             if param.kind is inspect.Parameter.KEYWORD_ONLY] == ["run"]
+    # one run per continuation call: it owns the Schur matrix, the forcing
+    # floor and the step count, so neither the factor cache nor the stages
+    # keep any of them
+    assert [f.name for f in dataclasses.fields(solver.NewtonRun)] == [
+        "cache", "matrix", "forcing_floor", "steps"]
+    assert "matrix" not in {f.name for f in dataclasses.fields(linalg.FactorCache)}
+    assert "discarded" not in inspect.signature(solver._stages).parameters
     assert "rule" not in inspect.signature(fem.build_workspace).parameters
     vtk = inspect.signature(cli.export_vtk).parameters
     assert vtk["alpha_c"].default is vtk["tau"].default is inspect.Parameter.empty

@@ -261,6 +261,27 @@ def test_step_record_is_the_step_solution():
         assert record.u is traj.u[n] and record.p is traj.p[n]
 
 
+def test_step_record_counts_every_factorization_of_its_step(monkeypatch):
+    # a record's counts cover its step's whole continuation call: the
+    # fallback's factorizations include those of the warm tail it discarded
+    # (32 and 55 here; 12 of the 55 are the fallback's own)
+    factorizations, per_step = [], []
+    splu, step = linalg.spla.splu, ev.step
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+
+    def counted_step(*args, **kwargs):
+        before = len(factorizations)
+        record = step(*args, **kwargs)
+        per_step.append(len(factorizations) - before)
+        return record
+
+    monkeypatch.setattr(ev, "step", counted_step)
+    traj = ev.run(moving_pour(t_final=2.0))
+    assert [st.start for st in traj.steps] == ["warm", "fallback"]
+    assert [st.factorizations for st in traj.steps] == per_step
+
+
 def test_failed_warm_tail_falls_back_to_full_schedule(monkeypatch):
     spec = moving_pour(t_final=4.0)
     solves = []

@@ -258,13 +258,12 @@ def test_refill_leaves_the_kept_factor_unchanged():
     blocks1, blocks2 = (fem.assemble_huber_jacobian(
         dp.mesh, rng.normal(scale=0.3, size=dp.mesh.num_edges), dp.alpha_q, tau,
         ws=dp.workspace) for tau in (1.0, 1e-3))
-    cache = linalg.FactorCache()
-    cache.matrix = dp.schur(blocks1)
-    b = rng.normal(size=cache.matrix.shape[0])
-    assert solve_spd(cache.matrix, b, cache=cache)[1].refactored
-    before, data = cache.lu.solve(b), cache.matrix.data.copy()
-    assert dp.schur(blocks2, out=cache.matrix) is cache.matrix
-    assert not np.array_equal(cache.matrix.data, data)
+    cache, S = linalg.FactorCache(), dp.schur(blocks1)
+    b = rng.normal(size=S.shape[0])
+    assert solve_spd(S, b, cache=cache)[1].refactored
+    before, data = cache.lu.solve(b), S.data.copy()
+    assert dp.schur(blocks2, out=S) is S
+    assert not np.array_equal(S.data, data)
     assert np.array_equal(cache.lu.solve(b), before)
 
 
@@ -362,13 +361,16 @@ def test_continuation_from_given_flux_runs_the_warm_tail(solve_cache):
 def newton_failing_at(monkeypatch, *calls):
     """Make the given calls of newton_solve (0-based) fail after 2 steps.
 
-    Returns the Newton steps of the calls that succeed, in call order.
+    A failing call adds its 2 steps to ``run.steps`` and raises with the
+    run's count, as newton_solve does.  Returns the Newton steps of the
+    calls that succeed, in call order.
     """
     real, steps, call = solver.newton_solve, [], itertools.count()
 
     def newton(dp, tau, p0, *, run=None):
         if next(call) in calls:
-            raise LineSearchStalled("injected failure", tau, 1.0, 0.0, 2)
+            run.steps += 2
+            raise LineSearchStalled("injected failure", tau, 1.0, 0.0, run.steps)
         result = real(dp, tau, p0, run=run)
         steps.append(result[1])
         return result
@@ -381,14 +383,16 @@ def test_failed_warm_tail_reruns_the_full_schedule(solve_cache, monkeypatch):
     # the warm tail fails at its third stage, from the secant predictor and
     # again from the last converged stage: its two converged stages and the
     # failed attempts' 2 + 2 steps are discarded, and the full schedule
-    # reruns from zero, which is the cold solve
+    # reruns from zero, which is the cold solve.  The fallback runs on the
+    # tail's NewtonRun, so its counts also cover the tail's work: 7
+    # factorizations and 347 PCG iterations against the cold solve's 6 and 342
     dp, sol, _ = solve_cache("ex1_f1_a1", 8)
     steps = newton_failing_at(monkeypatch, 2, 3)
     again, _ = continuation_solve(dp, p0=0.5 * sol.p)
     assert again.start == "fallback"
     assert again.discarded_newton_steps == sum(steps[:2]) + 2 + 2
     assert again.newton_iterations == sol.newton_iterations == steps[2:]
-    assert (again.factorizations, again.cg_iterations) == (sol.factorizations, sol.cg_iterations)
+    assert (again.factorizations, again.cg_iterations) == (7, 347)
     assert np.array_equal(again.p, sol.p)
     # a fallback failing at its fifth stage, both attempts, counts every
     # Newton step, the discarded tail's included
