@@ -356,10 +356,10 @@ class DiscreteSolution:
     newton_iterations: list
     residual_norms: list       # (|r1|, |r2|) per stage
     gap_history: list          # duality gap per stage
+    start: str = "cold"        # "cold", "warm" or "fallback" (warm tail failed)
     # the counts below cover the whole continuation_solve call, a failed warm
     # tail included; its steps were solved to eta = max(|r|, floor / |r|),
     # floor 0 on the last stage
-    start: str = "cold"        # "cold", "warm" or "fallback" (warm tail failed)
     discarded_newton_steps: int = 0     # of a failed tail and failed predictor starts
     factorizations: int = 0    # of S
     cg_iterations: int = 0     # PCG iterations on a kept factor
