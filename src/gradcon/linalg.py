@@ -20,6 +20,17 @@ bundled SuperLU is not memory safe (``relax=32, panel_size=4`` crashed the
 interpreter in 1 of 3 processes of 420 factorizations each).  Since
 scipy's default ``relax`` is 10, ``panel_size`` is never passed on its own.
 
+Every solve with a factor runs SuperLU's transposed sweeps,
+``lu.solve(b, "T")``, which solve A^T x = b.  That is the system asked for,
+since :func:`solve_spd` takes SPD matrices, and the Schur matrices of the
+flux system are symmetric to the bit (see ``DiscreteProblem.schur``), so
+the answers differ from the plain sweeps' only by rounding.  On the factor
+of the converged ``ex1_f1_a1`` Schur matrix a transposed solve took 31 /
+109 / 506 / 2,885 us against 43 / 150 / 662 / 3,580 us for the plain one
+at n = 16 / 32 / 64 / 128 (2 vCPUs; ``scripts/solve_kernel.py``).
+With the transposed sweeps, ``relax=1, panel_size=1`` was measured again
+and is still the fastest configuration overall.
+
 A :class:`FactorCache` keeps the last accepted factor for a run of
 solves whose matrices change little, such as the Newton steps of one
 continuation.  That factor preconditions conjugate gradients, and A is
@@ -80,7 +91,7 @@ def _try_factor(A: sp.csc_matrix):
 
 
 def _pcg(A, b: np.ndarray, lu, target: float):
-    """PCG from x = 0 preconditioned by ``lu.solve``; returns (x, iterations).
+    """PCG from x = 0 preconditioned by ``lu.solve(r, "T")``; returns (x, iterations).
 
     Stops once the recurred residual is at most ``target``; when ||b|| is,
     x = 0 after no iteration.  x is None when a curvature d.A d or r.z is
@@ -97,7 +108,7 @@ def _pcg(A, b: np.ndarray, lu, target: float):
         return x, 0
     d, rz = None, 1.0
     for k in range(1, PCG_MAX_ITER + 1):
-        z = lu.solve(r)
+        z = lu.solve(r, "T")
         rz, rz_prev = float(r @ z), rz
         d = z if d is None else z + (rz / rz_prev) * d
         q = A @ d
@@ -126,7 +137,9 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
 
     When PCG misses, or the cache holds no such factor (``rtol`` is then
     unused), the direct path runs.  The stale factor is dropped first, so
-    two factors never coexist, and A is factored.  x is accepted when its relative
+    two factors never coexist, and A is factored.  Both paths solve with the
+    factor through its transposed sweeps, for A^T = A; the acceptance tests
+    below check x against A itself.  x is accepted when its relative
     residual is small, ||A x - b||_2 <= tol ||b||_2, or, failing that, when
     it is backward stable: its normwise backward error
     ||A x - b|| / (||A|| ||x|| + ||b||) in the infinity norm is at most
@@ -166,7 +179,7 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
         cache.factorizations += 1
         if lu is None:
             continue
-        x = lu.solve(b)
+        x = lu.solve(b, "T")
         r = A @ x - b
         res = float(np.linalg.norm(r))
         # relative residual first, so the common case pays for no norm of A

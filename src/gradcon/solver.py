@@ -207,6 +207,11 @@ class DiscreteProblem:
         into its data array in place and ``out`` is returned, so a run
         allocates S once.  A factor made from ``out`` earlier does not change
         with it (see :class:`linalg.FactorCache`).
+
+        S is symmetric to the bit: the Jacobian's (k, l) and (l, k) entries
+        come from identical basis-product columns, and entries (i, j) and
+        (j, i) of S sum the same values over the triangles in the same
+        order.  ``linalg`` solves through the transposed sweeps on that basis.
         """
         base = self.schur_base
         nnz = len(base.data)

@@ -209,7 +209,7 @@ def test_scaled_factor_is_still_an_exact_preconditioner():
 class PoisonedFactor:
     shape, nnz = (60, 60), 60
 
-    def solve(self, r):
+    def solve(self, r, trans="N"):
         return np.full_like(r, np.nan)
 
 
@@ -284,6 +284,38 @@ def test_every_factorization_has_one_configuration(monkeypatch):
         assert {"relax", "panel_size"} <= kw.keys() and kw["relax"] <= kw["panel_size"]
         assert kw["permc_spec"] == "MMD_AT_PLUS_A" and kw["diag_pivot_thresh"] == 0.0
         assert kw["options"] == {"SymmetricMode": True}
+
+
+class SpyFactor:
+    """A SuperLU factor that records the ``trans`` of each solve and passes it on."""
+
+    def __init__(self, lu, calls):
+        self.lu, self.calls = lu, calls
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, b, trans="N"):
+        self.calls.append(trans)
+        return self.lu.solve(b, trans)
+
+
+def test_every_solve_with_a_factor_uses_the_transposed_sweeps(monkeypatch):
+    # the SPD contract makes A^T x = b the system asked for, and SuperLU's
+    # transposed sweeps solve it faster: a direct solve, a PCG solve on the
+    # kept factor and a shifted retry all take them (the plain factor of the
+    # singular ones matrix breaks down, so only its retry solves)
+    calls, try_factor = [], linalg._try_factor
+    monkeypatch.setattr(linalg, "_try_factor",
+                        lambda M: (lu := try_factor(M)) and SpyFactor(lu, calls))
+    A, b = spread_spd()
+    cache = linalg.FactorCache()
+    _, direct = solve_spd(A, b, cache=cache)
+    _, pcg = solve_spd(1.01 * A, b, cache=cache, rtol=1e-6)
+    _, shifted = solve_spd(sp.csr_matrix(np.ones((2, 2))), np.ones(2), tol=1e-8)
+    assert direct.refactored and not pcg.refactored and pcg.cg_iterations >= 1
+    assert shifted.regularized
+    assert len(calls) == 1 + pcg.cg_iterations + 1 and set(calls) == {"T"}
 
 
 @pytest.mark.parametrize("name", gc.SCENARIOS)

@@ -249,6 +249,26 @@ def test_schur_refill_matches_a_fresh_matrix():
         other.schur(np.zeros((other.mesh.num_triangles, 3, 3)), out=S)
 
 
+POUR_N8 = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=8, ny=8, boundary=gc.ALL_NEUMANN,
+                         alpha=gc.ConstantAlpha(1.0),
+                         source=gc.HalfPlaneSource(gc.HalfPlane(1.0, 1.0, 0.5), inside=2.0))
+
+
+@pytest.mark.parametrize("spec", [gc.scenario(name, n=4) for name in gc.SCENARIOS] + [POUR_N8],
+                         ids=list(gc.SCENARIOS) + ["pour_n8"])
+def test_schur_matrix_is_bitwise_symmetric(spec):
+    # linalg solves with a factor of S through its transposed sweeps, which
+    # solve S^T x = b: the same system only while S equals S^T to the bit.
+    # The Jacobian's (k, l) and (l, k) blocks are equal, and schur sums both
+    # in the same order; a kernel that summed them apart would break this
+    dp = DiscreteProblem.from_spec(spec)
+    rng = np.random.default_rng(18)
+    for tau in (10.0, 1e-2, 1e-6):
+        p = rng.normal(scale=0.3, size=dp.mesh.num_edges)
+        S = dp.schur(fem.assemble_huber_jacobian(dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace))
+        assert (S != S.T).nnz == 0, tau
+
+
 def test_refill_leaves_the_kept_factor_unchanged():
     # the run's one S is refilled in place each step while the cache keeps a
     # factor of an earlier S; SuperLU copied what it factored, so the kept
@@ -384,15 +404,27 @@ def test_failed_warm_tail_reruns_the_full_schedule(solve_cache, monkeypatch):
     # again from the last converged stage: its two converged stages and the
     # failed attempts' 2 + 2 steps are discarded, and the full schedule
     # reruns from zero, which is the cold solve.  The fallback runs on the
-    # tail's NewtonRun, so its counts also cover the tail's work: 7
-    # factorizations and 347 PCG iterations against the cold solve's 6 and 342
+    # tail's NewtonRun, so its counts are those of every factorization and
+    # PCG iteration of the call, the tail's included: more than the cold solve's
     dp, sol, _ = solve_cache("ex1_f1_a1", 8)
     steps = newton_failing_at(monkeypatch, 2, 3)
+    factorizations, cg_iterations = [], []
+    splu, pcg = linalg.spla.splu, linalg._pcg
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+
+    def counted_pcg(*args):
+        x, iterations = pcg(*args)
+        cg_iterations.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(linalg, "_pcg", counted_pcg)
     again, _ = continuation_solve(dp, p0=0.5 * sol.p)
     assert again.start == "fallback"
     assert again.discarded_newton_steps == sum(steps[:2]) + 2 + 2
     assert again.newton_iterations == sol.newton_iterations == steps[2:]
-    assert (again.factorizations, again.cg_iterations) == (7, 347)
+    assert again.factorizations == len(factorizations) > sol.factorizations
+    assert again.cg_iterations == sum(cg_iterations) > sol.cg_iterations
     assert np.array_equal(again.p, sol.p)
     # a fallback failing at its fifth stage, both attempts, counts every
     # Newton step, the discarded tail's included
