@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Exact work counts of cold continuation solves and of a pour.
 
-Prints the Newton steps, factorizations of the Schur matrix and PCG
-iterations of ``ex1_f1_a1`` at ``--solve-n``, then of every named scenario
-at ``--sweep-n`` and their total.  With ``--pour-n N`` it then prints one
+Prints the Newton steps, factorizations of the Schur matrix, PCG
+iterations and field evaluations (calls of ``fem.huber_points``, which
+evaluates a flux at the quadrature points) of ``ex1_f1_a1`` at
+``--solve-n``, then of every named scenario at ``--sweep-n`` and their
+total.  With ``--pour-n N`` it then prints one
 row per step of a pour at n = N: the all-Neumann unit square, alpha = 1,
 x + y <= 0.5 poured at rate 2, dt = 0.1 to t = 0.5 (the pour-n32
 benchmark workload at N = 32).  Each row gives the step's start, Newton
@@ -15,6 +17,7 @@ a solve where its timings cannot.
 import argparse
 
 import gradcon as gc
+from gradcon import fem
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--solve-n", type=int, default=32)
@@ -23,16 +26,22 @@ parser.add_argument("--pour-n", type=int, default=None)
 args = parser.parse_args()
 
 
+fields = []
+huber_points = fem.huber_points
+fem.huber_points = lambda *a, **k: fields.append(1) or huber_points(*a, **k)
+
+
 def counts(name: str, n: int) -> tuple:
+    fields.clear()
     sol, _ = gc.continuation_solve(gc.DiscreteProblem.from_spec(gc.scenario(name, n=n)))
-    return sum(sol.newton_iterations), sol.factorizations, sol.cg_iterations
+    return sum(sol.newton_iterations), sol.factorizations, sol.cg_iterations, len(fields)
 
 
 def row(name: str, n: int, work: tuple):
-    print(f"{name:<14} {n:5d} {work[0]:7d} {work[1]:15d} {work[2]:6d}")
+    print(f"{name:<14} {n:5d} {work[0]:7d} {work[1]:15d} {work[2]:6d} {work[3]:7d}")
 
 
-print(f"{'scenario':<14} {'n':>5} {'newton':>7} {'factorizations':>15} {'pcg':>6}")
+print(f"{'scenario':<14} {'n':>5} {'newton':>7} {'factorizations':>15} {'pcg':>6} {'fields':>7}")
 row("ex1_f1_a1", args.solve_n, counts("ex1_f1_a1", args.solve_n))
 sweep = [counts(name, args.sweep_n) for name in sorted(gc.SCENARIOS)]
 for name, work in zip(sorted(gc.SCENARIOS), sweep):

@@ -23,7 +23,9 @@ The load and Huber kernels take scalar data as (nt, nq) arrays of values at
 the quadrature points; ``project_p0`` and the error norms take callables
 ``f(x, y)``.  :func:`at_qpoints` and :func:`integrate` are the one way to
 sample a field on the quadrature rule and to integrate such samples over
-the domain, so no caller needs the layout of the quadrature tables.
+the domain, so no caller needs the layout of the quadrature tables;
+:func:`integrate` is the sum of the workspace's point weights times the
+fields.
 The basis is held per cell shape, not per triangle: every even triangle is a
 translate of triangle 0 and every odd one of triangle 1, edge signs
 included, so one block-diagonal table of those two cells' basis serves
@@ -39,17 +41,18 @@ cells first, then the y values, so a field is evaluated as two contiguous
 arrays vx and vy in pair layout: one row per pair of cells, one column per
 (cell, point), which reshapes to (nt, nq) without a copy.  The workspace
 keeps the weight of each point, its cell's area times its quadrature
-weight, in the same layout, and the Huber kernels multiply it by the bound
-once per call.  They take one weight per point, iso = 1/max(|v|, tau), for
-both smoothing branches: the residual folds the point weight into it and
-contracts iso vx and iso vy with the x and y columns of the table; the
-Jacobian writes the three distinct entries (xx, xy, yy) of the symmetric
-weighted Hessian into one array and contracts it with the workspace's
-36-row table of basis products per pair of cells, whose rows run over
-(cell, point, entry) as the array does, the xy and yx products summed in
-one row.  The Huber Jacobian is returned as its per-triangle element
-blocks; the solver adds them into a sparsity pattern it fixes once per
-mesh.
+weight, in the same layout.  :func:`huber_points` evaluates a flux once for
+both Huber kernels: vx, vy, |v| and one weight per point for both smoothing
+branches, iso = w/max(|v|, tau), w the point weight times the bound.  A
+caller that holds those points passes them to the residual and to the
+Jacobian, which otherwise evaluate them themselves.  The residual contracts
+iso vx and iso vy with the x and y columns of the table; the Jacobian
+writes the three distinct entries (xx, xy, yy) of the symmetric weighted
+Hessian into one array and contracts it with the workspace's 36-row table
+of basis products per pair of cells, whose rows run over (cell, point,
+entry) as the array does, the xy and yx products summed in one row.  The
+Huber Jacobian is returned as its per-triangle element blocks; the solver
+adds them into a sparsity pattern it fixes once per mesh.
 """
 
 from __future__ import annotations
@@ -162,8 +165,10 @@ def at_qpoints(ws: Workspace, f) -> np.ndarray:
 
 def integrate(ws: Workspace, *fields: np.ndarray) -> float:
     """Domain integral of the product of (nt, nq) quadrature-point fields."""
-    subscripts = "q," + "tq," * len(fields) + "t->"
-    return float(np.einsum(subscripts, ws.rule.weights, *fields, ws.areas))
+    values = ws.point_weights.reshape(ws.qpoints.shape[:2])
+    for f in fields:
+        values = values * f
+    return float(values.sum())
 
 
 def assemble_div(mesh: Mesh) -> sp.csr_matrix:
@@ -235,37 +240,59 @@ def rt0_at_centroids(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     return values.reshape(-1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
 
 
-def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
-                            ws: Workspace) -> np.ndarray:
-    """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh."""
-    _check_mesh(mesh, ws)
+@dataclass(frozen=True)
+class HuberPoints:
+    """The Huber kernels' values of one flux iterate at the quadrature points, in pair layout."""
+
+    vx: np.ndarray             # x values of the field
+    vy: np.ndarray             # y values of the field
+    norm: np.ndarray           # |v|
+    iso: np.ndarray            # w/max(|v|, tau), w the point weight times alpha
+
+
+def huber_points(ws: Workspace, p: np.ndarray, aq: np.ndarray, tau: float) -> HuberPoints:
+    """The point values of flux p that the Huber residual and Jacobian share."""
     tau = huber.check_tau(tau)
     vx, vy = _pair_components(ws, p)
-    # dphi(p_h) = iso p_h, iso the weight w/max(|p_h|, tau) of huber.norm_weights
-    # with w = point weight * alpha, computed in place
-    iso = huber.norm(vx, vy)
-    np.maximum(iso, tau, out=iso)
+    norm = huber.norm(vx, vy)
+    # iso of huber.norm_weights, computed in place
+    iso = np.maximum(norm, tau)
     np.divide(ws.point_weights * aq.reshape(iso.shape), iso, out=iso)
-    vx *= iso
-    vy *= iso
+    return HuberPoints(vx, vy, norm, iso)
+
+
+def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
+                            ws: Workspace, points: HuberPoints | None = None) -> np.ndarray:
+    """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh.
+
+    ``points`` is ``huber_points(ws, p, aq, tau)`` when the caller holds it.
+    """
+    _check_mesh(mesh, ws)
+    pts = points or huber_points(ws, p, aq, tau)
+    # dphi(p_h) = iso p_h
     half = ws.basis.shape[1] // 2
-    elem = vx @ ws.basis[:, :half].T                   # (nt/2, 6)
-    elem += vy @ ws.basis[:, half:].T
+    elem = (pts.iso * pts.vx) @ ws.basis[:, :half].T    # (nt/2, 6)
+    elem += (pts.iso * pts.vy) @ ws.basis[:, half:].T
     return np.bincount(mesh.tri_edges.ravel(), elem.ravel(), minlength=mesh.num_edges)
 
 
 def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
-                            ws: Workspace) -> np.ndarray:
+                            ws: Workspace, points: HuberPoints | None = None) -> np.ndarray:
     """Element blocks of the matrix of integrals alpha * psi_e^T d2phi(p_h) psi_f.
 
     Returns shape (nt, 3, 3): block t couples the edges ``mesh.tri_edges[t]``
     and is symmetric PSD; the global Jacobian is the sum of the blocks
-    placed at those edges.
+    placed at those edges.  ``points`` is ``huber_points(ws, p, aq, tau)``
+    when the caller holds it.
     """
     _check_mesh(mesh, ws)
-    vx, vy = _pair_components(ws, p)
-    w = ws.point_weights * aq.reshape(vx.shape)
-    iso, rank1 = huber.norm_weights(huber.norm(vx, vy), tau, w)
+    pts = points or huber_points(ws, p, aq, tau)
+    vx, vy, iso = pts.vx, pts.vy, pts.iso
+    # rank1 of huber.norm_weights, iso/max(|v|, tau)^2 outside and 0 inside
+    rank1 = np.maximum(pts.norm, tau)
+    rank1 *= rank1
+    np.divide(iso, rank1, out=rank1)
+    rank1 *= pts.norm > tau
     # the distinct entries xx, xy, yy of the weighted iso I - rank1 v v^T,
     # written in place: a large temporary per entry costs as much as the
     # arithmetic

@@ -152,7 +152,7 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
     direct path sets ``refactored`` and keeps the accepted factor in the
     cache, whose ``factor_nnz`` is the nnz of the largest factor it has
     kept.  Raises :class:`LinearSolveError` only when the direct path
-    fails, its retry included.
+    fails, its retry included; when A is not symmetric, the error says so.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[1] != b.shape[0]:
@@ -188,5 +188,10 @@ def solve_spd(A, b: np.ndarray, tol: float = 1e-10, *, cache: FactorCache | None
             cache.lu, cache.factor_nnz = lu, max(cache.factor_nnz, lu.nnz)
             return x, LinearSolveReport(res, lu.nnz, regularized, cg_iterations, True)
 
+    # a NaN entry compares unequal to itself, so only a nonzero difference,
+    # not an unequal pair, shows that A is not symmetric
+    if np.any(abs(A - A.T).data > 0):
+        raise LinearSolveError("SPD solve got a matrix that is not symmetric, "
+                               "which breaks the SPD contract", res)
     outcome = "factorization broke down" if lu is None else "solution missed tol"
     raise LinearSolveError(f"SPD solve failed to reach tol={tol:g} (shifted {outcome})", res)

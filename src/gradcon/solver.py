@@ -43,7 +43,11 @@ stage from the secant predictor through the last two converged stages
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2);
 a stage that fails from the predictor runs once more from the last
 converged stage.
-Each stage records only its duality gap, from the primal and dual values
+Each iterate's field is evaluated once at the quadrature points
+(:func:`fem.huber_points`): the values that gave its residual also give its
+Jacobian, and those of a stage's last iterate give the stage's record.
+Each stage records only its residual norms and its duality gap, read at
+its last iterate from one product B p and from the primal and dual values
 that :func:`diagnostics` also uses; the full diagnostics, recovered
 gradient included, are computed once per run, for its last stage.
 Every failure, a failed linear solve included, is a :class:`SolverError`
@@ -251,10 +255,14 @@ def recover_u(dp: DiscreteProblem, p: np.ndarray) -> np.ndarray:
     return (dp.load - dp.B @ p) / dp.areas
 
 
-def residual(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.ndarray:
-    """Reduced flux residual R(p) = -B^T u(p) + H_tau(p); pinned rows are zeroed."""
+def residual(dp: DiscreteProblem, p: np.ndarray, tau: float,
+             points: fem.HuberPoints | None = None) -> np.ndarray:
+    """Reduced flux residual R(p) = -B^T u(p) + H_tau(p); pinned rows are zeroed.
+
+    ``points`` is ``fem.huber_points`` at p when the caller holds it.
+    """
     r = -(dp.Bt @ recover_u(dp, p)) + fem.assemble_huber_residual(
-        dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace)
+        dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points)
     r[~dp.free] = 0.0
     return r
 
@@ -266,8 +274,15 @@ def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[
     p; |r2| is the mass-weighted norm of the balance residual
     M u(p) + B p - F, which is zero up to rounding.
     """
-    r2 = dp.areas * recover_u(dp, p) + dp.B @ p - dp.load
-    return float(r1_norm), float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
+    return float(r1_norm), _balance(dp, p)[2]
+
+
+def _balance(dp: DiscreteProblem, p: np.ndarray):
+    """(B p, u(p), |r2|) at flux p from one product B p; see :func:`residual_norms`."""
+    Bp = dp.B @ p
+    u = (dp.load - Bp) / dp.areas
+    r2 = dp.areas * u + Bp - dp.load
+    return Bp, u, float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
 
 
 @dataclass
@@ -280,13 +295,16 @@ class NewtonRun:
     max(|r|, forcing_floor / |r|): 0 on the last stage, so eta = |r|.
     ``steps`` counts the Newton steps that reached a linear solve, those of
     failed attempts included.  A warm tail and its fallback share one run,
-    so the counts of a record cover the whole call.
+    so the counts of a record cover the whole call.  ``norm`` is |p_h| at
+    the quadrature points of the flux the last :func:`newton_solve` call
+    returned, which its stage's record reads and then drops.
     """
 
     cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
     matrix: sp.csc_matrix | None = None
     forcing_floor: float = 0.0
     steps: int = 0
+    norm: np.ndarray | None = None
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
@@ -301,6 +319,10 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     with eta = max(|r|, run.forcing_floor / |r|).  Without ``run`` the call
     makes its own, with floor 0, so its steps, like those of a
     continuation, share one factor.
+    Each iterate's field is evaluated once, by :func:`fem.huber_points`: its
+    residual and its Jacobian read the same point values, which are dropped
+    before the linear solve, and the returned flux leaves its |p_h| in
+    ``run.norm``.
     Every failure raises :class:`SolverError` with ``newton_steps`` =
     ``run.steps``; a failed linear solve is chained as its cause.
     """
@@ -308,7 +330,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
-    r = residual(dp, p, tau)
+    points = fem.huber_points(dp.workspace, p, dp.alpha_q, tau)
+    r = residual(dp, p, tau, points)
     rnorm = math.sqrt(r @ r)
     iterations = 0
     while not rnorm <= NEWTON_TOL:      # a NaN residual is not converged
@@ -316,7 +339,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
             raise MaxIterationsExceeded("Newton did not converge", tau,
                                         *residual_norms(dp, p, rnorm), run.steps)
         run.matrix = dp.schur(fem.assemble_huber_jacobian(
-            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace), out=run.matrix)
+            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points), out=run.matrix)
+        points = None                   # kept through the solve, they add to its peak memory
         run.steps += 1
         eta = max(rnorm, run.forcing_floor / rnorm)
         step = np.zeros_like(p)
@@ -330,7 +354,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
         s = 1.0
         for _ in range(LS_MAX_BACKTRACKS + 1):
             trial = p + s * step
-            r_trial = residual(dp, trial, tau)
+            points = fem.huber_points(dp.workspace, trial, dp.alpha_q, tau)
+            r_trial = residual(dp, trial, tau, points)
             m_trial = float(r_trial @ r_trial)
             if m_trial <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * s) * merit0:
                 break
@@ -340,6 +365,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
                                     *residual_norms(dp, p, rnorm), run.steps)
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
+    run.norm = points.norm
     return p, iterations, rnorm
 
 
@@ -377,18 +403,23 @@ def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.nda
     return -dp.alpha_c[:, None] * huber.dphi(pc, tau)
 
 
-def _objectives(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """(primal, dual): the unsmoothed flux-side objective and the sign-flipped height side."""
+def _objectives(dp: DiscreteProblem, Bp: np.ndarray, u: np.ndarray,
+                pnorm: np.ndarray) -> tuple[float, float]:
+    """(primal, dual): the unsmoothed flux-side objective and the sign-flipped height side.
+
+    They are read at a flux p from B p, u and |p_h| at the quadrature points,
+    in the pair layout of :func:`fem.huber_points` or as (nt, nq).
+    """
     ws = dp.workspace
-    pnorm = huber.norm(*fem.rt0_components(ws, p))
-    misfit = ((dp.B @ p) / dp.areas)[:, None] - dp.source_q
+    misfit = (Bp / dp.areas)[:, None] - dp.source_q
     primal = 0.5 * fem.integrate(ws, misfit**2)
-    primal += fem.integrate(ws, dp.alpha_q, pnorm)
+    primal += fem.integrate(ws, dp.alpha_q, pnorm.reshape(dp.alpha_q.shape))
     return primal, float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
 
 
 def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
-    primal, dual = _objectives(dp, p, u)
+    pnorm = fem.huber_points(dp.workspace, p, dp.alpha_q, tau).norm
+    primal, dual = _objectives(dp, dp.B @ p, u, pnorm)
     grad = recovered_gradient(dp, p, tau)
     gnorm = huber.norm(*grad.T)
     ratio = float(np.max(gnorm / dp.alpha_c))
@@ -440,7 +471,9 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
     schedule the step is (p_k - p_{k-1}) / tau_factor.  A stage that fails
     from the predictor is run once more from p_k.  Every stage but the last
     sets ``run.forcing_floor`` to ``FORCING_SAFETY * NEWTON_TOL``; the last
-    sets it to 0.  Each stage records its duality gap only; the full
+    sets it to 0.  Each stage records only its residual norms and duality
+    gap, at its last iterate: from one product B p and the |p_h| that
+    ``newton_solve`` left in ``run.norm``, which is then dropped.  The full
     diagnostics, recovered gradient included, are computed once, for the
     last stage.  A failing stage raises the :class:`SolverError` of its
     last attempt.  The run's steps that no returned stage took, failed
@@ -461,10 +494,11 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
             except SolverError:
                 if guess is guesses[-1]:
                     raise
-        u = recover_u(dp, p)
-        primal, dual = _objectives(dp, p, u)
+        Bp, u, r2n = _balance(dp, p)
+        primal, dual = _objectives(dp, Bp, u, run.norm)
+        run.norm = None
         iteration_counts.append(iters)
-        norms.append(residual_norms(dp, p, r1n))
+        norms.append((float(r1n), r2n))
         gaps.append(primal - dual)
 
     sol = DiscreteSolution(p=p, u=u, tau_final=float(taus[-1]), tau_values=taus,

@@ -75,9 +75,10 @@ def test_removed_options_are_gone():
             if param.kind is inspect.Parameter.KEYWORD_ONLY] == ["run"]
     # one run per continuation call: it owns the Schur matrix, the forcing
     # floor and the step count, so neither the factor cache nor the stages
-    # keep any of them
+    # keep any of them; it carries |p_h| of the flux newton_solve returned
+    # to the stage's record
     assert [f.name for f in dataclasses.fields(solver.NewtonRun)] == [
-        "cache", "matrix", "forcing_floor", "steps"]
+        "cache", "matrix", "forcing_floor", "steps", "norm"]
     assert "matrix" not in {f.name for f in dataclasses.fields(linalg.FactorCache)}
     assert "discarded" not in inspect.signature(solver._stages).parameters
     assert "rule" not in inspect.signature(fem.build_workspace).parameters

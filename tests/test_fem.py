@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,12 +154,20 @@ def ones(ws):
 
 
 def test_integrate_is_the_quadrature_sum():
+    # within a few roundings of the sum of the exact products of quadrature
+    # weight, area and field values, each rounded once and summed exactly
     mesh = build_rect_mesh(UNIT_SQUARE, 5, 3)
     ws = fem.build_workspace(mesh)
     a, b = np.random.default_rng(0).normal(size=(2, *ws.qpoints.shape[:2]))
-    w = ws.rule.weights
-    assert fem.integrate(ws, a) == float(np.einsum("q,tq,t->", w, a, ws.areas))
-    assert fem.integrate(ws, a, b) == float(np.einsum("q,tq,tq,t->", w, a, b, ws.areas))
+    for fields in ((a,), (a, b)):
+        terms = []
+        for t, q in np.ndindex(a.shape):
+            term = Fraction(ws.rule.weights[q]) * Fraction(ws.areas[t])
+            for f in fields:
+                term *= Fraction(f[t, q])
+            terms.append(float(term))
+        bound = 4.0 * np.finfo(float).eps * math.fsum(abs(x) for x in terms)
+        assert abs(fem.integrate(ws, *fields) - math.fsum(terms)) <= bound
     # the rule is exact for degree 4: x^2 y^2 over the unit square is 1/9
     assert fem.integrate(ws, fem.at_qpoints(ws, lambda x, y: x**2 * y**2)) == pytest.approx(
         1.0 / 9.0, rel=0.0, abs=1e-14)
@@ -369,6 +378,26 @@ def test_kernels_at_the_branch_switch():
         with np.errstate(divide="ignore"):
             iso = np.where(r <= tau, 1.0 / tau, 1.0 / r)
         assert np.array_equal(huber.dphi(pq, tau), pq * iso[..., None])
+
+
+@pytest.mark.parametrize("name", sorted(gc.SCENARIOS))
+def test_kernels_on_shared_points_match_their_own_evaluation(solve_cache, name):
+    # the residual and then the Jacobian read one huber_points record, as a
+    # Newton step does: neither may change it, and both equal the calls that
+    # evaluate the points themselves, bit for bit, on both smoothing branches
+    dp = solve_cache(name, 4)[0]
+    mesh, ws, aq = dp.mesh, dp.workspace, dp.alpha_q
+    rng = np.random.default_rng(3)
+    p = solve_cache(name, 4)[1].p + 1e-2 * rng.normal(size=mesh.num_edges)
+    for tau in (10.0, 1e-2, 1e-6):
+        points = fem.huber_points(ws, p, aq, tau)
+        residual_ = fem.assemble_huber_residual(mesh, p, aq, tau, ws=ws, points=points)
+        blocks = fem.assemble_huber_jacobian(mesh, p, aq, tau, ws=ws, points=points)
+        assert residual_.tobytes() == fem.assemble_huber_residual(mesh, p, aq, tau,
+                                                                  ws=ws).tobytes()
+        assert blocks.tobytes() == fem.assemble_huber_jacobian(mesh, p, aq, tau,
+                                                               ws=ws).tobytes()
+        assert points.norm.tobytes() == huber.norm(*fem.rt0_components(ws, p)).tobytes()
 
 
 def test_huber_jacobian_is_scaled_rt0_mass_at_zero():

@@ -86,6 +86,19 @@ def test_shifted_solution_missing_tol_is_named():
     assert 0.0 < err.value.achieved_residual < np.inf
 
 
+def test_nonsymmetric_matrix_is_named():
+    # the factor's transposed sweeps solve A^T x = b, so a nonsymmetric A
+    # misses tol; the error names the broken contract, not the tolerance.
+    # A NaN entry makes no symmetric matrix nonsymmetric
+    A = sp.csr_matrix(np.array([[4.0, 1.0], [0.0, 3.0]]))
+    with pytest.raises(LinearSolveError, match="not symmetric") as err:
+        solve_spd(A, np.array([1.0, 2.0]))
+    assert 0.0 < err.value.achieved_residual < np.inf
+    A = sp.csr_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(LinearSolveError, match="shifted factorization broke down"):
+        solve_spd(A, np.array([1.0, 2.0]))
+
+
 def test_regularized_retry_handles_rank_deficiency():
     # singular but with nonzero diagonal: the shifted retry succeeds
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))

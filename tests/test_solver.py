@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradcon as gc
-from gradcon import fem, linalg, solver
+from gradcon import fem, huber, linalg, solver
 from gradcon.linalg import LinearSolveError, solve_spd
 from gradcon.mesh import BOUNDARY_SIDES
 from gradcon.solver import (DiscreteProblem, LineSearchStalled, MaxIterationsExceeded,
@@ -312,6 +312,83 @@ def test_back_to_back_runs_share_no_state(solve_cache, monkeypatch):
         assert isinstance(run, solver.NewtonRun) and all(r is run for r in passed)
         assert not any(run is r or run.cache is r.cache for r in earlier)
         earlier.append(run)
+
+
+def test_each_iterate_is_evaluated_once(monkeypatch):
+    # the points of an iterate's residual also give its Jacobian and its
+    # stage's record, so the field is evaluated once per residual, plus once
+    # for the run's diagnostics
+    fields, residuals = [], []
+    pair, assemble = fem._pair_components, fem.assemble_huber_residual
+    monkeypatch.setattr(fem, "_pair_components",
+                        lambda *a: fields.append(1) or pair(*a))
+    monkeypatch.setattr(fem, "assemble_huber_residual",
+                        lambda *a, **k: residuals.append(1) or assemble(*a, **k))
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
+    sol, _ = continuation_solve(dp)
+    assert len(residuals) >= len(sol.tau_values) + sum(sol.newton_iterations)
+    assert len(fields) == len(residuals) + 1
+
+
+def recorded_stages(monkeypatch, solve):
+    """Run ``solve()``; returns (dp, results, solution) per _stages call that returned.
+
+    ``results`` holds what each newton_solve call of it returned, in call
+    order, and None for a call that raised.
+    """
+    newton, stages = solver.newton_solve, solver._stages
+    returned, calls = [], []
+
+    def spy_newton(dp, tau, p0, *, run=None):
+        calls[-1].append(None)
+        calls[-1][-1] = newton(dp, tau, p0, run=run)
+        return calls[-1][-1]
+
+    def spy_stages(*args):
+        calls.append([])
+        sol, diag = stages(*args)
+        returned.append((args[0], calls[-1], sol))
+        return sol, diag
+
+    monkeypatch.setattr(solver, "newton_solve", spy_newton)
+    monkeypatch.setattr(solver, "_stages", spy_stages)
+    solve()
+    return returned
+
+
+def assert_stages_match_a_fresh_evaluation(dp, results, sol):
+    ws = dp.workspace
+    results = [r for r in results if r is not None]
+    assert len(results) == len(sol.gap_history) == len(sol.residual_norms)
+    for (p, _, rnorm), gap, norms in zip(results, sol.gap_history, sol.residual_norms):
+        pnorm = huber.norm(*fem.rt0_components(ws, p))
+        primal, dual = solver._objectives(dp, dp.B @ p, recover_u(dp, p), pnorm)
+        assert gap == primal - dual
+        assert norms == residual_norms(dp, p, rnorm)
+
+
+def test_stage_records_read_the_stage_flux(monkeypatch):
+    # ex1_f1_ajump at n=16 backtracks and has stages that take no Newton step,
+    # whose record reads the points of their start flux
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_ajump", n=16))
+    (dp, results, sol), = recorded_stages(monkeypatch, lambda: continuation_solve(dp))
+    assert 0 in sol.newton_iterations and None not in results
+    assert_stages_match_a_fresh_evaluation(dp, results, sol)
+
+
+def test_stage_records_read_the_stage_flux_after_a_predictor_retry(monkeypatch):
+    # the pour of test_pour_whose_secant_start_stalls_finishes: a stage of the
+    # first step's fallback fails from the secant predictor and reruns from
+    # the last converged flux
+    alpha, dt = 1.2816002203394372, 0.26814811804337924
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=6, ny=6, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))
+    rate = gc.HalfPlaneSource(gc.HalfPlane(-1.0, -0.4609375, -0.96875), inside=4.594128210184986)
+    spec = gc.EvolutionSpec(problem=problem, t_final=2 * dt, dt=dt, rate=rate)
+    runs = recorded_stages(monkeypatch, lambda: gc.run_evolution(spec))
+    assert len(runs) == 2 and None in runs[0][1]
+    for dp, results, sol in runs:
+        assert_stages_match_a_fresh_evaluation(dp, results, sol)
 
 
 @pytest.mark.parametrize("name", sorted(gc.SCENARIOS))
