@@ -37,9 +37,9 @@ none twice, lists are arrays (``rect`` of 4, ``halfplane`` of 3) and
 unknown keys are rejected at every depth.  The flags ``--scenario``,
 ``--n`` and ``--out`` (``out_dir``) replace the file's values and pass the
 same checks.  Errors name the key path.  Exit codes: 0 success, 2
-configuration error, 3 solver failure, 4 I/O failure; every solver failure
-is a ``SolverError`` naming the failing tau (and, in evolve mode, the step
-and its interval).
+configuration error, 3 solver failure, 4 I/O or out-of-memory failure;
+every solver failure is a ``SolverError`` naming the failing tau and the
+flux residual |r1| there (and, in evolve mode, the step and its interval).
 
 The ``solver`` keys are the fields of ``SolverConfig``.  The start radius
 ``solver.TAU_START``, the Newton budget per stage ``solver.NEWTON_MAX_ITER``
@@ -114,9 +114,6 @@ class RunSummary:
     dual_value: float | None = None
     duality_gap: float | None = None
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # --- config parsing ----------------------------------------------------------
@@ -366,7 +363,7 @@ def export_study_csv(study, path) -> None:
 
 def export_summary_json(summary: RunSummary, path) -> None:
     with open(path, "w") as handle:
-        json.dump(summary.to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(summary), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -486,6 +483,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
 
     print(message)

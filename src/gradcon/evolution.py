@@ -86,10 +86,6 @@ class Trajectory:
         return [0.0] + [s.t for s in self.steps]
 
 
-def _rate_at(rate, t: float):
-    return rate(t) if callable(rate) else rate
-
-
 def _initial_state(spec: EvolutionSpec, dp: DiscreteProblem) -> np.ndarray:
     if spec.u0 is None:
         return np.zeros(dp.mesh.num_triangles)
@@ -111,7 +107,8 @@ def step(u_prev: np.ndarray, dp: DiscreteProblem, spec: EvolutionSpec,
     from zero ("cold").
     """
     k = t1 - t0
-    rate_q = fem.at_qpoints(dp.workspace, _rate_at(spec.rate, 0.5 * (t0 + t1)).evaluate)
+    rate = spec.rate(0.5 * (t0 + t1)) if callable(spec.rate) else spec.rate
+    rate_q = fem.at_qpoints(dp.workspace, rate.evaluate)
     dp_step = dp.with_load(u_prev[:, None] + k * rate_q)
     sol, diag = continuation_solve(dp_step, spec.config, p0=p_prev)
     poured = k * fem.integrate(dp.workspace, rate_q)
@@ -133,7 +130,7 @@ def run(spec: EvolutionSpec) -> Trajectory:
             record = step(traj.u[-1], dp, spec, t0, t1, traj.p[-1])
         except SolverError as exc:
             raise type(exc)(f"evolution failed at step {n} over [{t0:g}, {t1:g}]: {exc.reason}",
-                            exc.tau, exc.r1_norm, exc.r2_norm, exc.newton_steps) from exc
+                            exc.tau, exc.r1_norm, exc.newton_steps) from exc
         traj.steps.append(record)
         traj.u.append(record.u)
         traj.p.append(record.p)

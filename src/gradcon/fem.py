@@ -223,14 +223,9 @@ def _pair_components(ws: Workspace, p: np.ndarray):
     return pe @ ws.basis[:, :half], pe @ ws.basis[:, half:]
 
 
-def rt0_components(ws: Workspace, p: np.ndarray):
-    """(vx, vy): the RT0 field's x and y values at all quadrature points, each (nt, nq)."""
-    return tuple(v.reshape(ws.qpoints.shape[:2]) for v in _pair_components(ws, p))
-
-
 def rt0_at_quadrature(ws: Workspace, p: np.ndarray) -> np.ndarray:
     """RT0 field values at all quadrature points, shape (nt, nq, 2)."""
-    return np.stack(rt0_components(ws, p), axis=-1)
+    return np.stack(_pair_components(ws, p), axis=-1).reshape(ws.qpoints.shape)
 
 
 def rt0_at_centroids(mesh: Mesh, p: np.ndarray) -> np.ndarray:
@@ -255,7 +250,7 @@ def huber_points(ws: Workspace, p: np.ndarray, aq: np.ndarray, tau: float) -> Hu
     tau = huber.check_tau(tau)
     vx, vy = _pair_components(ws, p)
     norm = huber.norm(vx, vy)
-    # iso of huber.norm_weights, computed in place
+    # the point weight times iso of huber.norm_weights, computed in place
     iso = np.maximum(norm, tau)
     np.divide(ws.point_weights * aq.reshape(iso.shape), iso, out=iso)
     return HuberPoints(vx, vy, norm, iso)
@@ -288,7 +283,8 @@ def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
     _check_mesh(mesh, ws)
     pts = points or huber_points(ws, p, aq, tau)
     vx, vy, iso = pts.vx, pts.vy, pts.iso
-    # rank1 of huber.norm_weights, iso/max(|v|, tau)^2 outside and 0 inside
+    # the point weight times rank1 of huber.norm_weights, iso/max(|v|, tau)^2
+    # outside and 0 inside
     rank1 = np.maximum(pts.norm, tau)
     rank1 *= rank1
     np.divide(iso, rank1, out=rank1)

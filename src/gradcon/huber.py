@@ -47,16 +47,16 @@ def dphi(v, tau: float):
     return v * norm_weights(_norm(v), tau)[0][..., None]
 
 
-def norm_weights(r, tau: float, w=1.0):
-    """(iso, rank1) with ``w d2phi(v) = iso I - rank1 v v^T`` at points where |v| = r.
+def norm_weights(r, tau: float):
+    """(iso, rank1) with ``d2phi(v) = iso I - rank1 v v^T`` at points where |v| = r.
 
-    iso is w/max(r, tau), which also gives ``w dphi(v) = iso v``: one weight
+    iso is 1/max(r, tau), which also gives ``dphi(v) = iso v``: one weight
     serves both branches, so a kernel needs no branch mask for it.  rank1
-    is iso/|v|^2 = w/|v|^3 outside and 0 inside.  ``dphi`` and ``d2phi``
+    is iso/|v|^2 = 1/|v|^3 outside and 0 inside.  ``dphi`` and ``d2phi``
     take their weights from here.
     """
     m = np.maximum(r, check_tau(tau))
-    iso = w / m
+    iso = 1.0 / m
     m *= m
     rank1 = iso / m
     rank1 *= r > tau

@@ -51,7 +51,7 @@ its last iterate from one product B p and from the primal and dual values
 that :func:`diagnostics` also uses; the full diagnostics, recovered
 gradient included, are computed once per run, for its last stage.
 Every failure, a failed linear solve included, is a :class:`SolverError`
-naming the failing tau and the residual norms there.
+naming the failing tau and the flux residual |r1| there.
 :func:`convergence_study` runs one continuation per mesh of a refinement
 study and measures it against a scenario's closed-form solution.
 """
@@ -118,15 +118,13 @@ def tau_schedule(config: SolverConfig) -> np.ndarray:
 
 
 class SolverError(RuntimeError):
-    """Any failed solve: its ``reason``, the failing tau and (|r1|, |r2|) there."""
+    """Any failed solve: its ``reason``, the failing tau and the flux residual |r1| there."""
 
-    def __init__(self, reason: str, tau: float, r1_norm: float, r2_norm: float,
-                 newton_steps: int = 0):
-        super().__init__(f"{reason} (tau={tau:.3e}, |r1|={r1_norm:.3e}, |r2|={r2_norm:.3e})")
+    def __init__(self, reason: str, tau: float, r1_norm: float, newton_steps: int):
+        super().__init__(f"{reason} (tau={tau:.3e}, |r1|={r1_norm:.3e})")
         self.reason = reason
         self.tau = tau
         self.r1_norm = r1_norm
-        self.r2_norm = r2_norm
         self.newton_steps = newton_steps        # NewtonRun.steps of the failed call
 
 
@@ -267,18 +265,12 @@ def residual(dp: DiscreteProblem, p: np.ndarray, tau: float,
     return r
 
 
-def residual_norms(dp: DiscreteProblem, p: np.ndarray, r1_norm: float) -> tuple[float, float]:
-    """The pair (|r1|, |r2|) at flux p.
-
-    |r1| is ``r1_norm``, the Euclidean norm of the reduced flux residual at
-    p; |r2| is the mass-weighted norm of the balance residual
-    M u(p) + B p - F, which is zero up to rounding.
-    """
-    return float(r1_norm), _balance(dp, p)[2]
-
-
 def _balance(dp: DiscreteProblem, p: np.ndarray):
-    """(B p, u(p), |r2|) at flux p from one product B p; see :func:`residual_norms`."""
+    """(B p, u(p), |r2|) at flux p from one product B p.
+
+    |r2| is the mass-weighted norm of the balance residual M u(p) + B p - F,
+    which is zero up to rounding.
+    """
     Bp = dp.B @ p
     u = (dp.load - Bp) / dp.areas
     r2 = dp.areas * u + Bp - dp.load
@@ -336,8 +328,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     iterations = 0
     while not rnorm <= NEWTON_TOL:      # a NaN residual is not converged
         if iterations >= NEWTON_MAX_ITER:
-            raise MaxIterationsExceeded("Newton did not converge", tau,
-                                        *residual_norms(dp, p, rnorm), run.steps)
+            raise MaxIterationsExceeded("Newton did not converge", tau, rnorm, run.steps)
         run.matrix = dp.schur(fem.assemble_huber_jacobian(
             dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points), out=run.matrix)
         points = None                   # kept through the solve, they add to its peak memory
@@ -348,7 +339,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
             step[dp.free] = linalg.solve_spd(run.matrix, -r[dp.free], cache=run.cache,
                                              rtol=min(FORCING_MAX, eta))[0]
         except linalg.LinearSolveError as exc:
-            raise SolverError(str(exc), tau, *residual_norms(dp, p, rnorm), run.steps) from exc
+            raise SolverError(str(exc), tau, rnorm, run.steps) from exc
 
         merit0 = rnorm * rnorm
         s = 1.0
@@ -361,8 +352,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
                 break
             s *= LS_SHRINK
         else:
-            raise LineSearchStalled("line search made no progress", tau,
-                                    *residual_norms(dp, p, rnorm), run.steps)
+            raise LineSearchStalled("line search made no progress", tau, rnorm, run.steps)
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
     run.norm = points.norm
@@ -408,7 +398,7 @@ def _objectives(dp: DiscreteProblem, Bp: np.ndarray, u: np.ndarray,
     """(primal, dual): the unsmoothed flux-side objective and the sign-flipped height side.
 
     They are read at a flux p from B p, u and |p_h| at the quadrature points,
-    in the pair layout of :func:`fem.huber_points` or as (nt, nq).
+    in the pair layout of :func:`fem.huber_points`.
     """
     ws = dp.workspace
     misfit = (Bp / dp.areas)[:, None] - dp.source_q

@@ -14,10 +14,10 @@ REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step",
                 "classify_boundary"),
     "gradcon.linalg": ("spmv", "FactorCache.matrix"),
-    "gradcon.evolution": ("WARM_STAGES",),
+    "gradcon.evolution": ("WARM_STAGES", "_rate_at"),
     "gradcon.huber": ("hessian_weights",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
-                    "_areas_and_basis"),
+                    "_areas_and_basis", "rt0_components"),
     "gradcon.mesh": ("element_geometry", "ElementGeometry", "Mesh.boundary_edge_ids",
                      "Mesh.edge_normals", "Mesh.edge_lengths", "classify_boundary"),
     "gradcon.problems": ("alpha_at", "alpha_values", "source_values", "_EX1_CONSTANTS",
@@ -25,7 +25,8 @@ REMOVED = {
     "gradcon.solver": ("LineSearchConfig", "SolverConfig.tau_start",
                        "SolverConfig.newton_max_iter", "SolverConfig.newton_tol",
                        "DiscreteProblem.schur_indptr", "DiscreteProblem.schur_indices",
-                       "NewtonRun.last_stage"),
+                       "NewtonRun.last_stage", "residual_norms"),
+    "gradcon.cli": ("RunSummary.to_dict",),
 }
 
 
@@ -115,7 +116,16 @@ def test_removed_options_are_gone():
     assert [f.name for f in dataclasses.fields(Mesh)] == [
         "rect", "nx", "ny", "vertices", "triangles", "edges", "tri_edges",
         "tri_edge_signs", "boundary_edges"]
-    # dphi and d2phi are built from the one weight function the Jacobian uses
+    # a failure names its flux residual |r1| only: the balance residual |r2|
+    # is rounding, because u is eliminated exactly; every raiser passes the
+    # run's Newton steps
+    error = inspect.signature(solver.SolverError).parameters
+    assert list(error) == ["reason", "tau", "r1_norm", "newton_steps"]
+    assert error["newton_steps"].default is inspect.Parameter.empty
+    # dphi and d2phi are built from one weight function, with no point
+    # weight: fem's Huber kernels inline it times the point weight, and
+    # test_fem checks them against its einsum references
+    assert list(inspect.signature(huber.norm_weights).parameters) == ["r", "tau"]
     v = np.random.default_rng(0).normal(size=(50, 2))
     for tau in (0.3, 1.0, 3.0):
         iso, rank1 = huber.norm_weights(huber.norm(*v.T), tau)

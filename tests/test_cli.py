@@ -1,11 +1,18 @@
 import copy
+import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradcon
 from gradcon import cli, fem, solver
 from gradcon.cli import (ConfigError, export_study_csv, export_summary_json,
                          export_vtk, main, parse_config)
@@ -15,6 +22,11 @@ from gradcon.problems import (ConstantAlpha, ConstantSource, HalfPlane, HalfPlan
                               PresetSource, ProblemSpec)
 from gradcon.solver import StudyResult
 from test_solver import force_linear_tol
+
+try:
+    import resource
+except ImportError:             # not on Windows
+    resource = None
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -196,7 +208,7 @@ def test_summary_round_trip(tmp_path):
     path = tmp_path / "summary.json"
     export_summary_json(summary, path)
     loaded = json.loads(path.read_text())
-    assert loaded == summary.to_dict()
+    assert loaded == dataclasses.asdict(summary)
 
 
 def test_main_solve_end_to_end(tmp_path):
@@ -621,6 +633,9 @@ def test_main_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
         assert code == cli.EXIT_SOLVER, name
         err = capsys.readouterr().err
         assert err.count("tau=") == 1 and named[name] in err, err
+        # one line, ending with the failing tau and the flux residual only
+        assert err.count("\n") == 1 and "|r2|" not in err, err
+        assert re.search(r"\(tau=\S+, \|r1\|=[^,)]+\)\n$", err), err
 
 
 def test_main_io_failure_exit_code(tmp_path):
@@ -628,6 +643,41 @@ def test_main_io_failure_exit_code(tmp_path):
     blocker.write_text("not a directory")
     assert main(["solve", "--scenario", "ex1_f1_a1", "--n", "4",
                  "--out", str(blocker)]) == cli.EXIT_IO
+
+
+# address space of a child CLI process: an n=4 solve peaks at about 266 MiB
+# with numpy and scipy loaded, while building an n=256 problem needs more
+ADDRESS_SPACE_LIMIT = 300 * 2**20
+
+
+def _run_cli_in_limited_child(tmp_path, n):
+    # the child sets its own limit before it imports numpy: no preexec_fn,
+    # which is unsafe in a process with threads
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_LIMIT}, "
+             f"{ADDRESS_SPACE_LIMIT}))\n"
+             "from gradcon import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(gradcon.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", child, "solve", "--scenario", "ex1_f1_a1",
+         "--n", str(n), "--out", str(tmp_path / f"n{n}")],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(getattr(resource, "RLIMIT_AS", None) is None,
+                    reason="no address-space limit on this platform")
+def test_out_of_memory_exits_4_with_one_line(tmp_path):
+    # a grid the process cannot hold is an I/O-class failure: exit 4 with one
+    # line on stderr, not a traceback; the n=4 run shows that the limit leaves
+    # room for the interpreter
+    small = _run_cli_in_limited_child(tmp_path, 4)
+    assert small.returncode == cli.EXIT_OK, small.stderr
+    large = _run_cli_in_limited_child(tmp_path, 256)
+    assert large.returncode == cli.EXIT_IO, large.stderr
+    assert large.stderr.startswith("out of memory:"), large.stderr
+    assert large.stderr.count("\n") == 1 and "Traceback" not in large.stderr
 
 
 def test_grad_mag_active_on_solved_run(tmp_path):

@@ -397,7 +397,7 @@ def test_kernels_on_shared_points_match_their_own_evaluation(solve_cache, name):
                                                                   ws=ws).tobytes()
         assert blocks.tobytes() == fem.assemble_huber_jacobian(mesh, p, aq, tau,
                                                                ws=ws).tobytes()
-        assert points.norm.tobytes() == huber.norm(*fem.rt0_components(ws, p)).tobytes()
+        assert points.norm.tobytes() == huber.norm(*fem._pair_components(ws, p)).tobytes()
 
 
 def test_huber_jacobian_is_scaled_rt0_mass_at_zero():
