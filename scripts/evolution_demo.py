@@ -22,9 +22,8 @@ problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=args.n, ny=args.n,
 spec = gc.EvolutionSpec(problem=problem, rate=gc.ConstantSource(args.rate),
                         t_final=args.t_final, dt=args.dt)
 traj = gc.run_evolution(spec)
-balances = gc.conservation_report(traj)
 
 print(f"{'t':>6} {'mass':>10} {'poured':>10} {'balance':>12} {'max_u':>8}")
-for frame, (s, b) in enumerate(zip(traj.steps, balances), start=1):
-    print(f"{s.t:6.2f} {s.mass:10.5f} {s.poured:10.5f} {b:12.3e} "
+for frame, s in enumerate(traj.steps, start=1):
+    print(f"{s.t:6.2f} {s.mass:10.5f} {s.poured:10.5f} {s.mass_balance:12.3e} "
           f"{np.max(traj.u[frame]):8.4f}")

@@ -16,7 +16,7 @@ from .solver import (Diagnostics, DiscreteProblem, DiscreteSolution,
                      SolverError, StudyResult, continuation_solve, convergence_study,
                      diagnostics, newton_solve, recover_u, recovered_gradient, residual,
                      tau_schedule)
-from .evolution import EvolutionSpec, Trajectory, conservation_report, run as run_evolution
+from .evolution import EvolutionSpec, Trajectory, run as run_evolution
 
 __version__ = "0.1.0"
 
@@ -30,5 +30,5 @@ __all__ = [
     "MaxIterationsExceeded", "NewtonRun", "SolverConfig", "SolverError", "StudyResult",
     "continuation_solve", "convergence_study", "diagnostics", "newton_solve",
     "recover_u", "recovered_gradient", "residual", "tau_schedule",
-    "EvolutionSpec", "Trajectory", "conservation_report", "run_evolution",
+    "EvolutionSpec", "Trajectory", "run_evolution",
 ]

@@ -72,7 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, huber
-from .evolution import EvolutionSpec, conservation_report, run as run_evolution
+from .evolution import EvolutionSpec, run as run_evolution
 from .mesh import BOUNDARY_SIDES, UNIT_SQUARE, BoundaryPartition, Mesh, Rect
 from .problems import (SCENARIOS, ConstantAlpha, ConstantSource, HalfPlane,
                        HalfPlaneSource, MeasureLineAlpha, PiecewiseAlpha,
@@ -418,7 +418,6 @@ def _run_study(cfg: RunConfig, out) -> tuple[RunSummary, str]:
 def _run_evolve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
     start = time.perf_counter()
     traj = run_evolution(cfg.evolution)
-    balances = conservation_report(traj) if not cfg.problem.boundary.gamma_d_sides else None
     wall = time.perf_counter() - start
     dp = traj.problem
     for i, (u, p) in enumerate(zip(traj.u, traj.p)):
@@ -433,7 +432,8 @@ def _run_evolve(cfg: RunConfig, out) -> tuple[RunSummary, str]:
         extra={"times": traj.times,
                "masses": [float(np.sum(traj.problem.areas * traj.u[0]))]
                          + [s.mass for s in traj.steps],
-               "mass_balances": balances,
+               "mass_balances": None if cfg.problem.boundary.gamma_d_sides
+                                else [s.mass_balance for s in traj.steps],
                "steps": len(traj.steps),
                "starts": [s.start for s in traj.steps],
                "newton_steps": [sum(s.newton_iterations) for s in traj.steps],

@@ -18,14 +18,14 @@ interval and the failing tau, chained from the stage's error.
 
 With every boundary side flux-pinned, summing the balance equation over all
 cells shows that the total held mass changes exactly by the poured mass,
-up to the Newton tolerance; :func:`conservation_report` tabulates that
-balance per step.
+up to the Newton tolerance; ``StepDiagnostics.mass_balance`` is that
+balance per step.  With a Dirichlet side material escapes there, and the
+balance does not close.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,16 +136,3 @@ def run(spec: EvolutionSpec) -> Trajectory:
         traj.p.append(record.p)
     return traj
 
-
-def conservation_report(traj: Trajectory):
-    """Per-step mass balances: held-mass change minus poured mass.
-
-    Meaningful when every boundary side is flux-pinned; otherwise a warning
-    is emitted and the balances are reported anyway.
-    """
-    bp = traj.spec.problem.boundary
-    if bp.gamma_d_sides:
-        warnings.warn(
-            "mass balance is not expected to close: boundary sides "
-            f"{sorted(bp.gamma_d_sides)} let material escape", stacklevel=2)
-    return [s.mass_balance for s in traj.steps]

@@ -45,11 +45,12 @@ a stage that fails from the predictor runs once more from the last
 converged stage.
 Each iterate's field is evaluated once at the quadrature points
 (:func:`fem.huber_points`): the values that gave its residual also give its
-Jacobian, and those of a stage's last iterate give the stage's record.
-Each stage records only its residual norms and its duality gap, read at
-its last iterate from one product B p and from the primal and dual values
-that :func:`diagnostics` also uses; the full diagnostics, recovered
-gradient included, are computed once per run, for its last stage.
+Jacobian, and :func:`newton_solve` returns |p_h| of its last iterate for
+the stage's record.  Each stage records only its residual norms and its
+duality gap, read at its last iterate from one product B p and that |p_h|;
+the run's :class:`Diagnostics` reuse the last stage's primal and dual
+values and add only the recovered gradient's, so the last stage's field
+is not evaluated again.
 Every failure, a failed linear solve included, is a :class:`SolverError`
 naming the failing tau and the flux residual |r1| there.
 :func:`convergence_study` runs one continuation per mesh of a refinement
@@ -183,8 +184,12 @@ class DiscreteProblem:
         alpha_q = fem.at_qpoints(ws, lambda x, y: spec.alpha.evaluate(mesh, x, y))
         alpha_c = np.asarray(spec.alpha.evaluate(mesh, ws.centroids[:, 0], ws.centroids[:, 1]),
                              dtype=float)
-        if np.any(alpha_q <= 0.0) or np.any(alpha_c <= 0.0):
+        if not (np.all(alpha_q > 0.0) and np.all(alpha_c > 0.0)):      # NaN fails too
             raise ValueError("constraint bound must be positive throughout the domain")
+        if not (np.all(np.isfinite(alpha_q)) and np.all(np.isfinite(alpha_c))):
+            raise ValueError("constraint bound must be finite throughout the domain")
+        if not np.all(np.isfinite(source_q)):
+            raise ValueError("source must be finite throughout the domain")
         free = np.ones(mesh.num_edges, dtype=bool)
         for side in spec.boundary.gamma_n_sides:
             free[mesh.boundary_edges[side]] = False
@@ -198,6 +203,11 @@ class DiscreteProblem:
     def with_load(self, source_q: np.ndarray) -> "DiscreteProblem":
         """Same operators with the source given at the quadrature points (time stepping)."""
         source_q = np.asarray(source_q, dtype=float)
+        if source_q.shape != self.alpha_q.shape:
+            raise ValueError(f"load must have one value per quadrature point, shape "
+                             f"{self.alpha_q.shape}, got {source_q.shape}")
+        if not np.all(np.isfinite(source_q)):
+            raise ValueError("load must be finite")
         return dataclasses.replace(self, source_q=source_q,
                                    load=fem.assemble_load(self.mesh, source_q, ws=self.workspace))
 
@@ -265,18 +275,6 @@ def residual(dp: DiscreteProblem, p: np.ndarray, tau: float,
     return r
 
 
-def _balance(dp: DiscreteProblem, p: np.ndarray):
-    """(B p, u(p), |r2|) at flux p from one product B p.
-
-    |r2| is the mass-weighted norm of the balance residual M u(p) + B p - F,
-    which is zero up to rounding.
-    """
-    Bp = dp.B @ p
-    u = (dp.load - Bp) / dp.areas
-    r2 = dp.areas * u + Bp - dp.load
-    return Bp, u, float(np.sqrt(np.sum(r2 * r2 / dp.areas)))
-
-
 @dataclass
 class NewtonRun:
     """The Newton state of one :func:`continuation_solve` call.
@@ -287,21 +285,18 @@ class NewtonRun:
     max(|r|, forcing_floor / |r|): 0 on the last stage, so eta = |r|.
     ``steps`` counts the Newton steps that reached a linear solve, those of
     failed attempts included.  A warm tail and its fallback share one run,
-    so the counts of a record cover the whole call.  ``norm`` is |p_h| at
-    the quadrature points of the flux the last :func:`newton_solve` call
-    returned, which its stage's record reads and then drops.
+    so the counts of a record cover the whole call.
     """
 
     cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
     matrix: sp.csc_matrix | None = None
     forcing_floor: float = 0.0
     steps: int = 0
-    norm: np.ndarray | None = None
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
                  run: NewtonRun | None = None):
-    """Damped Newton on the reduced residual; returns (p, iterations, |r|).
+    """Damped Newton on the reduced residual; returns (p, iterations, |r|, |p_h|).
 
     It stops once |r| <= ``NEWTON_TOL``.  The cell variable is eliminated
     exactly at every iterate, so the balance equation holds up to rounding
@@ -313,8 +308,8 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     continuation, share one factor.
     Each iterate's field is evaluated once, by :func:`fem.huber_points`: its
     residual and its Jacobian read the same point values, which are dropped
-    before the linear solve, and the returned flux leaves its |p_h| in
-    ``run.norm``.
+    before the linear solve; |p_h| is that of the returned flux at the
+    quadrature points, in the pair layout of :func:`fem.huber_points`.
     Every failure raises :class:`SolverError` with ``newton_steps`` =
     ``run.steps``; a failed linear solve is chained as its cause.
     """
@@ -355,8 +350,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
             raise LineSearchStalled("line search made no progress", tau, rnorm, run.steps)
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
-    run.norm = points.norm
-    return p, iterations, rnorm
+    return p, iterations, rnorm, points.norm
 
 
 @dataclass(frozen=True)
@@ -393,31 +387,41 @@ def recovered_gradient(dp: DiscreteProblem, p: np.ndarray, tau: float) -> np.nda
     return -dp.alpha_c[:, None] * huber.dphi(pc, tau)
 
 
-def _objectives(dp: DiscreteProblem, Bp: np.ndarray, u: np.ndarray,
-                pnorm: np.ndarray) -> tuple[float, float]:
-    """(primal, dual): the unsmoothed flux-side objective and the sign-flipped height side.
+def _stage_record(dp: DiscreteProblem, p: np.ndarray, pnorm: np.ndarray):
+    """(u(p), |r2|, primal) at flux p from one product B p and |p_h| at the quadrature points.
 
-    They are read at a flux p from B p, u and |p_h| at the quadrature points,
-    in the pair layout of :func:`fem.huber_points`.
+    |r2| is the mass-weighted norm of the balance residual M u(p) + B p - F,
+    which is zero up to rounding; primal is the unsmoothed flux-side
+    objective, read with ``pnorm`` in the pair layout of :func:`fem.huber_points`.
     """
     ws = dp.workspace
-    misfit = (Bp / dp.areas)[:, None] - dp.source_q
-    primal = 0.5 * fem.integrate(ws, misfit**2)
+    Bp = dp.B @ p
+    u = (dp.load - Bp) / dp.areas
+    r2 = dp.areas * u + Bp - dp.load
+    primal = 0.5 * fem.integrate(ws, ((Bp / dp.areas)[:, None] - dp.source_q)**2)
     primal += fem.integrate(ws, dp.alpha_q, pnorm.reshape(dp.alpha_q.shape))
-    return primal, float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
+    return u, float(np.sqrt(np.sum(r2 * r2 / dp.areas))), primal
+
+
+def _dual(dp: DiscreteProblem, u: np.ndarray) -> float:
+    """The height-side objective at cell values u, sign-flipped."""
+    return float(dp.load @ u - 0.5 * np.sum(dp.areas * u * u))
+
+
+def _diagnostics(dp: DiscreteProblem, p: np.ndarray, tau: float, primal: float,
+                 dual: float) -> Diagnostics:
+    """Diagnostics of flux p from its primal and dual values: adds the recovered gradient's."""
+    gnorm = huber.norm(*recovered_gradient(dp, p, tau).T)
+    ratio = float(np.max(gnorm / dp.alpha_c))
+    violation = float(np.sum(dp.areas * np.maximum(0.0, gnorm - dp.alpha_c)))
+    return Diagnostics(primal_value=primal, dual_value=dual, duality_gap=primal - dual,
+                       max_gradient_ratio=ratio, feasibility_violation=violation)
 
 
 def diagnostics(dp: DiscreteProblem, p: np.ndarray, u: np.ndarray, tau: float) -> Diagnostics:
+    """Diagnostics of flux p at radius tau, the dual read at the given cell values u."""
     pnorm = fem.huber_points(dp.workspace, p, dp.alpha_q, tau).norm
-    primal, dual = _objectives(dp, dp.B @ p, u, pnorm)
-    grad = recovered_gradient(dp, p, tau)
-    gnorm = huber.norm(*grad.T)
-    ratio = float(np.max(gnorm / dp.alpha_c))
-    violation = float(np.sum(dp.areas * np.maximum(0.0, gnorm - dp.alpha_c)))
-    return Diagnostics(primal_value=primal, dual_value=dual,
-                       duality_gap=primal - dual,
-                       max_gradient_ratio=ratio,
-                       feasibility_violation=violation)
+    return _diagnostics(dp, p, tau, _stage_record(dp, p, pnorm)[2], _dual(dp, u))
 
 
 def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
@@ -463,12 +467,12 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
     sets ``run.forcing_floor`` to ``FORCING_SAFETY * NEWTON_TOL``; the last
     sets it to 0.  Each stage records only its residual norms and duality
     gap, at its last iterate: from one product B p and the |p_h| that
-    ``newton_solve`` left in ``run.norm``, which is then dropped.  The full
-    diagnostics, recovered gradient included, are computed once, for the
-    last stage.  A failing stage raises the :class:`SolverError` of its
-    last attempt.  The run's steps that no returned stage took, failed
-    attempts and an earlier failed tail on the same run included, are the
-    record's ``discarded_newton_steps``.
+    ``newton_solve`` returned, which is then dropped.  The run's
+    diagnostics reuse the last stage's primal and dual values and add only
+    the recovered gradient's.  A failing stage raises the
+    :class:`SolverError` of its last attempt.  The run's steps that no
+    returned stage took, failed attempts and an earlier failed tail on the
+    same run included, are the record's ``discarded_newton_steps``.
     """
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
@@ -479,14 +483,14 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
         run.forcing_floor = 0.0 if k == len(taus) - 1 else FORCING_SAFETY * NEWTON_TOL
         for guess in guesses:
             try:
-                p, iters, r1n = newton_solve(dp, tau, guess, run=run)
+                p, iters, r1n, pnorm = newton_solve(dp, tau, guess, run=run)
                 break
             except SolverError:
                 if guess is guesses[-1]:
                     raise
-        Bp, u, r2n = _balance(dp, p)
-        primal, dual = _objectives(dp, Bp, u, run.norm)
-        run.norm = None
+        u, r2n, primal = _stage_record(dp, p, pnorm)
+        del pnorm                  # kept through the next stage, it adds to its peak memory
+        dual = _dual(dp, u)
         iteration_counts.append(iters)
         norms.append((float(r1n), r2n))
         gaps.append(primal - dual)
@@ -498,7 +502,7 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
                            factorizations=run.cache.factorizations,
                            cg_iterations=run.cache.cg_iterations,
                            factor_nnz=run.cache.factor_nnz)
-    return sol, diagnostics(dp, p, u, sol.tau_final)
+    return sol, _diagnostics(dp, p, sol.tau_final, primal, dual)
 
 
 # --- mesh-refinement study ----------------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_7_conservation():
     spec = gc.EvolutionSpec(problem=problem, rate=gc.ConstantSource(1.0),
                             t_final=0.5, dt=0.1)
     traj = gc.run_evolution(spec)
-    balances = gc.conservation_report(traj)
+    balances = [s.mass_balance for s in traj.steps]
     worst = max(abs(b) for b in balances)
     ok = len(balances) == 5 and worst <= 1e-7
     _report(7, "per-step mass balance closes with pinned boundary flux", ok,

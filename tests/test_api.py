@@ -12,9 +12,9 @@ from gradcon.mesh import UNIT_SQUARE, Mesh, build_rect_mesh
 # import or export of one should fail here
 REMOVED = {
     "gradcon": ("element_geometry", "alpha_at", "LineSearchConfig", "evolution_step",
-                "classify_boundary"),
+                "classify_boundary", "conservation_report"),
     "gradcon.linalg": ("spmv", "FactorCache.matrix"),
-    "gradcon.evolution": ("WARM_STAGES", "_rate_at"),
+    "gradcon.evolution": ("WARM_STAGES", "_rate_at", "conservation_report"),
     "gradcon.huber": ("hessian_weights",),
     "gradcon.fem": ("rt0_eval", "assemble_mass_p0", "_at_qpoints", "_psi_flat", "_transposed",
                     "_areas_and_basis", "rt0_components"),
@@ -25,7 +25,8 @@ REMOVED = {
     "gradcon.solver": ("LineSearchConfig", "SolverConfig.tau_start",
                        "SolverConfig.newton_max_iter", "SolverConfig.newton_tol",
                        "DiscreteProblem.schur_indptr", "DiscreteProblem.schur_indices",
-                       "NewtonRun.last_stage", "residual_norms"),
+                       "NewtonRun.last_stage", "residual_norms", "_balance", "_objectives",
+                       "NewtonRun.norm"),
     "gradcon.cli": ("RunSummary.to_dict",),
 }
 
@@ -76,10 +77,10 @@ def test_removed_options_are_gone():
             if param.kind is inspect.Parameter.KEYWORD_ONLY] == ["run"]
     # one run per continuation call: it owns the Schur matrix, the forcing
     # floor and the step count, so neither the factor cache nor the stages
-    # keep any of them; it carries |p_h| of the flux newton_solve returned
-    # to the stage's record
+    # keep any of them; newton_solve returns |p_h| of its flux to the
+    # stage's record, which the run does not carry
     assert [f.name for f in dataclasses.fields(solver.NewtonRun)] == [
-        "cache", "matrix", "forcing_floor", "steps", "norm"]
+        "cache", "matrix", "forcing_floor", "steps"]
     assert "matrix" not in {f.name for f in dataclasses.fields(linalg.FactorCache)}
     assert "discarded" not in inspect.signature(solver._stages).parameters
     assert "rule" not in inspect.signature(fem.build_workspace).parameters

@@ -76,8 +76,7 @@ def test_trajectory_times_and_determinism():
 def test_conservation_with_all_sides_pinned():
     spec = make_spec(rate=1.0, alpha=1.0, t_final=0.2, dt=0.1)
     traj = ev.run(spec)
-    balances = ev.conservation_report(traj)
-    assert all(abs(b) <= 1e-8 for b in balances)
+    assert all(abs(s.mass_balance) <= 1e-8 for s in traj.steps)
     # poured mass accounting: one unit rate over the unit square
     assert traj.steps[0].poured == pytest.approx(0.1, rel=1e-12)
 
@@ -97,12 +96,13 @@ def test_poured_mass_uses_the_step_length():
         assert s.poured == (t1 - t0) * fem.integrate(ws, rate_q)
 
 
-def test_conservation_report_warns_with_open_boundary():
+def test_mass_balance_does_not_close_with_open_boundary():
+    # material escapes through the Dirichlet sides, so the held mass grows
+    # by less than the poured mass; the record reports that balance
     spec = make_spec(boundary=gc.ALL_DIRICHLET, rate=1.0, t_final=0.1, dt=0.1)
     traj = ev.run(spec)
-    with pytest.warns(UserWarning):
-        balances = ev.conservation_report(traj)
-    assert len(balances) == 1  # reported anyway
+    assert len(traj.steps) == 1
+    assert traj.steps[0].mass_balance < -1e-3
 
 
 def test_monotone_growth_and_feasibility():
@@ -127,7 +127,7 @@ def test_step_against_independent_minimizer():
     f_eff_q = u_prev[:, None] + k * 2.0 * np.ones_like(dp.source_q)
     sdp = dp.with_load(f_eff_q)
 
-    p_newton, _, _ = newton_solve(sdp, tau, np.zeros(dp.mesh.num_edges))
+    p_newton, _, _, _ = newton_solve(sdp, tau, np.zeros(dp.mesh.num_edges))
 
     assert sdp.free.all() == (not spec.problem.boundary.gamma_n_sides)
     free = np.flatnonzero(sdp.free)

@@ -25,6 +25,11 @@ def enumerate_schedule(start, factor, floor):
     return taus
 
 
+def stage_record(dp, p, tau):
+    """solver._stage_record at flux p, its |p_h| evaluated afresh at radius tau."""
+    return solver._stage_record(dp, p, fem.huber_points(dp.workspace, p, dp.alpha_q, tau).norm)
+
+
 def test_tau_schedule_matches_enumeration():
     cfg = SolverConfig()
     taus = tau_schedule(cfg)
@@ -92,6 +97,43 @@ def test_bound_vanishing_on_part_of_the_domain_is_rejected():
             alpha=HalfZero(), source=gc.ConstantSource(1.0)))
 
 
+def test_non_finite_bound_or_source_is_rejected():
+    # a NaN passes a test for bound <= 0; such data used to construct, and
+    # the solve then failed as a linear solve that missed its tolerance
+    class HalfBad:
+        def __init__(self, bad):
+            self.bad = bad
+
+        def evaluate(self, mesh, x, y):
+            return np.where(np.asarray(x) < 0.5, self.bad, 1.0)
+
+    class HalfNaNSource:
+        def evaluate(self, x, y):
+            return np.where(np.asarray(x) < 0.5, np.nan, 1.0)
+
+    def problem(alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(1.0)):
+        return gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=4, ny=4, boundary=gc.ALL_DIRICHLET,
+                              alpha=alpha, source=source)
+
+    for bad, match in ((np.nan, "bound must be positive"), (np.inf, "bound must be finite")):
+        with pytest.raises(ValueError, match=match):
+            DiscreteProblem.from_spec(problem(alpha=HalfBad(bad)))
+    with pytest.raises(ValueError, match="source must be finite"):
+        DiscreteProblem.from_spec(problem(source=HalfNaNSource()))
+
+
+def test_load_of_the_wrong_shape_or_non_finite_is_rejected():
+    dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=4))
+    # one row of point values would broadcast to every cell
+    with pytest.raises(ValueError, match="load must have one value per quadrature point"):
+        dp.with_load(np.ones(dp.alpha_q.shape[1]))
+    bad = np.array(dp.source_q)
+    bad[3, 2] = np.nan
+    with pytest.raises(ValueError, match="load must be finite"):
+        dp.with_load(bad)
+    assert dp.with_load(np.array(dp.source_q)).load.tobytes() == dp.load.tobytes()
+
+
 def test_residual_zero_state_zero_source():
     dp = DiscreteProblem.from_spec(gc.ProblemSpec(
         rect=gc.UNIT_SQUARE, nx=2, ny=2, boundary=gc.ALL_DIRICHLET,
@@ -99,7 +141,7 @@ def test_residual_zero_state_zero_source():
     p = np.zeros(dp.mesh.num_edges)
     r = residual(dp, p, tau=1.0)
     assert np.array_equal(r, np.zeros(dp.mesh.num_edges))
-    assert solver._balance(dp, p)[2] == 0.0
+    assert stage_record(dp, p, 1.0)[1] == 0.0
 
 
 def test_residual_zero_state_unit_source():
@@ -113,7 +155,7 @@ def test_residual_zero_state_unit_source():
     assert np.allclose(r, -(dp.Bt @ np.ones(dp.mesh.num_triangles)), atol=1e-15)
     boundary = np.concatenate(list(dp.mesh.boundary_edges.values()))
     assert np.allclose(np.abs(r[boundary]), 1.0)
-    r1n, r2n = np.linalg.norm(r), solver._balance(dp, p)[2]
+    r1n, r2n = np.linalg.norm(r), stage_record(dp, p, 1.0)[1]
     assert r1n == pytest.approx(np.sqrt(len(boundary)))
     assert r2n <= 1e-15
 
@@ -122,7 +164,7 @@ def test_newton_zero_source_converges_immediately():
     dp = DiscreteProblem.from_spec(gc.ProblemSpec(
         rect=gc.UNIT_SQUARE, nx=4, ny=4, boundary=gc.ALL_DIRICHLET,
         alpha=gc.ConstantAlpha(0.7), source=gc.ConstantSource(0.0)))
-    p, iters, rnorm = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
+    p, iters, rnorm, _ = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
     assert iters <= 2
     assert np.allclose(p, 0.0)
     assert rnorm <= 1e-8
@@ -131,10 +173,12 @@ def test_newton_zero_source_converges_immediately():
 
 def test_newton_first_stage_converges():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
-    p, iters, rnorm = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
+    p, iters, rnorm, pnorm = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
     assert rnorm <= 1e-8
-    r1n, r2n = np.linalg.norm(residual(dp, p, 10.0)), solver._balance(dp, p)[2]
+    r1n, r2n = np.linalg.norm(residual(dp, p, 10.0)), stage_record(dp, p, 10.0)[1]
     assert r1n <= 1e-8 and r2n <= 1e-12
+    # |p_h| is that of the returned flux, as a fresh evaluation gives it
+    assert pnorm.tobytes() == fem.huber_points(dp.workspace, p, dp.alpha_q, 10.0).norm.tobytes()
 
 
 def test_newton_quadratic_branch_contraction():
@@ -143,7 +187,7 @@ def test_newton_quadratic_branch_contraction():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     p0 = np.zeros(dp.mesh.num_edges)
     r0 = float(np.linalg.norm(residual(dp, p0, 10.0)))
-    p, iters, r1 = newton_solve(dp, 10.0, p0)
+    p, iters, r1, _ = newton_solve(dp, 10.0, p0)
     assert iters == 1
     assert r1 / r0**2 <= 1.0
 
@@ -315,8 +359,8 @@ def test_back_to_back_runs_share_no_state(solve_cache, monkeypatch):
 
 def test_each_iterate_is_evaluated_once(monkeypatch):
     # the points of an iterate's residual also give its Jacobian and its
-    # stage's record, so the field is evaluated once per residual, plus once
-    # for the run's diagnostics
+    # stage's record, and the run's diagnostics reuse the last stage's
+    # record, so the field is evaluated once per residual and never again
     fields, residuals = [], []
     pair, assemble = fem._pair_components, fem.assemble_huber_residual
     monkeypatch.setattr(fem, "_pair_components",
@@ -326,7 +370,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     sol, _ = continuation_solve(dp)
     assert len(residuals) >= len(sol.tau_values) + sum(sol.newton_iterations)
-    assert len(fields) == len(residuals) + 1
+    assert len(fields) == len(residuals)
 
 
 def recorded_stages(monkeypatch, solve):
@@ -359,11 +403,13 @@ def assert_stages_match_a_fresh_evaluation(dp, results, sol):
     ws = dp.workspace
     results = [r for r in results if r is not None]
     assert len(results) == len(sol.gap_history) == len(sol.residual_norms)
-    for (p, _, rnorm), gap, norms in zip(results, sol.gap_history, sol.residual_norms):
-        pnorm = huber.norm(*fem._pair_components(ws, p))
-        primal, dual = solver._objectives(dp, dp.B @ p, recover_u(dp, p), pnorm)
-        assert gap == primal - dual
-        assert norms == (rnorm, solver._balance(dp, p)[2])
+    for (p, _, rnorm, pnorm), gap, norms in zip(results, sol.gap_history, sol.residual_norms):
+        fresh = huber.norm(*fem._pair_components(ws, p))
+        assert pnorm.tobytes() == fresh.tobytes()
+        u, r2n, primal = solver._stage_record(dp, p, fresh)
+        assert u.tobytes() == recover_u(dp, p).tobytes()
+        assert gap == primal - solver._dual(dp, u)
+        assert norms == (rnorm, r2n)
 
 
 def test_stage_records_read_the_stage_flux(monkeypatch):
@@ -566,7 +612,7 @@ def test_lone_newton_solve_keeps_one_factor_across_its_steps(monkeypatch):
     factorizations, splu = [], linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu",
                         lambda *a, **k: factorizations.append(1) or splu(*a, **k))
-    p, iters, rnorm = newton_solve(dp, taus[-1], previous.p)
+    p, iters, rnorm, _ = newton_solve(dp, taus[-1], previous.p)
     assert rnorm <= solver.NEWTON_TOL
     assert iters >= 3
     assert 1 <= len(factorizations) < iters
@@ -727,14 +773,15 @@ def test_diagnostics_zero_problem():
 
 
 def test_full_diagnostics_once_per_run(monkeypatch):
-    # each stage records its gap from the objectives alone; the recovered
+    # each stage records its gap from the objectives alone; the run's
+    # diagnostics reuse the last stage's objectives, and the recovered
     # gradient, ratio and violation are computed once, for the last stage
-    calls, real = [], solver.diagnostics
-    monkeypatch.setattr(solver, "diagnostics", lambda *a: calls.append(a) or real(*a))
+    calls, real = [], solver.recovered_gradient
+    monkeypatch.setattr(solver, "recovered_gradient", lambda *a: calls.append(a) or real(*a))
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     sol, diag = continuation_solve(dp)
     assert len(calls) == 1 and len(sol.gap_history) == 63
-    assert diag == real(dp, sol.p, sol.u, sol.tau_final)
+    assert diag == diagnostics(dp, sol.p, sol.u, sol.tau_final)
     assert sol.gap_history[-1] == diag.duality_gap
 
 
