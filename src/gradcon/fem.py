@@ -256,6 +256,49 @@ def huber_points(ws: Workspace, p: np.ndarray, aq: np.ndarray, tau: float) -> Hu
     return HuberPoints(vx, vy, norm, iso)
 
 
+def unit_field(ws: Workspace, p: np.ndarray, tau: float):
+    """(qx, qy) = v/max(|v|, tau) of flux p at the quadrature points, in pair layout."""
+    vx, vy = _pair_components(ws, p)
+    m = np.maximum(huber.norm(vx, vy), huber.check_tau(tau))
+    return vx / m, vy / m
+
+
+def dual_step(q: tuple, before: tuple, after: HuberPoints, tau: float):
+    """The dual unit field after a primal step from field v to field v + s dv.
+
+    ``before`` is (vx, vy, |v|) of the step's start and ``after`` the points
+    of its end, ``q`` the field that the step's Jacobian read.  Returns
+    proj(v/m + s (dv/m - chi (v . dv)/m^2 q)), the linearization of
+    m q = v about (v, q) taken with the step's length s, where m =
+    max(|v|, tau), chi = [|v| > tau] and proj(q) = q/max(1, |q|); s dv is
+    read as the difference of the two fields.
+    """
+    vx, vy, norm = before
+    # c = chi (v . s dv)/m, in place: the line search's fields are alive here
+    m = np.maximum(norm, tau)
+    c = np.subtract(after.vx, vx)
+    c *= vx
+    dy = np.subtract(after.vy, vy)
+    dy *= vy
+    c += dy
+    c *= norm > tau
+    c /= m
+    qx, qy = np.multiply(c, q[0]), np.multiply(c, q[1], out=dy)
+    np.subtract(after.vx, qx, out=qx)
+    np.subtract(after.vy, qy, out=qy)
+    qx /= m
+    qy /= m
+    # proj: scale by max(1, |q|), in m's buffer
+    np.multiply(qx, qx, out=m)
+    np.multiply(qy, qy, out=c)
+    m += c
+    np.sqrt(m, out=m)
+    np.maximum(m, 1.0, out=m)
+    qx /= m
+    qy /= m
+    return qx, qy
+
+
 def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
                             ws: Workspace, points: HuberPoints | None = None) -> np.ndarray:
     """Edge vector of integrals alpha * dphi(p_h) . psi_e over the mesh.
@@ -272,36 +315,55 @@ def assemble_huber_residual(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: floa
 
 
 def assemble_huber_jacobian(mesh: Mesh, p: np.ndarray, aq: np.ndarray, tau: float, *,
-                            ws: Workspace, points: HuberPoints | None = None) -> np.ndarray:
+                            ws: Workspace, points: HuberPoints | None = None,
+                            q: tuple | None = None) -> np.ndarray:
     """Element blocks of the matrix of integrals alpha * psi_e^T d2phi(p_h) psi_f.
 
     Returns shape (nt, 3, 3): block t couples the edges ``mesh.tri_edges[t]``
     and is symmetric PSD; the global Jacobian is the sum of the blocks
     placed at those edges.  ``points`` is ``huber_points(ws, p, aq, tau)``
-    when the caller holds it.
+    when the caller holds it.  ``q`` is a dual unit field (qx, qy) with
+    |q| <= 1 at the points, in pair layout, or None.  With q the rank-1 term
+    becomes chi (iso/m) (q v^T + v q^T)/2, m = max(|v|, tau) and chi = [|v| >
+    tau]: the primal-dual Hessian, which is d2phi at q = v/m and stays PSD
+    for every |q| <= 1.
     """
     _check_mesh(mesh, ws)
     pts = points or huber_points(ws, p, aq, tau)
     vx, vy, iso = pts.vx, pts.vy, pts.iso
     # the point weight times rank1 of huber.norm_weights, iso/max(|v|, tau)^2
-    # outside and 0 inside
+    # outside and 0 inside; with q, iso/max(|v|, tau) outside
     rank1 = np.maximum(pts.norm, tau)
-    rank1 *= rank1
+    if q is None:
+        rank1 *= rank1
     np.divide(iso, rank1, out=rank1)
     rank1 *= pts.norm > tau
     # the distinct entries xx, xy, yy of the weighted iso I - rank1 v v^T,
-    # written in place: a large temporary per entry costs as much as the
-    # arithmetic
+    # or iso I - rank1 (q v^T + v q^T)/2, written in place: a large
+    # temporary per entry costs as much as the arithmetic
     h = np.empty(vx.shape + (3,))
     xx, xy, yy = h.transpose(2, 0, 1)
-    np.multiply(rank1, vx, out=xy)
-    np.multiply(xy, vx, out=xx)
-    np.subtract(iso, xx, out=xx)
-    rank1 *= vy
-    np.multiply(rank1, vy, out=yy)
-    np.subtract(iso, yy, out=yy)
-    xy *= vy
-    np.negative(xy, out=xy)
+    if q is None:
+        np.multiply(rank1, vx, out=xy)
+        np.multiply(xy, vx, out=xx)
+        np.subtract(iso, xx, out=xx)
+        rank1 *= vy
+        np.multiply(rank1, vy, out=yy)
+        np.subtract(iso, yy, out=yy)
+        xy *= vy
+        np.negative(xy, out=xy)
+    else:
+        qx, qy = q
+        np.multiply(rank1, qx, out=xx)
+        np.multiply(xx, vy, out=xy)
+        xx *= vx
+        np.subtract(iso, xx, out=xx)
+        rank1 *= qy
+        np.multiply(rank1, vy, out=yy)
+        np.subtract(iso, yy, out=yy)
+        rank1 *= vx
+        xy += rank1
+        xy *= -0.5
     # blocks = sum over (cell, q, entry) of h times the basis products of
     # that entry at that point: one product with their table
     return (h.reshape(len(h), -1) @ ws.basis_products).reshape(-1, 3, 3)

@@ -43,6 +43,20 @@ stage from the secant predictor through the last two converged stages
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2);
 a stage that fails from the predictor runs once more from the last
 converged stage.
+A warm tail takes primal-dual Newton steps on all its stages but the last
+(Chan, Golub & Mulet, SIAM J. Sci. Comput. 20, 1999; Hintermüller &
+Stadler, SIAM J. Sci. Comput. 28, 2006).  Besides the flux it carries the
+dual unit field q, q = v/max(|v|, tau) at the quadrature points at
+convergence, where -alpha q is the gradient of u.  The primal step rebuilds
+q from each iterate, and its model of v/max(|v|, tau) holds only within
+about tau of the iterate, so a tail at tau near 1e-5 took 10-18 damped
+steps on its first stage.  With q carried, only the Jacobian's rank-1 term
+changes; R, the line search and the stop test stay those of the primal
+step, so every stage is certified as before.  q is set from the tail's
+start flux, carried across its stages and updated after each accepted
+step; a failed stage attempt restores the q it started from.  The tail's
+last stage drops q and converges by primal steps, as do the fallback and
+every cold run, where carrying q costs steps.
 Each iterate's field is evaluated once at the quadrature points
 (:func:`fem.huber_points`): the values that gave its residual also give its
 Jacobian, and :func:`newton_solve` returns |p_h| of its last iterate for
@@ -82,7 +96,7 @@ NEWTON_MAX_ITER = 50               # Newton steps a stage may take
 NEWTON_TOL = 1e-8                  # absolute residual norm that ends a stage
 TAU_START = 10.0                   # first smoothing radius of every schedule
 MAX_STAGES = 2**16                 # longest continuation schedule accepted
-WARM_STAGES = 12                   # schedule tail run from a given start flux
+WARM_STAGES = 4                    # schedule tail run from a given start flux
 
 
 @dataclass(frozen=True)
@@ -286,12 +300,21 @@ class NewtonRun:
     ``steps`` counts the Newton steps that reached a linear solve, those of
     failed attempts included.  A warm tail and its fallback share one run,
     so the counts of a record cover the whole call.
+    ``q`` is the dual unit field (qx, qy) of :func:`fem.unit_field` at the
+    quadrature points, in pair layout, or None.  With q each step is a
+    primal-dual step: its Jacobian reads q in place of v/max(|v|, tau) in
+    the rank-1 term, and the accepted step updates q by
+    :func:`fem.dual_step`.  Only a warm tail sets q, from its start flux,
+    and carries it across its stages; a stage attempt that fails restores
+    the q it started with, and the tail's last stage, the fallback and
+    every cold run take the primal step, q None.
     """
 
     cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
     matrix: sp.csc_matrix | None = None
     forcing_floor: float = 0.0
     steps: int = 0
+    q: tuple | None = None
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
@@ -308,8 +331,13 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     continuation, share one factor.
     Each iterate's field is evaluated once, by :func:`fem.huber_points`: its
     residual and its Jacobian read the same point values, which are dropped
-    before the linear solve; |p_h| is that of the returned flux at the
-    quadrature points, in the pair layout of :func:`fem.huber_points`.
+    before the linear solve, all but the (vx, vy, |v|) that the update of
+    ``run.q`` reads when the run carries q; |p_h| is that of the returned
+    flux at the quadrature points, in the pair layout of
+    :func:`fem.huber_points`.  With ``run.q`` the Jacobian is the
+    primal-dual one and each accepted step replaces ``run.q`` by a new
+    field, so a caller that kept the old one can restore it.  The residual,
+    the line search and the stop test do not read q.
     Every failure raises :class:`SolverError` with ``newton_steps`` =
     ``run.steps``; a failed linear solve is chained as its cause.
     """
@@ -325,7 +353,9 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
         if iterations >= NEWTON_MAX_ITER:
             raise MaxIterationsExceeded("Newton did not converge", tau, rnorm, run.steps)
         run.matrix = dp.schur(fem.assemble_huber_jacobian(
-            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points), out=run.matrix)
+            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points, q=run.q),
+            out=run.matrix)
+        before = None if run.q is None else (points.vx, points.vy, points.norm)
         points = None                   # kept through the solve, they add to its peak memory
         run.steps += 1
         eta = max(rnorm, run.forcing_floor / rnorm)
@@ -348,6 +378,9 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
             s *= LS_SHRINK
         else:
             raise LineSearchStalled("line search made no progress", tau, rnorm, run.steps)
+        if before is not None:
+            run.q = fem.dual_step(run.q, before, points, tau)
+            before = None               # kept through the next Jacobian, it adds to its peak
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
     return p, iterations, rnorm, points.norm
@@ -434,7 +467,9 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     :class:`SolverError` the full schedule reruns from zero ("fallback").
     ``DiscreteSolution.start`` names the run that gave the solution.  The
     call makes one :class:`NewtonRun`; the fallback runs on it with the
-    tail's factor dropped, so the solution's counts include the tail's work.
+    tail's factor and dual field dropped, so the solution's counts include
+    the tail's work.  The warm tail sets ``run.q`` from its start flux, so
+    its stages but the last take primal-dual steps.
     """
     config = config or SolverConfig()
     taus = tau_schedule(config)
@@ -447,10 +482,13 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
         raise ValueError(f"initial flux must have one value per edge, got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("initial flux must be finite")
+    tail = taus[-WARM_STAGES:]
     try:
-        return _stages(dp, taus[-WARM_STAGES:], p0, "warm", run)
+        run.q = fem.unit_field(dp.workspace, np.where(dp.free, p0, 0.0), tail[0])
+        return _stages(dp, tail, p0, "warm", run)
     except SolverError:
         run.cache.lu = None        # the fallback factors afresh, as a cold solve does
+        run.q = None
     return _stages(dp, taus, zero, "fallback", run)
 
 
@@ -463,16 +501,18 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
 
     which extrapolates only between converged stages; on the geometric
     schedule the step is (p_k - p_{k-1}) / tau_factor.  A stage that fails
-    from the predictor is run once more from p_k.  Every stage but the last
-    sets ``run.forcing_floor`` to ``FORCING_SAFETY * NEWTON_TOL``; the last
-    sets it to 0.  Each stage records only its residual norms and duality
-    gap, at its last iterate: from one product B p and the |p_h| that
-    ``newton_solve`` returned, which is then dropped.  The run's
-    diagnostics reuse the last stage's primal and dual values and add only
-    the recovered gradient's.  A failing stage raises the
-    :class:`SolverError` of its last attempt.  The run's steps that no
-    returned stage took, failed attempts and an earlier failed tail on the
-    same run included, are the record's ``discarded_newton_steps``.
+    from the predictor is run once more from p_k, with the ``run.q`` that
+    the failed attempt started from.  Every stage but the last sets
+    ``run.forcing_floor`` to ``FORCING_SAFETY * NEWTON_TOL``; the last sets
+    it to 0 and drops ``run.q``, so it takes the primal step.  Each stage
+    records only its residual norms and duality gap, at its last iterate:
+    from one product B p and the |p_h| that ``newton_solve`` returned,
+    which is then dropped.  The run's diagnostics reuse the last stage's
+    primal and dual values and add only the recovered gradient's.  A
+    failing stage raises the :class:`SolverError` of its last attempt.  The
+    run's steps that no returned stage took, failed attempts and an earlier
+    failed tail on the same run included, are the record's
+    ``discarded_newton_steps``.
     """
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
@@ -480,12 +520,17 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
         if k >= 2:                 # p and p_prev are both converged stages
             guesses.insert(0, p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev))
         p_prev = p
-        run.forcing_floor = 0.0 if k == len(taus) - 1 else FORCING_SAFETY * NEWTON_TOL
+        if k == len(taus) - 1:
+            run.forcing_floor, run.q = 0.0, None
+        else:
+            run.forcing_floor = FORCING_SAFETY * NEWTON_TOL
+        q = run.q
         for guess in guesses:
             try:
                 p, iters, r1n, pnorm = newton_solve(dp, tau, guess, run=run)
                 break
             except SolverError:
+                run.q = q
                 if guess is guesses[-1]:
                     raise
         u, r2n, primal = _stage_record(dp, p, pnorm)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gradcon as gc
+from gradcon import fem, solver
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +28,15 @@ def solve_cache():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def primal_tail(monkeypatch):
+    """Warm tails of 12 stages that take the primal Newton step on every stage.
+
+    The primal-dual tail of ``solver.WARM_STAGES`` stages converges on the
+    pours that the fallback and predictor-retry tests run; this tail fails on
+    them, so those tests reach their paths as with a forced failure.
+    """
+    monkeypatch.setattr(solver, "WARM_STAGES", 12)
+    monkeypatch.setattr(fem, "unit_field", lambda *args: None)

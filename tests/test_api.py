@@ -78,9 +78,10 @@ def test_removed_options_are_gone():
     # one run per continuation call: it owns the Schur matrix, the forcing
     # floor and the step count, so neither the factor cache nor the stages
     # keep any of them; newton_solve returns |p_h| of its flux to the
-    # stage's record, which the run does not carry
+    # stage's record, which the run does not carry; a warm tail's dual unit
+    # field is the run's too
     assert [f.name for f in dataclasses.fields(solver.NewtonRun)] == [
-        "cache", "matrix", "forcing_floor", "steps"]
+        "cache", "matrix", "forcing_floor", "steps", "q"]
     assert "matrix" not in {f.name for f in dataclasses.fields(linalg.FactorCache)}
     assert "discarded" not in inspect.signature(solver._stages).parameters
     assert "rule" not in inspect.signature(fem.build_workspace).parameters

@@ -228,10 +228,40 @@ def test_first_step_from_a_nonzero_state_is_warm():
     assert sum(warm.newton_iterations) < sum(cold.newton_iterations)
 
 
+def pour_n32(c):
+    # the pour-n32 benchmark workload with the poured half-plane x + y <= c
+    problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=32, ny=32, boundary=gc.ALL_NEUMANN,
+                             alpha=gc.ConstantAlpha(1.0), source=gc.ConstantSource(0.0))
+    rate = gc.HalfPlaneSource(gc.HalfPlane(1.0, 1.0, c), inside=2.0)
+    return ev.EvolutionSpec(problem=problem, rate=rate, t_final=0.5, dt=0.1)
+
+
+@pytest.mark.parametrize("c", [0.4, 0.5, 0.6])
+def test_primal_dual_tail_pours_in_few_newton_steps(c):
+    # the primal 12-stage tail took 188 / 198 / 203 Newton steps here, the
+    # primal-dual 4-stage tail 109 / 115 / 121
+    traj = ev.run(pour_n32(c))
+    assert [st.start for st in traj.steps] == ["warm"] * 5
+    assert [st.discarded_newton_steps for st in traj.steps] == [0] * 5
+    assert sum(sum(st.newton_iterations) for st in traj.steps) <= 125
+
+
+@pytest.mark.parametrize("c", [0.4, 0.5])
+def test_primal_dual_tail_keeps_the_primal_trajectory(c, request):
+    # both tails end on a primal stage at the same tau_final; at c = 0.6 the
+    # two stop tests (|r| <= 1e-8) leave 1.3e-11 between them on step 2
+    traj = ev.run(pour_n32(c))
+    request.getfixturevalue("primal_tail")
+    primal = ev.run(pour_n32(c))
+    assert [st.tau_final for st in traj.steps] == [st.tau_final for st in primal.steps]
+    assert max(np.max(np.abs(a - b)) for a, b in zip(traj.u, primal.u)) <= 1e-11
+
+
 def moving_pour(t_final):
     # a unit time step moves the poured half-plane by a whole unit, so the
-    # previous flux is far from the answer: the warm tail stalls on step 2
-    # and the step reruns the full schedule from zero
+    # previous flux is far from the answer: the primal 12-stage warm tail
+    # (the primal_tail fixture) stalls on step 2 and the step reruns the full
+    # schedule from zero; the primal-dual tail holds
     problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=16, ny=16, boundary=gc.ALL_NEUMANN,
                              alpha=gc.ConstantAlpha(2.0), source=gc.ConstantSource(0.0))
     return ev.EvolutionSpec(
@@ -240,7 +270,7 @@ def moving_pour(t_final):
         t_final=t_final, dt=1.0)
 
 
-def test_step_record_is_the_step_solution():
+def test_step_record_is_the_step_solution(primal_tail):
     # a step's record is the stationary solve of that step, field for field
     # and bit for bit: a warm step, then one whose warm tail falls back
     spec = moving_pour(t_final=2.0)
@@ -261,7 +291,7 @@ def test_step_record_is_the_step_solution():
         assert record.u is traj.u[n] and record.p is traj.p[n]
 
 
-def test_step_record_counts_every_factorization_of_its_step(monkeypatch):
+def test_step_record_counts_every_factorization_of_its_step(primal_tail, monkeypatch):
     # a record's counts cover its step's whole continuation call: the
     # fallback's factorizations include those of the warm tail it discarded
     # (32 and 55 here; 12 of the 55 are the fallback's own)
@@ -282,7 +312,7 @@ def test_step_record_counts_every_factorization_of_its_step(monkeypatch):
     assert [st.factorizations for st in traj.steps] == per_step
 
 
-def test_failed_warm_tail_falls_back_to_full_schedule(monkeypatch):
+def test_failed_warm_tail_falls_back_to_full_schedule(primal_tail, monkeypatch):
     spec = moving_pour(t_final=4.0)
     solves = []
     real = linalg.solve_spd
@@ -330,10 +360,11 @@ def test_random_pours_warm_match_cold(n, steps, dt, alpha, rate, a, b, c):
     assert max(np.max(np.abs(uw - uc)) for uw, uc in zip(warm.u, cold.u)) <= 1e-7
 
 
-def test_pour_whose_secant_start_stalls_finishes():
-    # an example of test_random_pours_warm_match_cold: the fallback run of
-    # step 1 stalled from the secant predictor at tau=1.457e-6 (stage 60,
-    # LineSearchStalled); that stage now reruns from the last converged flux
+def test_pour_whose_secant_start_stalls_finishes(primal_tail):
+    # an example of test_random_pours_warm_match_cold: the primal 12-stage
+    # warm tail of step 1 fails, and the fallback run stalled from the secant
+    # predictor at tau=1.457e-6 (stage 60, LineSearchStalled); that stage now
+    # reruns from the last converged flux
     alpha, dt = 1.2816002203394372, 0.26814811804337924
     problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=6, ny=6, boundary=gc.ALL_NEUMANN,
                              alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))

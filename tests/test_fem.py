@@ -454,6 +454,73 @@ def test_huber_jacobian_matches_residual_derivative():
     assert errs[1] <= errs[0] / 3.0  # roughly O(eps^2)
 
 
+def field_across_the_switch(ws, rng, tau):
+    """A random flux whose field lies on both sides of |v| = tau at the points."""
+    p = rng.normal(scale=0.5, size=ws.mesh.num_edges)
+    norm = huber.norm(*fem._pair_components(ws, p))
+    assert np.any(norm > tau) and np.any(norm <= tau)
+    return p
+
+
+def test_primal_dual_jacobian_at_the_unit_field_is_the_jacobian():
+    # with q = v/max(|v|, tau) the primal-dual rank-1 term is the primal one
+    mesh = build_rect_mesh(UNIT_SQUARE, 6, 6)
+    ws = fem.build_workspace(mesh)
+    rng = np.random.default_rng(11)
+    aq = fem.at_qpoints(ws, lambda x, y: 1.0 + x * y)
+    p = field_across_the_switch(ws, rng, 0.3)
+    for tau in (0.3, 1e-3):
+        primal = fem.assemble_huber_jacobian(mesh, p, aq, tau, ws=ws)
+        dual = fem.assemble_huber_jacobian(mesh, p, aq, tau, ws=ws, q=fem.unit_field(ws, p, tau))
+        assert np.max(np.abs(dual - primal)) <= 1e-15 * np.max(np.abs(primal))
+
+
+def test_primal_dual_jacobian_blocks_are_symmetric_psd_for_unit_bounded_q():
+    # iso (I - (q v^T + v q^T)/(2|v|)) has eigenvalues >= iso (1 - |q|) >= 0
+    mesh = build_rect_mesh(UNIT_SQUARE, 6, 6)
+    ws = fem.build_workspace(mesh)
+    rng = np.random.default_rng(12)
+    tau = 0.3
+    p = field_across_the_switch(ws, rng, tau)
+    shape = ws.point_weights.shape
+    angle = rng.uniform(0.0, 2.0 * np.pi, shape)
+    for radius in (rng.uniform(0.0, 1.0, shape), np.ones(shape), np.zeros(shape)):
+        q = (radius * np.cos(angle), radius * np.sin(angle))
+        blocks = fem.assemble_huber_jacobian(mesh, p, ones(ws), tau, ws=ws, q=q)
+        assert blocks.tobytes() == blocks.transpose(0, 2, 1).tobytes()
+        eig = np.linalg.eigvalsh(blocks)
+        assert np.all(eig >= -1e-14 * eig.max(axis=1, keepdims=True))
+
+
+def test_dual_step_keeps_q_in_the_unit_ball_and_linearizes_the_unit_field():
+    mesh = build_rect_mesh(UNIT_SQUARE, 6, 6)
+    ws = fem.build_workspace(mesh)
+    rng = np.random.default_rng(13)
+    tau, aq = 0.3, ones(ws)
+    p = field_across_the_switch(ws, rng, tau)
+    before = fem.huber_points(ws, p, aq, tau)
+    held = (before.vx, before.vy, before.norm)
+    shape = ws.point_weights.shape
+    # long steps from arbitrary fields in the ball: the projection holds |q| <= 1
+    for scale in (0.1, 1.0, 10.0):
+        q = tuple(rng.uniform(-0.7, 0.7, (2,) + shape))
+        after = fem.huber_points(ws, p + scale * rng.normal(size=mesh.num_edges), aq, tau)
+        assert np.max(huber.norm(*fem.dual_step(q, held, after, tau))) <= 1.0 + 1e-15
+    # from q = v/max(|v|, tau), a short step moves q as the unit field moves,
+    # to first order where |v| > tau and exactly where the field stays inside
+    q = fem.unit_field(ws, p, tau)
+    d = rng.normal(size=mesh.num_edges)
+    errs = []
+    for eps in (1e-5, 5e-6):
+        after = fem.huber_points(ws, p + eps * d, aq, tau)
+        moved = fem.dual_step(q, held, after, tau)
+        exact = fem.unit_field(ws, p + eps * d, tau)
+        stays = np.abs(before.norm - tau) > 1e-2
+        errs.append(max(np.max(np.abs(m - e)[stays]) for m, e in zip(moved, exact)))
+    assert errs[0] <= 1e-6
+    assert errs[1] <= errs[0] / 3.0  # roughly O(eps^2)
+
+
 def test_commuting_boundary_flux_identity():
     # per element, B applied to the interpolant equals the divergence integral
     mesh = build_rect_mesh(UNIT_SQUARE, 4, 4)

@@ -421,10 +421,10 @@ def test_stage_records_read_the_stage_flux(monkeypatch):
     assert_stages_match_a_fresh_evaluation(dp, results, sol)
 
 
-def test_stage_records_read_the_stage_flux_after_a_predictor_retry(monkeypatch):
-    # the pour of test_pour_whose_secant_start_stalls_finishes: a stage of the
-    # first step's fallback fails from the secant predictor and reruns from
-    # the last converged flux
+def test_stage_records_read_the_stage_flux_after_a_predictor_retry(primal_tail, monkeypatch):
+    # the pour of test_pour_whose_secant_start_stalls_finishes, with its
+    # primal 12-stage warm tail: a stage of the first step's fallback fails
+    # from the secant predictor and reruns from the last converged flux
     alpha, dt = 1.2816002203394372, 0.26814811804337924
     problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=6, ny=6, boundary=gc.ALL_NEUMANN,
                              alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))
@@ -574,6 +574,63 @@ def test_stage_failing_from_the_predictor_reruns_from_the_last_stage(solve_cache
     steps = newton_failing_at(monkeypatch, 1)
     again, _ = continuation_solve(dp, p0=0.5 * sol.p)
     assert (again.start, again.discarded_newton_steps) == ("fallback", steps[0] + 2)
+
+
+def dual_fields_seen(monkeypatch, *calls):
+    """Record ``run.q`` at the start and the end of each newton_solve call.
+
+    The given calls (0-based) run their real Newton steps and then fail, so
+    they leave ``run.q`` moved.  Returns the list of (q at the call's start,
+    q at its end), in call order.
+    """
+    real, seen, call = solver.newton_solve, [], itertools.count()
+
+    def newton(dp, tau, p0, *, run=None):
+        seen.append([run.q, None])
+        try:
+            result = real(dp, tau, p0, run=run)
+        finally:
+            seen[-1][1] = run.q
+        if next(call) in calls:
+            raise LineSearchStalled("injected failure", tau, 1.0, run.steps)
+        return result
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    return seen
+
+
+def test_warm_tail_carries_its_dual_field_and_a_retry_restores_it(solve_cache, monkeypatch):
+    # the tail's third stage fails from the secant predictor after moving q;
+    # the retry from the second stage's flux starts from the q that the
+    # failed attempt started with, and the last stage takes the primal step
+    dp, sol, _ = solve_cache("ex1_f1_a1", 8)
+    seen = dual_fields_seen(monkeypatch, 2)
+    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
+    assert again.start == "warm" and len(seen) == solver.WARM_STAGES + 1
+    (start, end0), (carried, end1), (failed, lost), (retry, _), (last, _) = seen
+    assert start is not None and carried is end0 and failed is end1
+    assert retry is failed and lost is not failed
+    assert last is None
+    # a tail whose second stage fails falls back with q dropped
+    monkeypatch.undo()
+    seen = dual_fields_seen(monkeypatch, 1)
+    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
+    assert again.start == "fallback"
+    assert all(q is not None for q, _ in seen[:2])
+    assert all(q is None and end is None for q, end in seen[2:])
+    # a cold run never sets q
+    monkeypatch.undo()
+    seen = dual_fields_seen(monkeypatch)
+    continuation_solve(dp)
+    assert all(q is None and end is None for q, end in seen)
+
+
+def test_cold_solve_keeps_its_counts():
+    # cold runs take the primal step on every stage; these are the counts
+    # of the default schedule's ex1_f1_a1 solve at n=16
+    sol, _ = continuation_solve(DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=16)))
+    assert (sol.start, sum(sol.newton_iterations), sol.factorizations,
+            sol.cg_iterations) == ("cold", 120, 9, 435)
 
 
 def test_one_factorization_per_newton_step(monkeypatch):
