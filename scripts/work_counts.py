@@ -10,8 +10,9 @@ prints one row per step of a pour at n = N: the all-Neumann unit square,
 alpha = 1, x + y <= c poured at rate 2, dt = 0.1 to t = 0.5, with c
 ``--pour-c`` (the pour-n32 benchmark workload at N = 32 and the default
 c = 0.5).  Each row gives the step's start, Newton steps, discarded
-Newton steps, factorizations and PCG iterations; a last line gives the
-field evaluations of the whole pour.  The
+Newton steps, factorizations and PCG iterations; a ``total`` row sums them
+over the pour, and a last line gives the field evaluations of the whole
+pour.  The
 counts do not depend on the machine, so they show a change in the work of
 a solve where its timings cannot.
 """
@@ -66,7 +67,10 @@ if args.pour_n is not None:
     print(f"pour x + y <= {args.pour_c:g}")
     print(f"{'pour step':<10} {'n':>5} {'start':>9} {'newton':>7} {'discarded':>10} "
           f"{'factorizations':>15} {'pcg':>6}")
-    for i, st in enumerate(traj.steps, start=1):
-        print(f"{i:<10d} {n:5d} {st.start:>9} {sum(st.newton_iterations):7d} "
-              f"{st.discarded_newton_steps:10d} {st.factorizations:15d} {st.cg_iterations:6d}")
+    steps = [(sum(st.newton_iterations), st.discarded_newton_steps, st.factorizations,
+              st.cg_iterations) for st in traj.steps]
+    for i, (st, work) in enumerate(zip(traj.steps, steps), start=1):
+        print(f"{i:<10d} {n:5d} {st.start:>9} {work[0]:7d} {work[1]:10d} {work[2]:15d} {work[3]:6d}")
+    total = tuple(map(sum, zip(*steps)))
+    print(f"{'total':<10} {n:5d} {'':>9} {total[0]:7d} {total[1]:10d} {total[2]:15d} {total[3]:6d}")
     print(f"field evaluations of the pour: {len(fields)}")

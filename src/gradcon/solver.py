@@ -35,14 +35,19 @@ step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
 continuation schedule from ``TAU_START`` down to the config's ``tau_min``;
 :class:`SolverConfig` holds the only two settable values, ``tau_min`` and
 the factor between stages.  Without a start flux the full schedule runs
-from zero ("cold"); from a start flux near the answer only its last
-``WARM_STAGES`` stages run ("warm"), and if they fail the full schedule
-reruns from zero ("fallback").  The first stage of a run starts from its
-start flux, the second from the first stage's solution, and every later
-stage from the secant predictor through the last two converged stages
-(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2);
-a stage that fails from the predictor runs once more from the last
-converged stage.
+from zero ("cold").  From a start flux near the answer a tail of
+``WARM_STAGES`` stages runs ("warm"): the first stage at or below
+``WARM_TAU``, then the schedule's last ``WARM_STAGES - 1`` stages, so it
+ends as a cold run does (see :func:`_warm_tail`).  At its first tau
+Newton's model of the smoothed norm holds over a wider region than at the
+schedule's end, so the move away from the start flux takes few damped
+steps, and few factorizations of S; the next stage then jumps to the end of
+the schedule.  If the tail fails, the full schedule reruns from zero
+("fallback").  The first stage of a run starts from its start flux, the
+second from the first stage's solution, and every later stage from the
+secant predictor through the last two converged stages (Allgower & Georg,
+Introduction to Numerical Continuation Methods, ch. 2); a stage that fails
+from the predictor runs once more from the last converged stage.
 A warm tail takes primal-dual Newton steps on all its stages but the last
 (Chan, Golub & Mulet, SIAM J. Sci. Comput. 20, 1999; Hintermüller &
 Stadler, SIAM J. Sci. Comput. 28, 2006).  Besides the flux it carries the
@@ -96,7 +101,8 @@ NEWTON_MAX_ITER = 50               # Newton steps a stage may take
 NEWTON_TOL = 1e-8                  # absolute residual norm that ends a stage
 TAU_START = 10.0                   # first smoothing radius of every schedule
 MAX_STAGES = 2**16                 # longest continuation schedule accepted
-WARM_STAGES = 4                    # schedule tail run from a given start flux
+WARM_STAGES = 4                    # stages of the warm tail run from a given start flux
+WARM_TAU = 1e-3                    # the warm tail starts at the first stage at or below it
 
 
 @dataclass(frozen=True)
@@ -462,9 +468,11 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     """Run the continuation; returns (DiscreteSolution, Diagnostics).
 
     Without ``p0`` the full ``tau_schedule(config)`` runs from zero
-    ("cold").  With ``p0``, one finite value per edge, its last
-    ``WARM_STAGES`` stages run from ``p0`` ("warm"); if they raise
-    :class:`SolverError` the full schedule reruns from zero ("fallback").
+    ("cold").  With ``p0``, one finite value per edge, the warm tail of
+    :func:`_warm_tail` runs from ``p0`` ("warm"): the first stage at or
+    below ``WARM_TAU``, then the schedule's last ``WARM_STAGES - 1`` stages.
+    If it raises :class:`SolverError` the full schedule reruns from zero
+    ("fallback").
     ``DiscreteSolution.start`` names the run that gave the solution.  The
     call makes one :class:`NewtonRun`; the fallback runs on it with the
     tail's factor and dual field dropped, so the solution's counts include
@@ -482,7 +490,7 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
         raise ValueError(f"initial flux must have one value per edge, got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("initial flux must be finite")
-    tail = taus[-WARM_STAGES:]
+    tail = _warm_tail(taus)
     try:
         run.q = fem.unit_field(dp.workspace, np.where(dp.free, p0, 0.0), tail[0])
         return _stages(dp, tail, p0, "warm", run)
@@ -492,27 +500,47 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     return _stages(dp, taus, zero, "fallback", run)
 
 
+def _warm_tail(taus: np.ndarray) -> np.ndarray:
+    """The stages of schedule ``taus`` that a warm run takes.
+
+    They are the first stage at or below ``WARM_TAU``, then the last
+    ``WARM_STAGES - 1`` stages.  If that stage is already one of the last
+    ``WARM_STAGES``, or no stage lies at or below ``WARM_TAU``, they are the
+    last ``WARM_STAGES`` stages.  The last three stages are always those of
+    the schedule, so the last stage's secant predictor reads the same two
+    stages as on a cold run.
+    """
+    first = np.flatnonzero(taus <= WARM_TAU)[:1]
+    if first.size and first[0] < len(taus) - WARM_STAGES:
+        return np.concatenate([taus[first], taus[1 - WARM_STAGES:]])
+    return taus[-WARM_STAGES:]
+
+
 def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, run: NewtonRun):
     """Run the stages ``taus`` from flux ``p`` on ``run``; see :func:`continuation_solve`.
+
+    ``taus`` is a whole schedule or a warm tail; a tail's stages need not be
+    consecutive ones of the schedule, but its last three are.
 
     From the third stage on, Newton starts at the secant predictor
 
         p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
 
-    which extrapolates only between converged stages; on the geometric
-    schedule the step is (p_k - p_{k-1}) / tau_factor.  A stage that fails
-    from the predictor is run once more from p_k, with the ``run.q`` that
-    the failed attempt started from.  Every stage but the last sets
-    ``run.forcing_floor`` to ``FORCING_SAFETY * NEWTON_TOL``; the last sets
-    it to 0 and drops ``run.q``, so it takes the primal step.  Each stage
-    records only its residual norms and duality gap, at its last iterate:
-    from one product B p and the |p_h| that ``newton_solve`` returned,
-    which is then dropped.  The run's diagnostics reuse the last stage's
-    primal and dual values and add only the recovered gradient's.  A
-    failing stage raises the :class:`SolverError` of its last attempt.  The
-    run's steps that no returned stage took, failed attempts and an earlier
-    failed tail on the same run included, are the record's
-    ``discarded_newton_steps``.
+    which extrapolates only between converged stages; on consecutive stages
+    of the geometric schedule the step is (p_k - p_{k-1}) / tau_factor, and
+    a warm tail's third stage, whose two stages before it are far apart,
+    starts close to p_k.  A stage that fails from the predictor is run once
+    more from p_k, with the ``run.q`` that the failed attempt started from.
+    Every stage but the last sets ``run.forcing_floor`` to
+    ``FORCING_SAFETY * NEWTON_TOL``; the last sets it to 0 and drops
+    ``run.q``, so it takes the primal step.  Each stage records only its
+    residual norms and duality gap, at its last iterate: from one product
+    B p and the |p_h| that ``newton_solve`` returned, which is then
+    dropped.  The run's diagnostics reuse the last stage's primal and dual
+    values and add only the recovered gradient's.  A failing stage raises
+    the :class:`SolverError` of its last attempt.  The run's steps that no
+    returned stage took, failed attempts and an earlier failed tail on the
+    same run included, are the record's ``discarded_newton_steps``.
     """
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):

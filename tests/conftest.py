@@ -32,11 +32,14 @@ def rng():
 
 @pytest.fixture
 def primal_tail(monkeypatch):
-    """Warm tails of 12 stages that take the primal Newton step on every stage.
+    """Warm tails of the last 12 stages that take the primal Newton step on every stage.
 
-    The primal-dual tail of ``solver.WARM_STAGES`` stages converges on the
-    pours that the fallback and predictor-retry tests run; this tail fails on
-    them, so those tests reach their paths as with a forced failure.
+    The primal-dual tail, which starts at the first stage at or below
+    ``solver.WARM_TAU``, converges on the pours that the fallback and
+    predictor-retry tests run; this tail fails on them, so those tests reach
+    their paths as with a forced failure.  ``WARM_TAU = 0`` leaves no stage
+    to start from, so the tail is the schedule's last ``WARM_STAGES``.
     """
     monkeypatch.setattr(solver, "WARM_STAGES", 12)
+    monkeypatch.setattr(solver, "WARM_TAU", 0.0)
     monkeypatch.setattr(fem, "unit_field", lambda *args: None)

@@ -239,11 +239,14 @@ def pour_n32(c):
 @pytest.mark.parametrize("c", [0.4, 0.5, 0.6])
 def test_primal_dual_tail_pours_in_few_newton_steps(c):
     # the primal 12-stage tail took 188 / 198 / 203 Newton steps here, the
-    # primal-dual 4-stage tail 109 / 115 / 121
+    # primal-dual tail of the last 4 stages 109 / 115 / 121 with 55 / 55 / 58
+    # factorizations, and the tail that starts at or below WARM_TAU 99 / 103
+    # / 104 with 30 / 30 / 29
     traj = ev.run(pour_n32(c))
     assert [st.start for st in traj.steps] == ["warm"] * 5
     assert [st.discarded_newton_steps for st in traj.steps] == [0] * 5
     assert sum(sum(st.newton_iterations) for st in traj.steps) <= 125
+    assert sum(st.factorizations for st in traj.steps) <= 36
 
 
 @pytest.mark.parametrize("c", [0.4, 0.5])

@@ -489,7 +489,7 @@ def test_continuation_from_given_flux_runs_the_warm_tail(solve_cache):
     again, _ = continuation_solve(dp, p0=sol.p)
     assert (again.start, again.discarded_newton_steps) == ("warm", 0)
     assert len(again.newton_iterations) == solver.WARM_STAGES
-    assert np.array_equal(again.tau_values, tau_schedule(SolverConfig())[-solver.WARM_STAGES:])
+    assert np.array_equal(again.tau_values, solver._warm_tail(tau_schedule(SolverConfig())))
     assert np.max(np.abs(again.u - sol.u)) <= 1e-8
     # a flux of the wrong length would fail as a bare IndexError from a mask,
     # and a NaN flux as a linear solve
@@ -498,6 +498,22 @@ def test_continuation_from_given_flux_runs_the_warm_tail(solve_cache):
             continuation_solve(dp, p0=p0)
     with pytest.raises(ValueError, match="must be finite"):
         continuation_solve(dp, p0=np.where(sol.p == sol.p.max(), math.nan, sol.p))
+
+
+@pytest.mark.parametrize("config, tail", [
+    # the default schedule of 63 stages: stage 36 is the first at or below 1e-3
+    (SolverConfig(), [36, 60, 61, 62]),
+    # that stage is already one of the last four
+    (SolverConfig(tau_factor=7.5), [5, 6, 7, 8]),
+    # no stage lies at or below 1e-3
+    (SolverConfig(tau_min=1e-2), [24, 25, 26, 27]),
+    # a schedule of one stage, and one of five whose stage 2 is 1e-3
+    (SolverConfig(tau_min=10.0), [0]),
+    (SolverConfig(tau_factor=100.0), [1, 2, 3, 4]),
+])
+def test_warm_tail_starts_at_the_first_stage_at_or_below_warm_tau(config, tail):
+    taus = tau_schedule(config)
+    assert np.array_equal(solver._warm_tail(taus), taus[tail])
 
 
 def newton_failing_at(monkeypatch, *calls):
