@@ -24,52 +24,23 @@ what the stop test leaves, where a floor would move it by more.  On every
 other stage the floor is 0.5 NEWTON_TOL, Kelley's safeguard (Iterative
 Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 6.3): a stage's
 last step asks only for what brings |R| below NEWTON_TOL, so PCG misses,
-and factorizations, are fewer.  One :class:`NewtonRun` per
-:func:`continuation_solve` call holds S, its kept factor, the floor and the
-Newton steps taken, so the counts a solution reports cover the whole call,
-a failed warm tail included; a lone :func:`newton_solve` makes its own, with
-floor 0.
+and factorizations, are fewer.
 A backtracking line search on the squared residual norm globalizes each
 step; a stage ends once |R| is at most ``NEWTON_TOL`` and may take
 ``NEWTON_MAX_ITER`` steps.  The smoothing radius tau follows a geometric
 continuation schedule from ``TAU_START`` down to the config's ``tau_min``;
 :class:`SolverConfig` holds the only two settable values, ``tau_min`` and
 the factor between stages.  Without a start flux the full schedule runs
-from zero ("cold").  From a start flux near the answer a tail of
-``WARM_STAGES`` stages runs ("warm"): the first stage at or below
-``WARM_TAU``, then the schedule's last ``WARM_STAGES - 1`` stages, so it
-ends as a cold run does (see :func:`_warm_tail`).  At its first tau
-Newton's model of the smoothed norm holds over a wider region than at the
-schedule's end, so the move away from the start flux takes few damped
-steps, and few factorizations of S; the next stage then jumps to the end of
-the schedule.  If the tail fails, the full schedule reruns from zero
-("fallback").  The first stage of a run starts from its start flux, the
-second from the first stage's solution, and every later stage from the
-secant predictor through the last two converged stages (Allgower & Georg,
-Introduction to Numerical Continuation Methods, ch. 2); a stage that fails
-from the predictor runs once more from the last converged stage.
-A warm tail takes primal-dual Newton steps on all its stages but the last
-(Chan, Golub & Mulet, SIAM J. Sci. Comput. 20, 1999; Hintermüller &
-Stadler, SIAM J. Sci. Comput. 28, 2006).  Besides the flux it carries the
-dual unit field q, q = v/max(|v|, tau) at the quadrature points at
-convergence, where -alpha q is the gradient of u.  The primal step rebuilds
-q from each iterate, and its model of v/max(|v|, tau) holds only within
-about tau of the iterate, so a tail at tau near 1e-5 took 10-18 damped
-steps on its first stage.  With q carried, only the Jacobian's rank-1 term
-changes; R, the line search and the stop test stay those of the primal
-step, so every stage is certified as before.  q is set from the tail's
-start flux, carried across its stages and updated after each accepted
-step; a failed stage attempt restores the q it started from.  The tail's
-last stage drops q and converges by primal steps, as do the fallback and
-every cold run, where carrying q costs steps.
+from zero ("cold"); from a start flux near the answer the short tail of
+:func:`_warm_tail` runs ("warm"), and if it fails the full schedule reruns
+from zero ("fallback").  :func:`_stages` states each stage's start, forcing
+floor and step: the primal Newton step, or on a warm tail's stages but the
+last the primal-dual step, which carries the dual unit field q of
+:class:`NewtonRun` (Chan, Golub & Mulet, SIAM J. Sci. Comput. 20, 1999;
+Hintermüller & Stadler, SIAM J. Sci. Comput. 28, 2006).
 Each iterate's field is evaluated once at the quadrature points
 (:func:`fem.huber_points`): the values that gave its residual also give its
-Jacobian, and :func:`newton_solve` returns |p_h| of its last iterate for
-the stage's record.  Each stage records only its residual norms and its
-duality gap, read at its last iterate from one product B p and that |p_h|;
-the run's :class:`Diagnostics` reuse the last stage's primal and dual
-values and add only the recovered gradient's, so the last stage's field
-is not evaluated again.
+Jacobian, and the stage's record reads |p_h| of its last iterate.
 Every failure, a failed linear solve included, is a :class:`SolverError`
 naming the failing tau and the flux residual |r1| there.
 :func:`convergence_study` runs one continuation per mesh of a refinement
@@ -306,14 +277,17 @@ class NewtonRun:
     ``steps`` counts the Newton steps that reached a linear solve, those of
     failed attempts included.  A warm tail and its fallback share one run,
     so the counts of a record cover the whole call.
-    ``q`` is the dual unit field (qx, qy) of :func:`fem.unit_field` at the
-    quadrature points, in pair layout, or None.  With q each step is a
-    primal-dual step: its Jacobian reads q in place of v/max(|v|, tau) in
-    the rank-1 term, and the accepted step updates q by
-    :func:`fem.dual_step`.  Only a warm tail sets q, from its start flux,
-    and carries it across its stages; a stage attempt that fails restores
-    the q it started with, and the tail's last stage, the fallback and
-    every cold run take the primal step, q None.
+    ``q`` is the dual unit field (qx, qy) at the quadrature points, in pair
+    layout, or None; at convergence q = v/max(|v|, tau) and -alpha q is the
+    gradient of u.  With q each step is a primal-dual step: its Jacobian
+    reads q in place of v/max(|v|, tau) in the rank-1 term, and each
+    accepted step moves q by :func:`fem.dual_step`.  The primal step rebuilds
+    that field from each iterate, and its model holds only within about tau
+    of the iterate; carried, q lets a stage move further per step.  R, the
+    line search and the stop test do not read q, so every stage is certified
+    as with the primal step.  :func:`_stages` sets q on a stage's start (see
+    its table); :func:`newton_solve` moves its own copy and writes it back
+    only when it converges, so a call that fails leaves q as it found it.
     """
 
     cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
@@ -337,17 +311,15 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
     continuation, share one factor.
     Each iterate's field is evaluated once, by :func:`fem.huber_points`: its
     residual and its Jacobian read the same point values, which are dropped
-    before the linear solve, all but the (vx, vy, |v|) that the update of
-    ``run.q`` reads when the run carries q; |p_h| is that of the returned
-    flux at the quadrature points, in the pair layout of
-    :func:`fem.huber_points`.  With ``run.q`` the Jacobian is the
-    primal-dual one and each accepted step replaces ``run.q`` by a new
-    field, so a caller that kept the old one can restore it.  The residual,
-    the line search and the stop test do not read q.
+    before the linear solve, all but the (vx, vy, |v|) that the update of q
+    reads when the run carries q (see :class:`NewtonRun`); |p_h| is that of
+    the returned flux at the quadrature points, in the pair layout of
+    :func:`fem.huber_points`.
     Every failure raises :class:`SolverError` with ``newton_steps`` =
     ``run.steps``; a failed linear solve is chained as its cause.
     """
     run = run or NewtonRun()
+    q = run.q
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
@@ -359,9 +331,9 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
         if iterations >= NEWTON_MAX_ITER:
             raise MaxIterationsExceeded("Newton did not converge", tau, rnorm, run.steps)
         run.matrix = dp.schur(fem.assemble_huber_jacobian(
-            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points, q=run.q),
+            dp.mesh, p, dp.alpha_q, tau, ws=dp.workspace, points=points, q=q),
             out=run.matrix)
-        before = None if run.q is None else (points.vx, points.vy, points.norm)
+        before = None if q is None else (points.vx, points.vy, points.norm)
         points = None                   # kept through the solve, they add to its peak memory
         run.steps += 1
         eta = max(rnorm, run.forcing_floor / rnorm)
@@ -385,10 +357,11 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
         else:
             raise LineSearchStalled("line search made no progress", tau, rnorm, run.steps)
         if before is not None:
-            run.q = fem.dual_step(run.q, before, points, tau)
+            q = fem.dual_step(q, before, points, tau)
             before = None               # kept through the next Jacobian, it adds to its peak
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
+    run.q = q
     return p, iterations, rnorm, points.norm
 
 
@@ -468,16 +441,13 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     """Run the continuation; returns (DiscreteSolution, Diagnostics).
 
     Without ``p0`` the full ``tau_schedule(config)`` runs from zero
-    ("cold").  With ``p0``, one finite value per edge, the warm tail of
-    :func:`_warm_tail` runs from ``p0`` ("warm"): the first stage at or
-    below ``WARM_TAU``, then the schedule's last ``WARM_STAGES - 1`` stages.
-    If it raises :class:`SolverError` the full schedule reruns from zero
-    ("fallback").
-    ``DiscreteSolution.start`` names the run that gave the solution.  The
-    call makes one :class:`NewtonRun`; the fallback runs on it with the
-    tail's factor and dual field dropped, so the solution's counts include
-    the tail's work.  The warm tail sets ``run.q`` from its start flux, so
-    its stages but the last take primal-dual steps.
+    ("cold").  With ``p0``, one finite value per edge, the tail of
+    :func:`_warm_tail` runs from ``p0`` with its pinned edges zeroed
+    ("warm"); if it raises :class:`SolverError` the full schedule reruns
+    from zero ("fallback").  ``DiscreteSolution.start`` names the run that
+    gave the solution.  The call makes one :class:`NewtonRun`; the fallback
+    runs on it with the tail's factor dropped, so the solution's counts
+    include the tail's work.
     """
     config = config or SolverConfig()
     taus = tau_schedule(config)
@@ -490,57 +460,67 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
         raise ValueError(f"initial flux must have one value per edge, got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("initial flux must be finite")
-    tail = _warm_tail(taus)
     try:
-        run.q = fem.unit_field(dp.workspace, np.where(dp.free, p0, 0.0), tail[0])
-        return _stages(dp, tail, p0, "warm", run)
+        return _stages(dp, _warm_tail(taus), np.where(dp.free, p0, 0.0), "warm", run)
     except SolverError:
         run.cache.lu = None        # the fallback factors afresh, as a cold solve does
-        run.q = None
     return _stages(dp, taus, zero, "fallback", run)
 
 
 def _warm_tail(taus: np.ndarray) -> np.ndarray:
     """The stages of schedule ``taus`` that a warm run takes.
 
-    They are the first stage at or below ``WARM_TAU``, then the last
-    ``WARM_STAGES - 1`` stages.  If that stage is already one of the last
-    ``WARM_STAGES``, or no stage lies at or below ``WARM_TAU``, they are the
-    last ``WARM_STAGES`` stages.  The last three stages are always those of
-    the schedule, so the last stage's secant predictor reads the same two
-    stages as on a cold run.
+    They are stage ``first`` = min(the first stage at or below ``WARM_TAU``,
+    ``len(taus) - WARM_STAGES``), then the last ``WARM_STAGES - 1`` stages:
+    the last ``WARM_STAGES`` stages when no stage lies at or below
+    ``WARM_TAU`` or that stage is one of them, and the whole schedule when
+    it is shorter.  At the first tau Newton's model of the smoothed norm
+    holds over a wider region than at the schedule's end, so the move away
+    from the start flux takes few damped steps, and few factorizations of S.
+    The last three stages are those of the schedule, so the last stage's
+    secant predictor reads the same two stages as on a cold run.
     """
-    first = np.flatnonzero(taus <= WARM_TAU)[:1]
-    if first.size and first[0] < len(taus) - WARM_STAGES:
-        return np.concatenate([taus[first], taus[1 - WARM_STAGES:]])
-    return taus[-WARM_STAGES:]
+    first = min(np.count_nonzero(taus > WARM_TAU), len(taus) - WARM_STAGES)
+    stage = np.arange(len(taus))
+    return taus[(stage == first) | (stage > len(taus) - WARM_STAGES)]
 
 
 def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, run: NewtonRun):
     """Run the stages ``taus`` from flux ``p`` on ``run``; see :func:`continuation_solve`.
 
-    ``taus`` is a whole schedule or a warm tail; a tail's stages need not be
-    consecutive ones of the schedule, but its last three are.
+    ``taus`` is a whole schedule or a warm tail.  Each stage's start guess,
+    ``run.forcing_floor`` and step (a one-stage run's stage is its last):
 
-    From the third stage on, Newton starts at the secant predictor
+        stage   start guess           forcing floor     step
+        first   p                     FORCING_SAFETY    warm: primal-dual, q from p;
+                                      * NEWTON_TOL      cold, fallback: primal
+        middle  the stage before's    as the first      as the first, q carried
+                flux; from the third
+                on, the predictor
+        last    the predictor         0                 primal, q None
 
-        p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1}),
+    The predictor is the secant through the last two converged stages
+    (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2),
 
-    which extrapolates only between converged stages; on consecutive stages
-    of the geometric schedule the step is (p_k - p_{k-1}) / tau_factor, and
-    a warm tail's third stage, whose two stages before it are far apart,
-    starts close to p_k.  A stage that fails from the predictor is run once
-    more from p_k, with the ``run.q`` that the failed attempt started from.
-    Every stage but the last sets ``run.forcing_floor`` to
-    ``FORCING_SAFETY * NEWTON_TOL``; the last sets it to 0 and drops
-    ``run.q``, so it takes the primal step.  Each stage records only its
-    residual norms and duality gap, at its last iterate: from one product
-    B p and the |p_h| that ``newton_solve`` returned, which is then
-    dropped.  The run's diagnostics reuse the last stage's primal and dual
-    values and add only the recovered gradient's.  A failing stage raises
-    the :class:`SolverError` of its last attempt.  The run's steps that no
-    returned stage took, failed attempts and an earlier failed tail on the
-    same run included, are the record's ``discarded_newton_steps``.
+        p_k + (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}) * (p_k - p_{k-1});
+
+    on consecutive stages of the geometric schedule its step is
+    (p_k - p_{k-1}) / tau_factor, and a warm tail's third stage, whose two
+    stages before it are far apart, starts close to p_k.  A stage that fails
+    from the predictor is run once more from p_k, with the q that the failed
+    call left as it found it.  The last stage takes the primal step because
+    with q carried through it the warm and cold answers of the evolution
+    tests differed by 6.4e-11 to 2e-10, against their 1e-12 bound; cold runs
+    take it because there carrying q cost Newton steps (1,092 against 1,044
+    on the 8 scenarios at n=16).
+    Each stage records only its residual norms and duality gap, at its last
+    iterate: from one product B p and the |p_h| that ``newton_solve``
+    returned, which is then dropped.  The run's diagnostics reuse the last
+    stage's primal and dual values and add only the recovered gradient's.
+    A failing stage raises the :class:`SolverError` of its last attempt.
+    The run's steps that no returned stage took, failed attempts and an
+    earlier failed tail on the same run included, are the record's
+    ``discarded_newton_steps``.
     """
     iteration_counts, norms, gaps = [], [], []
     for k, tau in enumerate(taus):
@@ -552,13 +532,13 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
             run.forcing_floor, run.q = 0.0, None
         else:
             run.forcing_floor = FORCING_SAFETY * NEWTON_TOL
-        q = run.q
+            if k == 0:
+                run.q = fem.unit_field(dp.workspace, p, tau) if start == "warm" else None
         for guess in guesses:
             try:
                 p, iters, r1n, pnorm = newton_solve(dp, tau, guess, run=run)
                 break
             except SolverError:
-                run.q = q
                 if guess is guesses[-1]:
                     raise
         u, r2n, primal = _stage_record(dp, p, pnorm)

@@ -38,7 +38,9 @@ def primal_tail(monkeypatch):
     ``solver.WARM_TAU``, converges on the pours that the fallback and
     predictor-retry tests run; this tail fails on them, so those tests reach
     their paths as with a forced failure.  ``WARM_TAU = 0`` leaves no stage
-    to start from, so the tail is the schedule's last ``WARM_STAGES``.
+    to start from, so the tail is the schedule's last ``WARM_STAGES``, and
+    ``solver._stages`` sets the tail's q from ``fem.unit_field``, so a None
+    there leaves every step primal.
     """
     monkeypatch.setattr(solver, "WARM_STAGES", 12)
     monkeypatch.setattr(solver, "WARM_TAU", 0.0)

@@ -260,6 +260,20 @@ def test_primal_dual_tail_keeps_the_primal_trajectory(c, request):
     assert max(np.max(np.abs(a - b)) for a, b in zip(traj.u, primal.u)) <= 1e-11
 
 
+def test_warm_pour_steps_match_cold_re_solves_at_n32():
+    # each warm step of the pour-n32 workload against a cold solve of the
+    # same step from the same state: both last stages stop at |r| <= 1e-8,
+    # so they agree to what the stop test leaves, 2.75e-12 at most here
+    # (1.26e-11 at c = 0.6 with the warm tail of the last 4 stages)
+    spec = pour_n32(0.5)
+    traj = ev.run(spec)
+    assert [st.start for st in traj.steps] == ["warm"] * 5
+    for n in range(1, len(traj.steps) + 1):
+        cold = ev.step(traj.u[n - 1], traj.problem, spec, traj.times[n - 1], traj.times[n])
+        assert cold.start == "cold"
+        assert np.max(np.abs(cold.u - traj.u[n])) <= 1e-11
+
+
 def moving_pour(t_final):
     # a unit time step moves the poured half-plane by a whole unit, so the
     # previous flux is far from the answer: the primal 12-stage warm tail
@@ -365,16 +379,17 @@ def test_random_pours_warm_match_cold(n, steps, dt, alpha, rate, a, b, c):
 
 def test_pour_whose_secant_start_stalls_finishes(primal_tail):
     # an example of test_random_pours_warm_match_cold: the primal 12-stage
-    # warm tail of step 1 fails, and the fallback run stalled from the secant
-    # predictor at tau=1.457e-6 (stage 60, LineSearchStalled); that stage now
-    # reruns from the last converged flux
+    # warm tail of step 1 stalls from the secant predictor at tau=1.457e-6
+    # (its tenth stage, LineSearchStalled); that stage reruns from the last
+    # converged flux, and the tail holds
     alpha, dt = 1.2816002203394372, 0.26814811804337924
     problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=6, ny=6, boundary=gc.ALL_NEUMANN,
                              alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))
     rate = gc.HalfPlaneSource(gc.HalfPlane(-1.0, -0.4609375, -0.96875), inside=4.594128210184986)
     spec = ev.EvolutionSpec(problem=problem, t_final=2 * dt, dt=dt, rate=rate)
     warm = ev.run(spec)
-    assert len(warm.steps) == 2
+    assert [s.start for s in warm.steps] == ["warm", "warm"]
+    assert warm.steps[0].discarded_newton_steps > 0
     for s in warm.steps:
         assert max(max(norms) for norms in s.residual_norms) <= 1e-8
         assert abs(s.mass_balance) <= 1e-12

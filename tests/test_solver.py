@@ -423,8 +423,8 @@ def test_stage_records_read_the_stage_flux(monkeypatch):
 
 def test_stage_records_read_the_stage_flux_after_a_predictor_retry(primal_tail, monkeypatch):
     # the pour of test_pour_whose_secant_start_stalls_finishes, with its
-    # primal 12-stage warm tail: a stage of the first step's fallback fails
-    # from the secant predictor and reruns from the last converged flux
+    # primal 12-stage warm tail: a stage of the first step's tail fails from
+    # the secant predictor and reruns from the last converged flux
     alpha, dt = 1.2816002203394372, 0.26814811804337924
     problem = gc.ProblemSpec(rect=gc.UNIT_SQUARE, nx=6, ny=6, boundary=gc.ALL_NEUMANN,
                              alpha=gc.ConstantAlpha(alpha), source=gc.ConstantSource(0.0))
@@ -592,47 +592,59 @@ def test_stage_failing_from_the_predictor_reruns_from_the_last_stage(solve_cache
     assert (again.start, again.discarded_newton_steps) == ("fallback", steps[0] + 2)
 
 
-def dual_fields_seen(monkeypatch, *calls):
+def dual_fields_seen(monkeypatch, failing=None):
     """Record ``run.q`` at the start and the end of each newton_solve call.
 
-    The given calls (0-based) run their real Newton steps and then fail, so
-    they leave ``run.q`` moved.  Returns the list of (q at the call's start,
-    q at its end), in call order.
+    ``failing`` is (call, solve): that linear solve (1-based) of that call
+    of newton_solve (0-based) raises LinearSolveError, so the call fails
+    inside its Newton loop, after the steps before it were accepted.
+    Returns the list of [q at the call's start, q at its end], in call order.
     """
-    real, seen, call = solver.newton_solve, [], itertools.count()
+    newton, solve_spd, seen, solves = solver.newton_solve, linalg.solve_spd, [], []
 
-    def newton(dp, tau, p0, *, run=None):
+    def recorded(dp, tau, p0, *, run=None):
         seen.append([run.q, None])
+        solves.append(0)
         try:
-            result = real(dp, tau, p0, run=run)
+            return newton(dp, tau, p0, run=run)
         finally:
             seen[-1][1] = run.q
-        if next(call) in calls:
-            raise LineSearchStalled("injected failure", tau, 1.0, run.steps)
-        return result
 
-    monkeypatch.setattr(solver, "newton_solve", newton)
+    def failing_solve(*args, **kwargs):
+        solves[-1] += 1
+        if (len(solves) - 1, solves[-1]) == failing:
+            raise linalg.LinearSolveError("injected failure", 1.0)
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    monkeypatch.setattr(linalg, "solve_spd", failing_solve)
     return seen
 
 
-def test_warm_tail_carries_its_dual_field_and_a_retry_restores_it(solve_cache, monkeypatch):
-    # the tail's third stage fails from the secant predictor after moving q;
-    # the retry from the second stage's flux starts from the q that the
-    # failed attempt started with, and the last stage takes the primal step
+def test_warm_tail_carries_its_dual_field_and_a_failed_call_leaves_it(solve_cache,
+                                                                      monkeypatch):
+    # the tail's third stage fails from the secant predictor on its second
+    # linear solve, after one accepted step (2 discarded steps, both reached
+    # a linear solve): the failed call leaves run.q as it found it, the retry
+    # from the second stage's flux reads that q, and the last stage takes
+    # the primal step
     dp, sol, _ = solve_cache("ex1_f1_a1", 8)
-    seen = dual_fields_seen(monkeypatch, 2)
-    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
-    assert again.start == "warm" and len(seen) == solver.WARM_STAGES + 1
-    (start, end0), (carried, end1), (failed, lost), (retry, _), (last, _) = seen
-    assert start is not None and carried is end0 and failed is end1
-    assert retry is failed and lost is not failed
-    assert last is None
+    seen = dual_fields_seen(monkeypatch, (2, 2))
+    again, _ = continuation_solve(dp, p0=0.2 * sol.p)
+    assert (again.start, again.discarded_newton_steps) == ("warm", 2)
+    assert len(seen) == solver.WARM_STAGES + 1
+    (start, end0), (carried, end1), (failed, left), (retry, _), (last, end) = seen
+    assert start is not None and end0 is not start and carried is end0
+    assert failed is end1
+    assert left is failed
+    assert retry is failed
+    assert last is None and end is None
     # a tail whose second stage fails falls back with q dropped
     monkeypatch.undo()
-    seen = dual_fields_seen(monkeypatch, 1)
-    again, _ = continuation_solve(dp, p0=0.5 * sol.p)
+    seen = dual_fields_seen(monkeypatch, (1, 1))
+    again, _ = continuation_solve(dp, p0=0.2 * sol.p)
     assert again.start == "fallback"
-    assert all(q is not None for q, _ in seen[:2])
+    assert all(q is not None for q, _ in seen[:2]) and seen[1][1] is seen[1][0]
     assert all(q is None and end is None for q, end in seen[2:])
     # a cold run never sets q
     monkeypatch.undo()
