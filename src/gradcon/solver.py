@@ -35,8 +35,8 @@ from zero ("cold"); from a start flux near the answer the short tail of
 :func:`_warm_tail` runs ("warm"), and if it fails the full schedule reruns
 from zero ("fallback").  :func:`_stages` states each stage's start, forcing
 floor and step: the primal Newton step, or on a warm tail's stages but the
-last the primal-dual step, which carries the dual unit field q of
-:class:`NewtonRun` (Chan, Golub & Mulet, SIAM J. Sci. Comput. 20, 1999;
+last the primal-dual step, which carries a dual unit field q from stage to
+stage (Chan, Golub & Mulet, SIAM J. Sci. Comput. 20, 1999;
 Hintermüller & Stadler, SIAM J. Sci. Comput. 28, 2006).
 Each iterate's field is evaluated once at the quadrature points
 (:func:`fem.huber_points`): the values that gave its residual also give its
@@ -268,58 +268,49 @@ def residual(dp: DiscreteProblem, p: np.ndarray, tau: float,
 
 @dataclass
 class NewtonRun:
-    """The Newton state of one :func:`continuation_solve` call.
+    """What the Newton calls of one :func:`continuation_solve` call share.
 
     ``cache`` holds the kept factor of S and the counts of the call's linear
     solves; ``matrix`` is the call's one S, refilled in place at every step.
-    ``forcing_floor`` is the floor of the forcing term eta =
-    max(|r|, forcing_floor / |r|): 0 on the last stage, so eta = |r|.
     ``steps`` counts the Newton steps that reached a linear solve, those of
     failed attempts included.  A warm tail and its fallback share one run,
     so the counts of a record cover the whole call.
-    ``q`` is the dual unit field (qx, qy) at the quadrature points, in pair
-    layout, or None; at convergence q = v/max(|v|, tau) and -alpha q is the
-    gradient of u.  With q each step is a primal-dual step: its Jacobian
-    reads q in place of v/max(|v|, tau) in the rank-1 term, and each
-    accepted step moves q by :func:`fem.dual_step`.  The primal step rebuilds
-    that field from each iterate, and its model holds only within about tau
-    of the iterate; carried, q lets a stage move further per step.  R, the
-    line search and the stop test do not read q, so every stage is certified
-    as with the primal step.  :func:`_stages` sets q on a stage's start (see
-    its table); :func:`newton_solve` moves its own copy and writes it back
-    only when it converges, so a call that fails leaves q as it found it.
     """
 
     cache: linalg.FactorCache = field(default_factory=linalg.FactorCache)
     matrix: sp.csc_matrix | None = None
-    forcing_floor: float = 0.0
     steps: int = 0
-    q: tuple | None = None
 
 
 def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
-                 run: NewtonRun | None = None):
-    """Damped Newton on the reduced residual; returns (p, iterations, |r|, |p_h|).
+                 run: NewtonRun | None = None, floor: float = 0.0, q: tuple | None = None):
+    """Damped Newton on the reduced residual; returns (p, iterations, |r|, |p_h|, q).
 
     It stops once |r| <= ``NEWTON_TOL``.  The cell variable is eliminated
     exactly at every iterate, so the balance equation holds up to rounding
     throughout.  Each step writes S into ``run.matrix``, adds one to
     ``run.steps`` and solves for its direction with :func:`linalg.solve_spd`
     on the run's kept factor, to the relative residual min(FORCING_MAX, eta)
-    with eta = max(|r|, run.forcing_floor / |r|).  Without ``run`` the call
-    makes its own, with floor 0, so its steps, like those of a
-    continuation, share one factor.
+    with eta = max(|r|, floor / |r|).  Without ``run`` the call makes its
+    own, so its steps, like those of a continuation, share one factor.
+    ``q`` is the dual unit field (qx, qy) at the quadrature points, in pair
+    layout, or None.  With q each step is a primal-dual step: its Jacobian
+    reads q in place of v/max(|v|, tau) in the rank-1 term, and each
+    accepted step moves q by :func:`fem.dual_step`, so at convergence q is
+    close to v/max(|v|, tau) and -alpha q to the gradient of u.  The primal
+    step rebuilds that field from each iterate, and its model holds only
+    within about tau of the iterate; carried, q lets a stage move further
+    per step.  R, the line search and the stop test do not read q, so every
+    stage is certified as with the primal step, which returns q None.
     Each iterate's field is evaluated once, by :func:`fem.huber_points`: its
     residual and its Jacobian read the same point values, which are dropped
     before the linear solve, all but the (vx, vy, |v|) that the update of q
-    reads when the run carries q (see :class:`NewtonRun`); |p_h| is that of
-    the returned flux at the quadrature points, in the pair layout of
-    :func:`fem.huber_points`.
+    reads; |p_h| is that of the returned flux at the quadrature points, in
+    the pair layout of :func:`fem.huber_points`.
     Every failure raises :class:`SolverError` with ``newton_steps`` =
     ``run.steps``; a failed linear solve is chained as its cause.
     """
     run = run or NewtonRun()
-    q = run.q
     p = np.array(p0, dtype=float)
     p[~dp.free] = 0.0
 
@@ -336,7 +327,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
         before = None if q is None else (points.vx, points.vy, points.norm)
         points = None                   # kept through the solve, they add to its peak memory
         run.steps += 1
-        eta = max(rnorm, run.forcing_floor / rnorm)
+        eta = max(rnorm, floor / rnorm)
         step = np.zeros_like(p)
         try:
             step[dp.free] = linalg.solve_spd(run.matrix, -r[dp.free], cache=run.cache,
@@ -361,8 +352,7 @@ def newton_solve(dp: DiscreteProblem, tau: float, p0: np.ndarray, *,
             before = None               # kept through the next Jacobian, it adds to its peak
         p, r, rnorm = trial, r_trial, math.sqrt(m_trial)
         iterations += 1
-    run.q = q
-    return p, iterations, rnorm, points.norm
+    return p, iterations, rnorm, points.norm, q
 
 
 @dataclass(frozen=True)
@@ -445,9 +435,9 @@ def continuation_solve(dp: DiscreteProblem, config: SolverConfig | None = None,
     :func:`_warm_tail` runs from ``p0`` with its pinned edges zeroed
     ("warm"); if it raises :class:`SolverError` the full schedule reruns
     from zero ("fallback").  ``DiscreteSolution.start`` names the run that
-    gave the solution.  The call makes one :class:`NewtonRun`; the fallback
-    runs on it with the tail's factor dropped, so the solution's counts
-    include the tail's work.
+    gave the solution.  Its stages share one :class:`NewtonRun`; the
+    fallback runs on it with the tail's factor dropped, so the solution's
+    counts include the tail's work.
     """
     config = config or SolverConfig()
     taus = tau_schedule(config)
@@ -489,7 +479,7 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
     """Run the stages ``taus`` from flux ``p`` on ``run``; see :func:`continuation_solve`.
 
     ``taus`` is a whole schedule or a warm tail.  Each stage's start guess,
-    ``run.forcing_floor`` and step (a one-stage run's stage is its last):
+    forcing floor and step (a one-stage run's stage is its last):
 
         stage   start guess           forcing floor     step
         first   p                     FORCING_SAFETY    warm: primal-dual, q from p;
@@ -507,12 +497,11 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
     on consecutive stages of the geometric schedule its step is
     (p_k - p_{k-1}) / tau_factor, and a warm tail's third stage, whose two
     stages before it are far apart, starts close to p_k.  A stage that fails
-    from the predictor is run once more from p_k, with the q that the failed
-    call left as it found it.  The last stage takes the primal step because
-    with q carried through it the warm and cold answers of the evolution
-    tests differed by 6.4e-11 to 2e-10, against their 1e-12 bound; cold runs
-    take it because there carrying q cost Newton steps (1,092 against 1,044
-    on the 8 scenarios at n=16).
+    from the predictor is run once more from p_k, with the same q.  The last
+    stage takes the primal step because with q carried through it the warm
+    and cold answers of the evolution tests differed by 6.4e-11 to 2e-10,
+    against their 1e-12 bound; cold runs take it because there carrying q
+    cost Newton steps (1,092 against 1,044 on the 8 scenarios at n=16).
     Each stage records only its residual norms and duality gap, at its last
     iterate: from one product B p and the |p_h| that ``newton_solve``
     returned, which is then dropped.  The run's diagnostics reuse the last
@@ -523,20 +512,18 @@ def _stages(dp: DiscreteProblem, taus: np.ndarray, p: np.ndarray, start: str, ru
     ``discarded_newton_steps``.
     """
     iteration_counts, norms, gaps = [], [], []
+    q = fem.unit_field(dp.workspace, p, taus[0]) if start == "warm" else None
     for k, tau in enumerate(taus):
         guesses = [p]
         if k >= 2:                 # p and p_prev are both converged stages
             guesses.insert(0, p + (tau - taus[k - 1]) / (taus[k - 1] - taus[k - 2]) * (p - p_prev))
         p_prev = p
-        if k == len(taus) - 1:
-            run.forcing_floor, run.q = 0.0, None
-        else:
-            run.forcing_floor = FORCING_SAFETY * NEWTON_TOL
-            if k == 0:
-                run.q = fem.unit_field(dp.workspace, p, tau) if start == "warm" else None
+        last = k == len(taus) - 1
+        floor = 0.0 if last else FORCING_SAFETY * NEWTON_TOL
+        q = None if last else q
         for guess in guesses:
             try:
-                p, iters, r1n, pnorm = newton_solve(dp, tau, guess, run=run)
+                p, iters, r1n, pnorm, q = newton_solve(dp, tau, guess, run=run, floor=floor, q=q)
                 break
             except SolverError:
                 if guess is guesses[-1]:

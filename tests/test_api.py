@@ -72,16 +72,15 @@ def test_removed_options_are_gone():
     # stop are constants
     assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["tau_factor", "tau_min"]
     assert "config" not in inspect.signature(solver.newton_solve).parameters
-    # a run's shared Newton state travels in one object
+    # a run's shared Newton state travels in one object, a stage's policy in arguments
     assert [name for name, param in inspect.signature(solver.newton_solve).parameters.items()
-            if param.kind is inspect.Parameter.KEYWORD_ONLY] == ["run"]
-    # one run per continuation call: it owns the Schur matrix, the forcing
-    # floor and the step count, so neither the factor cache nor the stages
-    # keep any of them; newton_solve returns |p_h| of its flux to the
-    # stage's record, which the run does not carry; a warm tail's dual unit
-    # field is the run's too
+            if param.kind is inspect.Parameter.KEYWORD_ONLY] == ["run", "floor", "q"]
+    # one run per continuation call: it owns the Schur matrix and the step
+    # count, so neither the factor cache nor the stages keep them; a stage's
+    # forcing floor and dual unit field are arguments of newton_solve, which
+    # returns the field and |p_h| of its flux, and the run carries neither
     assert [f.name for f in dataclasses.fields(solver.NewtonRun)] == [
-        "cache", "matrix", "forcing_floor", "steps", "q"]
+        "cache", "matrix", "steps"]
     assert "matrix" not in {f.name for f in dataclasses.fields(linalg.FactorCache)}
     assert "discarded" not in inspect.signature(solver._stages).parameters
     assert "rule" not in inspect.signature(fem.build_workspace).parameters

@@ -127,7 +127,7 @@ def test_step_against_independent_minimizer():
     f_eff_q = u_prev[:, None] + k * 2.0 * np.ones_like(dp.source_q)
     sdp = dp.with_load(f_eff_q)
 
-    p_newton, _, _, _ = newton_solve(sdp, tau, np.zeros(dp.mesh.num_edges))
+    p_newton, _, _, _, _ = newton_solve(sdp, tau, np.zeros(dp.mesh.num_edges))
 
     assert sdp.free.all() == (not spec.problem.boundary.gamma_n_sides)
     free = np.flatnonzero(sdp.free)

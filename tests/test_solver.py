@@ -164,7 +164,7 @@ def test_newton_zero_source_converges_immediately():
     dp = DiscreteProblem.from_spec(gc.ProblemSpec(
         rect=gc.UNIT_SQUARE, nx=4, ny=4, boundary=gc.ALL_DIRICHLET,
         alpha=gc.ConstantAlpha(0.7), source=gc.ConstantSource(0.0)))
-    p, iters, rnorm, _ = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
+    p, iters, rnorm, _, _ = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
     assert iters <= 2
     assert np.allclose(p, 0.0)
     assert rnorm <= 1e-8
@@ -173,7 +173,7 @@ def test_newton_zero_source_converges_immediately():
 
 def test_newton_first_stage_converges():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
-    p, iters, rnorm, pnorm = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
+    p, iters, rnorm, pnorm, _ = newton_solve(dp, 10.0, np.zeros(dp.mesh.num_edges))
     assert rnorm <= 1e-8
     r1n, r2n = np.linalg.norm(residual(dp, p, 10.0)), stage_record(dp, p, 10.0)[1]
     assert r1n <= 1e-8 and r2n <= 1e-12
@@ -187,7 +187,7 @@ def test_newton_quadratic_branch_contraction():
     dp = DiscreteProblem.from_spec(gc.scenario("ex1_f1_a1", n=8))
     p0 = np.zeros(dp.mesh.num_edges)
     r0 = float(np.linalg.norm(residual(dp, p0, 10.0)))
-    p, iters, r1, _ = newton_solve(dp, 10.0, p0)
+    p, iters, r1, _, _ = newton_solve(dp, 10.0, p0)
     assert iters == 1
     assert r1 / r0**2 <= 1.0
 
@@ -337,9 +337,9 @@ def test_back_to_back_runs_share_no_state(solve_cache, monkeypatch):
     dp, sol, _ = solve_cache("ex2_a15", 8)
     passed, real = [], solver.newton_solve
 
-    def newton(dp, tau, p0, *, run=None):
-        passed.append(run)
-        return real(dp, tau, p0, run=run)
+    def newton(dp, tau, p0, **kwargs):
+        passed.append(kwargs["run"])
+        return real(dp, tau, p0, **kwargs)
 
     monkeypatch.setattr(solver, "newton_solve", newton)
     copy = dp.with_load(dp.source_q)
@@ -382,9 +382,9 @@ def recorded_stages(monkeypatch, solve):
     newton, stages = solver.newton_solve, solver._stages
     returned, calls = [], []
 
-    def spy_newton(dp, tau, p0, *, run=None):
+    def spy_newton(dp, tau, p0, **kwargs):
         calls[-1].append(None)
-        calls[-1][-1] = newton(dp, tau, p0, run=run)
+        calls[-1][-1] = newton(dp, tau, p0, **kwargs)
         return calls[-1][-1]
 
     def spy_stages(*args):
@@ -403,7 +403,8 @@ def assert_stages_match_a_fresh_evaluation(dp, results, sol):
     ws = dp.workspace
     results = [r for r in results if r is not None]
     assert len(results) == len(sol.gap_history) == len(sol.residual_norms)
-    for (p, _, rnorm, pnorm), gap, norms in zip(results, sol.gap_history, sol.residual_norms):
+    for (p, _, rnorm, pnorm, _), gap, norms in zip(results, sol.gap_history,
+                                                   sol.residual_norms):
         fresh = huber.norm(*fem._pair_components(ws, p))
         assert pnorm.tobytes() == fresh.tobytes()
         u, r2n, primal = solver._stage_record(dp, p, fresh)
@@ -525,11 +526,11 @@ def newton_failing_at(monkeypatch, *calls):
     """
     real, steps, call = solver.newton_solve, [], itertools.count()
 
-    def newton(dp, tau, p0, *, run=None):
+    def newton(dp, tau, p0, **kwargs):
         if next(call) in calls:
-            run.steps += 2
-            raise LineSearchStalled("injected failure", tau, 1.0, run.steps)
-        result = real(dp, tau, p0, run=run)
+            kwargs["run"].steps += 2
+            raise LineSearchStalled("injected failure", tau, 1.0, kwargs["run"].steps)
+        result = real(dp, tau, p0, **kwargs)
         steps.append(result[1])
         return result
 
@@ -592,23 +593,26 @@ def test_stage_failing_from_the_predictor_reruns_from_the_last_stage(solve_cache
     assert (again.start, again.discarded_newton_steps) == ("fallback", steps[0] + 2)
 
 
+RAISED = object()      # what dual_fields_seen records as the q returned by a call that raised
+
+
 def dual_fields_seen(monkeypatch, failing=None):
-    """Record ``run.q`` at the start and the end of each newton_solve call.
+    """Record the q that each newton_solve call received and the q it returned.
 
     ``failing`` is (call, solve): that linear solve (1-based) of that call
     of newton_solve (0-based) raises LinearSolveError, so the call fails
     inside its Newton loop, after the steps before it were accepted.
-    Returns the list of [q at the call's start, q at its end], in call order.
+    Returns the list of [q received, q returned], in call order, with
+    ``RAISED`` for the q of a call that raised.
     """
     newton, solve_spd, seen, solves = solver.newton_solve, linalg.solve_spd, [], []
 
-    def recorded(dp, tau, p0, *, run=None):
-        seen.append([run.q, None])
+    def recorded(dp, tau, p0, **kwargs):
+        seen.append([kwargs["q"], RAISED])
         solves.append(0)
-        try:
-            return newton(dp, tau, p0, run=run)
-        finally:
-            seen[-1][1] = run.q
+        result = newton(dp, tau, p0, **kwargs)
+        seen[-1][1] = result[4]
+        return result
 
     def failing_solve(*args, **kwargs):
         solves[-1] += 1
@@ -625,28 +629,27 @@ def test_warm_tail_carries_its_dual_field_and_a_failed_call_leaves_it(solve_cach
                                                                       monkeypatch):
     # the tail's third stage fails from the secant predictor on its second
     # linear solve, after one accepted step (2 discarded steps, both reached
-    # a linear solve): the failed call leaves run.q as it found it, the retry
-    # from the second stage's flux reads that q, and the last stage takes
-    # the primal step
+    # a linear solve): the retry from the second stage's flux receives the
+    # q that the failed call received, each stage the q that the stage
+    # before returned, and the last stage takes the primal step
     dp, sol, _ = solve_cache("ex1_f1_a1", 8)
     seen = dual_fields_seen(monkeypatch, (2, 2))
     again, _ = continuation_solve(dp, p0=0.2 * sol.p)
     assert (again.start, again.discarded_newton_steps) == ("warm", 2)
     assert len(seen) == solver.WARM_STAGES + 1
-    (start, end0), (carried, end1), (failed, left), (retry, _), (last, end) = seen
+    (start, end0), (carried, end1), (failed, raised), (retry, end2), (last, end) = seen
     assert start is not None and end0 is not start and carried is end0
-    assert failed is end1
-    assert left is failed
-    assert retry is failed
+    assert failed is end1 and raised is RAISED
+    assert retry is failed and end2 is not None
     assert last is None and end is None
     # a tail whose second stage fails falls back with q dropped
     monkeypatch.undo()
     seen = dual_fields_seen(monkeypatch, (1, 1))
     again, _ = continuation_solve(dp, p0=0.2 * sol.p)
     assert again.start == "fallback"
-    assert all(q is not None for q, _ in seen[:2]) and seen[1][1] is seen[1][0]
+    assert seen[1][0] is seen[0][1] is not None and seen[1][1] is RAISED
     assert all(q is None and end is None for q, end in seen[2:])
-    # a cold run never sets q
+    # a cold run never passes q
     monkeypatch.undo()
     seen = dual_fields_seen(monkeypatch)
     continuation_solve(dp)
@@ -697,13 +700,35 @@ def test_lone_newton_solve_keeps_one_factor_across_its_steps(monkeypatch):
     factorizations, splu = [], linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu",
                         lambda *a, **k: factorizations.append(1) or splu(*a, **k))
-    p, iters, rnorm, _ = newton_solve(dp, taus[-1], previous.p)
+    p, iters, rnorm, _, _ = newton_solve(dp, taus[-1], previous.p)
     assert rnorm <= solver.NEWTON_TOL
     assert iters >= 3
     assert 1 <= len(factorizations) < iters
 
 
-def test_intermediate_stages_solve_to_the_forcing_floor(monkeypatch):
+@pytest.mark.parametrize("name, n", [("ex1_f1_a1", 16), ("ex2_a15", 16), ("ex4_measure", 16),
+                                     ("ex1_f1_ajump", 32)])
+def test_primal_dual_newton_solve_reaches_the_primal_answer(solve_cache, name, n):
+    # one warm-tail stage as a lone call, from half the answer at the tail's
+    # first tau: the primal-dual call takes the primal call's steps (3, 5, 4
+    # and 4), lands on its flux, returns a q in the unit ball close to the
+    # unit field of that flux and leaves the q it was given unchanged; the
+    # primal call returns q None
+    dp, sol, _ = solve_cache(name, n)
+    tau, p0, ws = 7.9e-4, 0.5 * sol.p, dp.workspace
+    q0 = fem.unit_field(ws, p0, tau)
+    given = tuple(c.copy() for c in q0)
+    p, iters, rnorm, _, q = newton_solve(dp, tau, p0, q=q0)
+    primal = newton_solve(dp, tau, p0)
+    assert rnorm <= solver.NEWTON_TOL and iters == primal[1]
+    assert np.max(np.abs(p - primal[0])) <= 1e-10
+    assert all(np.max(np.abs(a - b)) <= 1e-6 for a, b in zip(q, fem.unit_field(ws, p, tau)))
+    assert np.max(huber.norm(*q)) <= 1.0 + 1e-15
+    assert all(np.array_equal(a, b) for a, b in zip(q0, given))
+    assert primal[4] is None
+
+
+def test_intermediate_stages_solve_to_the_eta_floor(monkeypatch):
     # an intermediate stage asks PCG for no more than its step needs to reach
     # NEWTON_TOL, max(|r|, FORCING_SAFETY * NEWTON_TOL / |r|); the last stage,
     # whose answer the run returns, keeps eta = |r|
@@ -712,9 +737,9 @@ def test_intermediate_stages_solve_to_the_forcing_floor(monkeypatch):
     stage, asked = [None], []
     newton, solve = solver.newton_solve, linalg.solve_spd
 
-    def stage_newton(dp, tau, p0, *, run=None):
+    def stage_newton(dp, tau, p0, **kwargs):
         stage[0] = tau
-        return newton(dp, tau, p0, run=run)
+        return newton(dp, tau, p0, **kwargs)
 
     def recording_solve(A, b, **kw):
         asked.append((stage[0], kw["rtol"], float(np.linalg.norm(b))))
